@@ -77,9 +77,11 @@ def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> Complet
     """Unitary U and projection P_N with P_N U v = scale * A v on M.
 
     Columns of A, scaled to unit total energy, give the N-components of the
-    images; the deficit goes into N-perp through the principal PSD root of
-    I - C^dag C. The extension of U beyond M is the deterministic
-    orthonormal completion (gauge-free as far as P_N U on M is concerned).
+    images; the deficit goes into N-perp, whose basis is the tail of N's
+    orthonormal extension, through the principal PSD root of I - C^dag C.
+    U = [images | completion] [M | completion]^dag, each completion one
+    complete QR (``orthonormal_extension``), so U costs O(n^3) and is
+    deterministic; its action off M does not affect P_N U on M.
     """
     k = m.subspace_dim
     a_norm = fro(m.action)

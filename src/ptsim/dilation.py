@@ -11,6 +11,7 @@ reproduces e^{-itH} in the top block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dilation:
+    """The dilation record. ``build_dilation`` makes its arrays read-only."""
+
     H: np.ndarray
     eta: np.ndarray
     tau: np.ndarray
@@ -51,6 +54,15 @@ class Dilation:
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def stage_cache(self) -> dict:
+        """Pipeline stages built on this dilation, keyed by (scheme, tol).
+
+        Filled by ``pipeline.scheme_stages``. Entries stay valid because the
+        arrays they are computed from cannot be written.
+        """
+        return {}
 
     def to_obj(self) -> dict:
         from .io import matrix_to_obj
@@ -87,7 +99,7 @@ def build_dilation(
     c = classify(sys.H, sys.pt, tol)
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"build_dilation: classification is {c.kind.value}")
-    h = sys.H
+    h = np.array(sys.H, dtype=complex)
     n = h.shape[0]
 
     if eta is None:
@@ -95,7 +107,7 @@ def build_dilation(
         w = np.linalg.eigvalsh(base)
         eta = (margin / w.min()) * base
     else:
-        eta = np.asarray(eta, dtype=complex)
+        eta = np.array(eta, dtype=complex)
         verify_metric(h, eta, tol)
         w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
         if w.min() <= 1.0:
@@ -118,7 +130,7 @@ def build_dilation(
         h1m = tau @ h @ tau @ eta_inv + h @ eta_inv
         h1m = 0.5 * (h1m + h1m.conj().T)
     elif h1_choice == "supplied":
-        h1m = np.asarray(h1, dtype=complex)
+        h1m = np.array(h1, dtype=complex)
         if h1m.shape != (n, n) or not is_hermitian(h1m, tol):
             raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")
     else:
@@ -136,6 +148,8 @@ def build_dilation(
         "tau_sq": fro(tau @ tau - (eta - np.eye(n))) / rel_scale(eta),
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
+    for a in (h, eta, tau, h1m, h2, h4, hhat):
+        a.setflags(write=False)
     return Dilation(h, eta, tau, h1m, h2, h4, hhat, residuals)
 
 

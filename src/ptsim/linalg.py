@@ -149,8 +149,18 @@ def _has_clustered_rank_deficit(lam, psi, tol: Tolerances) -> bool:
 
 
 def matrix_exp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """e^{A}: eigendecomposition when well-conditioned, else Pade/squaring."""
+    """e^{A}.
+
+    Exactly skew-Hermitian A = -iK (every evolution generator -itHhat) takes
+    one eigh of K and returns V diag(e^{-iw}) V^dag, unitary to rounding
+    (Higham, Functions of Matrices, ch. 10). Other input uses its
+    eigendecomposition when that is well-conditioned and not defective, and
+    Pade scaling-and-squaring otherwise.
+    """
     a = _require_square(a, "matrix_exp")
+    if np.array_equal(a, -a.conj().T):
+        w, v = np.linalg.eigh(1j * a)
+        return (v * np.exp(-1j * w)) @ v.conj().T
     d = eig(a, tol)
     if not d.defective and d.condition_estimate <= _EXPM_COND_LIMIT:
         psi = d.eigenvector_matrix
@@ -236,39 +246,25 @@ def sylvester_hermitian_nullspace(h, tol: Tolerances = DEFAULT_TOL) -> list[np.n
 def orthonormal_extension(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Complete the given independent vectors to an orthonormal basis.
 
-    Returns a dim x dim unitary whose first columns span span(vectors);
-    already-orthonormal input is reproduced in place. Completion picks
-    coordinate vectors by largest residual, so the output is deterministic.
+    Returns a dim x dim unitary whose first k columns span span(vectors),
+    from one complete Householder QR of [V | I]. Each column is multiplied by
+    the phase of its R diagonal, so the leading columns are the Gram-Schmidt
+    orthonormalization of the input (orthonormal input is reproduced in
+    place) and the output is deterministic. Input whose j-th residual |R_jj|
+    falls below 1e-10 max(1, ||v_j||) is rejected as dependent.
     """
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if any(v.shape[0] != dim for v in vs):
         raise errors.DimensionMismatchError("orthonormal_extension: vector length != dim")
-    if len(vs) > dim:
+    k = len(vs)
+    if k > dim:
         raise errors.DependentInputError("orthonormal_extension: more vectors than dim")
 
-    q = []
-    for v in vs:
-        w = v.copy()
-        for u in q:
-            w = w - u * (u.conj() @ w)
-        # second GS pass for numerical orthogonality
-        for u in q:
-            w = w - u * (u.conj() @ w)
-        nw = np.linalg.norm(w)
-        if nw <= 1e-10 * max(1.0, np.linalg.norm(v)):
-            raise errors.DependentInputError("orthonormal_extension: dependent input vectors")
-        q.append(w / nw)
-
-    while len(q) < dim:
-        best, best_norm = None, -1.0
-        for i in range(dim):
-            w = np.zeros(dim, dtype=complex)
-            w[i] = 1.0
-            for u in q:
-                w = w - u * (u.conj() @ w)
-            nw = np.linalg.norm(w)
-            if nw > best_norm + 1e-12:
-                best, best_norm = w, nw
-        q.append(best / np.linalg.norm(best))
-
-    return np.column_stack(q)
+    v = np.array(vs, dtype=complex).reshape(k, dim).T
+    q, r = np.linalg.qr(np.hstack([v, np.eye(dim, dtype=complex)]), mode="complete")
+    diag = np.diagonal(r)
+    mag = np.abs(diag)
+    if np.any(mag[:k] <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+        raise errors.DependentInputError("orthonormal_extension: dependent input vectors")
+    phase = np.divide(diag, mag, out=np.ones(dim, dtype=complex), where=mag > 0.0)
+    return q * phase

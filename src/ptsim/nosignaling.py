@@ -11,14 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .dilation import build_dilation
+from .completion import post_select
+from .dilation import Dilation, build_dilation
 from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, matrix_exp
-from .pipeline import (
-    extraction_completion,
-    gunther_eta,
-    gunther_system,
-    preparation_completion,
-)
+from .pipeline import SchemeStages, gunther_eta, gunther_system, resolve_rho, scheme_stages
 
 __all__ = [
     "ExperimentConfig",
@@ -73,21 +69,6 @@ def bell_plus_x_state() -> np.ndarray:
     return v
 
 
-def _resolved_rho(cfg: ExperimentConfig, eta, tol: Tolerances):
-    from .linalg import psd_power
-
-    if cfg.scheme == "identity":
-        eye = np.eye(2, dtype=complex)
-        return eye, eye
-    if cfg.scheme == "metric_sandwich":
-        return psd_power(eta, -0.5, tol), psd_power(eta, 0.5, tol)
-    if cfg.scheme == "custom":
-        if cfg.rho is None or cfg.rho_prime is None:
-            raise errors.ParseError("custom scheme requires rho and rho_prime")
-        return np.asarray(cfg.rho, dtype=complex), np.asarray(cfg.rho_prime, dtype=complex)
-    raise ValueError(f"unknown scheme {cfg.scheme!r}")
-
-
 def _measure_joint(state: np.ndarray) -> np.ndarray:
     """2x2 table of |<a b|state>|^2 over a, b in {+y, -y}."""
     out = np.zeros((2, 2))
@@ -98,33 +79,30 @@ def _measure_joint(state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _simulated_branch(cfg: ExperimentConfig, psi_joint, tol: Tolerances):
+def _paper_dilation(cfg: ExperimentConfig, tol: Tolerances) -> Dilation:
+    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol)
+    return build_dilation(sys, eta=gunther_eta(cfg.alpha), h1_choice="paper", tol=tol)
+
+
+def _simulated_branch(st: SchemeStages, u_full: np.ndarray, psi_joint, tol: Tolerances):
     """Run the dilated pipeline on Alice's factor of a two-qubit state.
 
     Full space ordering: (ancilla, Alice, Bob); Alice-side 4x4 pipeline
-    operators lift as kron(op, I_Bob). Returns the post-selected Alice x Bob
-    state and the product of branch probabilities.
+    operators lift as kron(op, I_Bob), and u_full is the lifted evolution.
+    Returns the post-selected Alice x Bob state and the product of branch
+    probabilities.
     """
-    from .completion import post_select
-
-    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol)
-    eta = gunther_eta(cfg.alpha)
-    d = build_dilation(sys, eta=eta, h1_choice="paper", tol=tol)
-    rho, rho_prime = _resolved_rho(cfg, eta, tol)
     eye2 = np.eye(2, dtype=complex)
-
     xi1 = np.concatenate([psi_joint, np.zeros(4, dtype=complex)])  # ancilla |0>
 
-    prep = preparation_completion(d, rho, tol)
+    prep = st.preparation
     xi, p_prep = post_select(np.kron(prep.U, eye2) @ xi1, np.kron(prep.P_N, eye2), tol)
     if p_prep == 0.0:
         raise errors.ZeroBranchError("simulated branch: preparation vanished")
 
-    # Bob's trivial Hamiltonian contributes the global phase e^{-it}
-    u_full = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), np.exp(-1j * cfg.t) * eye2)
     xi = u_full @ xi
 
-    extr = extraction_completion(d, rho_prime, tol)
+    extr = st.extraction
     xi, p1 = post_select(np.kron(extr.U, eye2) @ xi, np.kron(extr.P_N, eye2), tol)
     if p1 == 0.0:
         raise errors.ZeroBranchError("simulated branch: extraction vanished")
@@ -137,26 +115,32 @@ def _simulated_branch(cfg: ExperimentConfig, psi_joint, tol: Tolerances):
 
 def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> JointStats:
     psi = bell_plus_x_state()
-    h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol).H
-    u0 = matrix_exp(-1j * cfg.t * h0, tol)
-    eta = gunther_eta(cfg.alpha)
-    rho, rho_prime = _resolved_rho(cfg, eta, tol)
+    eye2 = np.eye(2, dtype=complex)
+    bob_phase = np.exp(-1j * cfg.t) * eye2  # Bob's trivial Hamiltonian: the global phase e^{-it}
+    if cfg.mode == "direct_eq71":
+        h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol).H
+        u0 = matrix_exp(-1j * cfg.t * h0, tol)
+        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha), cfg.rho, cfg.rho_prime, tol)
+        channel = np.kron(rho_prime @ u0 @ rho, bob_phase)
+    elif cfg.mode == "simulated_eq73":
+        d = _paper_dilation(cfg, tol)
+        st = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol)
+        u_full = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), bob_phase)
+    else:
+        raise ValueError(f"unknown mode {cfg.mode!r}")
 
     table = np.zeros((2, 2, 2))
     p_success = np.ones(2)
     for k, u_a in enumerate(_ALICE_UNITARIES):
-        psi_k = np.kron(u_a, np.eye(2, dtype=complex)) @ psi
+        psi_k = np.kron(u_a, eye2) @ psi
         if cfg.mode == "direct_eq71":
-            channel = rho_prime @ u0 @ rho
-            final = np.kron(channel, np.exp(-1j * cfg.t) * np.eye(2, dtype=complex)) @ psi_k
+            final = channel @ psi_k
             nrm = np.linalg.norm(final)
             if nrm <= 1e-14:
                 raise errors.ZeroBranchError("direct branch: channel annihilated the state")
             final = final / nrm
-        elif cfg.mode == "simulated_eq73":
-            final, p_success[k] = _simulated_branch(cfg, psi_k, tol)
         else:
-            raise ValueError(f"unknown mode {cfg.mode!r}")
+            final, p_success[k] = _simulated_branch(st, u_full, psi_k, tol)
         table[k] = _measure_joint(final)
 
     bob = table.sum(axis=1)  # [k, b]
@@ -172,19 +156,16 @@ def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_
     4-dimensional dilated Alice factor.
     """
     psi = bell_plus_x_state()
-    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol)
-    eta = gunther_eta(cfg.alpha)
-    d = build_dilation(sys, eta=eta, h1_choice="paper", tol=tol)
-    rho, _ = _resolved_rho(cfg, eta, tol)
-    prep = preparation_completion(d, rho, tol)
+    d = _paper_dilation(cfg, tol)
+    prep = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol).preparation
     eye2 = np.eye(2, dtype=complex)
+    u_prep = np.kron(prep.U, eye2)
+    u_evo = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), eye2)
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):
         psi_k = np.kron(u_a, eye2) @ psi
-        xi = np.concatenate([psi_k, np.zeros(4, dtype=complex)])
-        xi = np.kron(prep.U, eye2) @ xi
-        xi = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), eye2) @ xi
+        xi = u_evo @ (u_prep @ np.concatenate([psi_k, np.zeros(4, dtype=complex)]))
         m = xi.reshape(4, 2)
         rho_bob = m.T @ m.conj()  # trace over the dilated Alice factor
         out[k, 0] = float(np.real(PLUS_Y.conj() @ rho_bob @ PLUS_Y))

@@ -7,7 +7,7 @@ binomial sampling is layered on top for realism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ from .linalg import (
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
+    "SchemeStages",
+    "resolve_rho",
+    "scheme_stages",
     "SimulationConfig",
     "SimulationTrace",
     "run_simulation",
@@ -37,6 +40,61 @@ __all__ = [
     "gunther_projection",
     "reproduce_gunther_example",
 ]
+
+
+def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DEFAULT_TOL):
+    """(rho, rho') of a scheme: identity | metric_sandwich | custom."""
+    if scheme == "identity":
+        eye = np.eye(eta.shape[0], dtype=complex)
+        return eye, eye
+    if scheme == "metric_sandwich":
+        return psd_power(eta, -0.5, tol), psd_power(eta, 0.5, tol)
+    if scheme == "custom":
+        if rho is None or rho_prime is None:
+            raise errors.ParseError("custom scheme requires rho and rho_prime")
+        return np.asarray(rho, dtype=complex), np.asarray(rho_prime, dtype=complex)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+@dataclass(frozen=True)
+class SchemeStages:
+    """A scheme's (rho, rho') and the two completions they induce on one dilation.
+
+    It holds no reference to the dilation, so a dilation that keeps its
+    stages forms no reference cycle and is freed as soon as it is dropped.
+    """
+
+    rho: np.ndarray
+    rho_prime: np.ndarray
+    preparation: CompletionResult
+    extraction: CompletionResult
+
+
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.setflags(write=False)
+
+
+def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
+                  tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
+    """The stages of a scheme on d.
+
+    The built-in schemes are built once per (dilation, scheme, tol) and kept
+    on the dilation with read-only arrays, so every t and every state run on
+    one dilation shares (rho, rho') and both completions. A custom scheme is
+    built per call, since its factors are caller-owned arrays.
+    """
+    key = (scheme, tol)
+    if key in d.stage_cache:
+        return d.stage_cache[key]
+    r, r_prime = resolve_rho(scheme, d.eta, rho, rho_prime, tol)
+    st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
+                      extraction_completion(d, r_prime, tol))
+    if scheme != "custom":
+        _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
+                   st.extraction.U, st.extraction.P_N)
+        d.stage_cache[key] = st
+    return st
 
 
 @dataclass
@@ -50,18 +108,12 @@ class SimulationConfig:
     rho_prime: np.ndarray | None = None
     seed: int | None = None
 
+    def stages(self, tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
+        return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime, tol)
+
     def resolved_rho(self, tol: Tolerances = DEFAULT_TOL):
-        n = self.dilation.dim
-        if self.scheme == "identity":
-            eye = np.eye(n, dtype=complex)
-            return eye, eye
-        if self.scheme == "metric_sandwich":
-            return psd_power(self.dilation.eta, -0.5, tol), psd_power(self.dilation.eta, 0.5, tol)
-        if self.scheme == "custom":
-            if self.rho is None or self.rho_prime is None:
-                raise errors.ParseError("custom scheme requires rho and rho_prime")
-            return np.asarray(self.rho, dtype=complex), np.asarray(self.rho_prime, dtype=complex)
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        st = self.stages(tol)
+        return st.rho, st.rho_prime
 
 
 @dataclass(frozen=True)
@@ -125,7 +177,7 @@ def extraction_completion(d: Dilation, rho_prime, tol: Tolerances = DEFAULT_TOL)
 def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> SimulationTrace:
     d = cfg.dilation
     n = d.dim
-    rho, rho_prime = cfg.resolved_rho(tol)
+    st = cfg.stages(tol)
     psi = np.asarray(cfg.psi, dtype=complex).reshape(-1)
     if psi.shape[0] != n:
         raise errors.DimensionMismatchError("run_simulation: psi has the wrong length")
@@ -135,7 +187,7 @@ def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> Simu
     psi = psi / nrm
 
     ut = matrix_exp(-1j * cfg.t * d.H, tol)
-    target = rho_prime @ ut @ rho @ psi
+    target = st.rho_prime @ ut @ st.rho @ psi
     if np.linalg.norm(target) <= 1e-12:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
@@ -143,7 +195,7 @@ def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> Simu
     xi1 = np.concatenate([psi, np.zeros(n, dtype=complex)])
 
     # stage 2: unitary + post-selection onto Y_tau
-    prep = preparation_completion(d, rho, tol)
+    prep = st.preparation
     xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N, tol)
     if p_prepare == 0.0:
         raise errors.ZeroFinalStateError("run_simulation: preparation branch vanished")
@@ -152,7 +204,7 @@ def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> Simu
     xi3 = matrix_exp(-1j * cfg.t * d.Hhat, tol) @ xi2
 
     # stage 4: unitary + post-selection onto X1, then the ancilla measurement
-    extr = extraction_completion(d, rho_prime, tol)
+    extr = st.extraction
     xi4a, p1 = post_select(extr.U @ xi3, extr.P_N, tol)
     if p1 == 0.0:
         raise errors.ZeroFinalStateError("run_simulation: extraction branch vanished")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,6 +91,18 @@ class TestMatrixExp:
         a = a / max(1.0, np.linalg.norm(a, 2) / 2.0)  # ||A|| <= 2
         prod = matrix_exp(a) @ matrix_exp(-a)
         assert np.linalg.norm(prod - np.eye(a.shape[0])) <= 1e-10
+
+    @pytest.mark.parametrize("n", [2, 8, 32])
+    def test_skew_hermitian_generator(self, n):
+        # the -itK route (one eigh) against scipy's Pade expm
+        rng = np.random.default_rng(n)
+        k = random_complex(rng, n, scale=3.0)
+        k = 0.5 * (k + k.conj().T)
+        for t in (0.1, 1.0, 2.5):
+            a = -1j * t * k
+            u = matrix_exp(a)
+            assert np.linalg.norm(u - scipy.linalg.expm(a)) <= 1e-12
+            assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13
 
 
 class TestPrincipalSqrt:
@@ -209,3 +222,29 @@ class TestOrthonormalExtension:
         v = np.array([1.0, 0.0], dtype=complex)
         with pytest.raises(errors.DependentInputError):
             orthonormal_extension([v, v], 2)
+
+    def test_near_dependent_input(self):
+        e = np.eye(8, dtype=complex)
+        with pytest.raises(errors.DependentInputError):
+            orthonormal_extension([e[:, 0], e[:, 3], e[:, 0] + 1e-12 * e[:, 5]], 8)
+
+    @pytest.mark.parametrize("dim", [2, 8, 32, 64])
+    def test_unitary_and_reproduces_orthonormal_input(self, dim):
+        rng = np.random.default_rng(dim)
+        basis, _ = np.linalg.qr(random_complex(rng, dim))
+        k = max(1, dim // 3)
+        q = orthonormal_extension(list(basis[:, :k].T), dim)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(dim)) <= 1e-13
+        assert np.max(np.abs(q[:, :k] - basis[:, :k])) <= 1e-14
+
+    def test_spans_non_orthonormal_input(self):
+        rng = np.random.default_rng(4)
+        v = random_complex(rng, 6)[:, :3]
+        q = orthonormal_extension(list(v.T), 6)
+        lead = q[:, :3]
+        assert np.linalg.norm(lead @ lead.conj().T @ v - v) <= 1e-13
+
+    def test_deterministic(self):
+        rng = np.random.default_rng(5)
+        vs = list(random_complex(rng, 16)[:, :5].T)
+        assert np.array_equal(orthonormal_extension(vs, 16), orthonormal_extension(vs, 16))

@@ -14,10 +14,10 @@ from ptsim import (
     run_simulation,
     sample_successes,
 )
-from ptsim.linalg import psd_power
+from ptsim.linalg import DEFAULT_TOL, psd_power
 from ptsim.pipeline import extraction_completion, preparation_completion
 
-from corpus import unbroken_corpus
+from corpus import random_unbroken, unbroken_corpus
 from oracle import expm_taylor
 
 
@@ -136,6 +136,48 @@ class TestRunSimulation:
         cfg = make_cfg(scheme="custom", rho=np.eye(2))
         with pytest.raises(errors.ParseError):
             run_simulation(cfg)
+
+
+class TestReuse:
+    def test_t_sweep_on_one_dilation_matches_fresh_dilations(self):
+        rng = np.random.default_rng(53)
+        sys = random_unbroken(rng, 8)
+        d = build_dilation(sys)
+        for t in np.linspace(0.5, 2.0, 7):
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            swept = run_simulation(
+                SimulationConfig(sys=sys, dilation=d, t=t, psi=psi, scheme="metric_sandwich"))
+            fresh = run_simulation(SimulationConfig(
+                sys=sys, dilation=build_dilation(sys), t=t, psi=psi, scheme="metric_sandwich"))
+            for a, b in ((swept.xi2, fresh.xi2), (swept.xi5, fresh.xi5)):
+                assert np.linalg.norm(a - b) <= 1e-13
+            assert abs(swept.p_total - fresh.p_total) <= 1e-13
+        assert list(d.stage_cache) == [("metric_sandwich", DEFAULT_TOL)]
+
+    def test_dilation_and_cached_stages_are_read_only(self):
+        cfg = make_cfg(scheme="metric_sandwich")
+        run_simulation(cfg)
+        stages = cfg.stages()
+        d = cfg.dilation
+        for a in (d.H, d.eta, d.tau, d.H1, d.H2, d.H4, d.Hhat, stages.rho, stages.rho_prime,
+                  stages.preparation.U, stages.extraction.P_N):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_build_dilation_leaves_inputs_writable(self):
+        sys = gunther_system(np.pi / 6)
+        eta = gunther_eta(np.pi / 6)
+        build_dilation(sys, eta=eta)
+        sys.H[0, 0] += 0.0
+        eta[0, 0] += 0.0
+
+    def test_n64_accuracy(self):
+        rng = np.random.default_rng(54)
+        sys = random_unbroken(rng, 64)
+        psi = rng.normal(size=64) + 1j * rng.normal(size=64)
+        cfg = SimulationConfig(sys=sys, dilation=build_dilation(sys), t=1.3, psi=psi,
+                               scheme="metric_sandwich")
+        assert run_simulation(cfg).final_formula_check <= 1e-11
 
 
 class TestSampling:
