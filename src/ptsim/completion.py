@@ -114,9 +114,12 @@ def zero_map_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> Comple
 def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
     """Project, renormalize, and report the branch probability.
 
-    A vanishing branch returns (zero vector, 0.0) rather than erroring.
+    P acts on the first axis of state. A (dim, m) block is a state of the
+    system times an m-dim spectator factor that P leaves alone, so the result
+    equals post-selecting its ravel under kron(P, I_m); norms are Frobenius.
+    A vanishing branch returns (zeros, 0.0) rather than erroring.
     """
-    state = np.asarray(state, dtype=complex).reshape(-1)
+    state = np.asarray(state, dtype=complex)
     p = np.asarray(p, dtype=complex)
     if fro(p @ p - p) > tol.eq_tol * max(1.0, fro(p)) or fro(p - p.conj().T) > tol.eq_tol * max(
         1.0, fro(p)

@@ -25,17 +25,11 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> float:
-    # 17 significant digits round-trips any IEEE double and keeps output
-    # byte-identical across runs
-    return float(f"{float(x):.17g}")
-
-
 def matrix_to_obj(a) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise errors.DimensionMismatchError("matrix_to_obj: expected a 2-d array")
-    data = [[_fmt(z.real), _fmt(z.imag)] for z in a.ravel()]
+    data = np.stack([a.real.ravel(), a.imag.ravel()], -1).tolist()
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
 
 
@@ -54,7 +48,7 @@ def matrix_from_obj(obj) -> np.ndarray:
 
 def vector_to_obj(v) -> dict:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return {"dim": int(v.shape[0]), "data": [[_fmt(z.real), _fmt(z.imag)] for z in v]}
+    return {"dim": int(v.shape[0]), "data": np.stack([v.real, v.imag], -1).tolist()}
 
 
 def vector_from_obj(obj) -> np.ndarray:
@@ -89,13 +83,11 @@ def load_vector(path) -> np.ndarray:
 
 
 def _normalize(obj):
-    if isinstance(obj, float):
-        return _fmt(obj)
     if isinstance(obj, complex):
-        return [_fmt(obj.real), _fmt(obj.imag)]
+        return [obj.real, obj.imag]
     if isinstance(obj, np.floating):
-        return _fmt(float(obj))
-    if isinstance(obj, (np.integer, int, str, bool)) or obj is None:
+        return float(obj)
+    if isinstance(obj, (np.integer, int, float, str, bool)) or obj is None:
         return obj
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1:
@@ -109,5 +101,5 @@ def _normalize(obj):
 
 
 def dumps(obj) -> str:
-    """Deterministic JSON text: fixed field order, 17-digit floats."""
+    """Deterministic JSON text: fixed field order, floats in shortest round-trip form."""
     return json.dumps(_normalize(obj), indent=2)

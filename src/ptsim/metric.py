@@ -12,7 +12,6 @@ from . import errors
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
-    eig,
     fro,
     is_hermitian,
     rel_scale,
@@ -90,8 +89,7 @@ def metric_signature(sys: PTSystem, eta, tol: Tolerances = DEFAULT_TOL) -> Signa
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError("metric_signature: system is not unbroken")
     verify_metric(sys.H, eta, tol)
-    d = eig(sys.H, tol)
-    lam = d.eigenvalues
+    lam = c.spectrum
     scale = max(1.0, float(np.max(np.abs(lam))))
     for i in range(len(lam)):
         for j in range(i + 1, len(lam)):
@@ -99,7 +97,7 @@ def metric_signature(sys: PTSystem, eta, tol: Tolerances = DEFAULT_TOL) -> Signa
                 raise errors.DegenerateSpectrumUnsupportedError(
                     "metric_signature: repeated eigenvalues are refused"
                 )
-    psi = d.eigenvector_matrix
+    psi = c.eigenframe
     gram = psi.conj().T @ np.asarray(eta, dtype=complex) @ psi
     off = gram - np.diag(np.diag(gram))
     if fro(off) > 1e-8 * rel_scale(gram):

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .completion import post_select
 from .dilation import Dilation, build_dilation
 from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, matrix_exp
-from .pipeline import SchemeStages, gunther_eta, gunther_system, resolve_rho, scheme_stages
+from .pipeline import gunther_eta, gunther_system, resolve_rho, scheme_stages
 
 __all__ = [
     "ExperimentConfig",
@@ -25,8 +24,7 @@ __all__ = [
     "sweep_delta_s",
 ]
 
-PLUS_Y = np.array([1.0, 1j], dtype=complex) / np.sqrt(2.0)
-MINUS_Y = np.array([1.0, -1j], dtype=complex) / np.sqrt(2.0)
+_Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # columns |+y>, |-y>
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
 
 
@@ -70,13 +68,8 @@ def bell_plus_x_state() -> np.ndarray:
 
 
 def _measure_joint(state: np.ndarray) -> np.ndarray:
-    """2x2 table of |<a b|state>|^2 over a, b in {+y, -y}."""
-    out = np.zeros((2, 2))
-    for ia, a in enumerate((PLUS_Y, MINUS_Y)):
-        for ib, b in enumerate((PLUS_Y, MINUS_Y)):
-            amp = np.kron(a, b).conj() @ state
-            out[ia, ib] = float(abs(amp) ** 2)
-    return out
+    """2x2 table of |<a b|state>|^2 over a, b in {+y, -y} for an (Alice, Bob) block."""
+    return np.abs(_Y_BASIS.conj().T @ state @ _Y_BASIS.conj()) ** 2
 
 
 def _paper_dilation(cfg: ExperimentConfig, tol: Tolerances) -> Dilation:
@@ -84,63 +77,38 @@ def _paper_dilation(cfg: ExperimentConfig, tol: Tolerances) -> Dilation:
     return build_dilation(sys, eta=gunther_eta(cfg.alpha), h1_choice="paper", tol=tol)
 
 
-def _simulated_branch(st: SchemeStages, u_full: np.ndarray, psi_joint, tol: Tolerances):
-    """Run the dilated pipeline on Alice's factor of a two-qubit state.
-
-    Full space ordering: (ancilla, Alice, Bob); Alice-side 4x4 pipeline
-    operators lift as kron(op, I_Bob), and u_full is the lifted evolution.
-    Returns the post-selected Alice x Bob state and the product of branch
-    probabilities.
-    """
-    eye2 = np.eye(2, dtype=complex)
-    xi1 = np.concatenate([psi_joint, np.zeros(4, dtype=complex)])  # ancilla |0>
-
-    prep = st.preparation
-    xi, p_prep = post_select(np.kron(prep.U, eye2) @ xi1, np.kron(prep.P_N, eye2), tol)
-    if p_prep == 0.0:
-        raise errors.ZeroBranchError("simulated branch: preparation vanished")
-
-    xi = u_full @ xi
-
-    extr = st.extraction
-    xi, p1 = post_select(np.kron(extr.U, eye2) @ xi, np.kron(extr.P_N, eye2), tol)
-    if p1 == 0.0:
-        raise errors.ZeroBranchError("simulated branch: extraction vanished")
-    p0 = np.zeros((8, 8), dtype=complex)
-    p0[:4, :4] = np.eye(4)
-    xi, p2 = post_select(xi, p0, tol)
-
-    return xi[:4], float(p_prep * p1 * p2)
-
-
 def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> JointStats:
-    psi = bell_plus_x_state()
-    eye2 = np.eye(2, dtype=complex)
-    bob_phase = np.exp(-1j * cfg.t) * eye2  # Bob's trivial Hamiltonian: the global phase e^{-it}
+    """Both Alice branches of the experiment, in direct or simulated mode.
+
+    States are (Alice, Bob) blocks. Bob's trivial Hamiltonian contributes the
+    global phase e^{-it}, applied as a scalar.
+    """
+    psi = bell_plus_x_state().reshape(2, 2)
+    bob_phase = np.exp(-1j * cfg.t)
     if cfg.mode == "direct_eq71":
         h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol).H
-        u0 = matrix_exp(-1j * cfg.t * h0, tol)
         rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha), cfg.rho, cfg.rho_prime, tol)
-        channel = np.kron(rho_prime @ u0 @ rho, bob_phase)
+        channel = bob_phase * (rho_prime @ matrix_exp(-1j * cfg.t * h0, tol) @ rho)
+
+        def branch(state):
+            final = channel @ state
+            nrm = np.linalg.norm(final)
+            if nrm <= 1e-14:
+                raise errors.ZeroBranchError("direct branch: channel annihilated the state")
+            return final / nrm, 1.0
     elif cfg.mode == "simulated_eq73":
-        d = _paper_dilation(cfg, tol)
-        st = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol)
-        u_full = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), bob_phase)
+        st = scheme_stages(_paper_dilation(cfg, tol), cfg.scheme, cfg.rho, cfg.rho_prime, tol)
+
+        def branch(state):
+            *_, xi4, p_prepare, p_post = st.run(bob_phase * state, cfg.t, tol)
+            return xi4[:2], p_prepare * p_post
     else:
         raise ValueError(f"unknown mode {cfg.mode!r}")
 
     table = np.zeros((2, 2, 2))
     p_success = np.ones(2)
     for k, u_a in enumerate(_ALICE_UNITARIES):
-        psi_k = np.kron(u_a, eye2) @ psi
-        if cfg.mode == "direct_eq71":
-            final = channel @ psi_k
-            nrm = np.linalg.norm(final)
-            if nrm <= 1e-14:
-                raise errors.ZeroBranchError("direct branch: channel annihilated the state")
-            final = final / nrm
-        else:
-            final, p_success[k] = _simulated_branch(st, u_full, psi_k, tol)
+        final, p_success[k] = branch(u_a @ psi)
         table[k] = _measure_joint(final)
 
     bob = table.sum(axis=1)  # [k, b]
@@ -149,27 +117,23 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> Join
 
 
 def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Bob's {+y, -y} marginals from the un-post-selected 8-dim evolution.
+    """Bob's {+y, -y} marginals from the un-post-selected evolution.
 
-    The prepared state (before any projection) is evolved under
-    kron(Hhat, I); Bob's reduced density matrix is traced out of the
+    The prepared (dilated Alice, Bob) block, before any projection, is
+    evolved under Hhat; Bob's reduced density matrix is traced out of the
     4-dimensional dilated Alice factor.
     """
-    psi = bell_plus_x_state()
+    psi = bell_plus_x_state().reshape(2, 2)
     d = _paper_dilation(cfg, tol)
     prep = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol).preparation
-    eye2 = np.eye(2, dtype=complex)
-    u_prep = np.kron(prep.U, eye2)
-    u_evo = np.kron(matrix_exp(-1j * cfg.t * d.Hhat, tol), eye2)
+    u_evo = matrix_exp(-1j * cfg.t * d.Hhat, tol)
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):
-        psi_k = np.kron(u_a, eye2) @ psi
-        xi = u_evo @ (u_prep @ np.concatenate([psi_k, np.zeros(4, dtype=complex)]))
-        m = xi.reshape(4, 2)
-        rho_bob = m.T @ m.conj()  # trace over the dilated Alice factor
-        out[k, 0] = float(np.real(PLUS_Y.conj() @ rho_bob @ PLUS_Y))
-        out[k, 1] = float(np.real(MINUS_Y.conj() @ rho_bob @ MINUS_Y))
+        state = u_a @ psi
+        xi = u_evo @ (prep.U @ np.concatenate([state, np.zeros_like(state)]))
+        rho_bob = xi.T @ xi.conj()  # trace over the dilated Alice factor
+        out[k] = np.real(np.diag(_Y_BASIS.conj().T @ rho_bob @ _Y_BASIS))
     return out
 
 

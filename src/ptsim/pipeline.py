@@ -58,16 +58,46 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DE
 
 @dataclass(frozen=True)
 class SchemeStages:
-    """A scheme's (rho, rho') and the two completions they induce on one dilation.
+    """The stage operators of a scheme on one dilation.
 
-    It holds no reference to the dilation, so a dilation that keeps its
-    stages forms no reference cycle and is freed as soon as it is dropped.
+    They are the scheme's (rho, rho'), the two completions these induce, the
+    dilation's Hhat and the projector onto ancilla |0>. It holds no
+    reference to the dilation, so a dilation that keeps its stages forms no
+    reference cycle and is freed as soon as it is dropped.
     """
 
     rho: np.ndarray
     rho_prime: np.ndarray
     preparation: CompletionResult
     extraction: CompletionResult
+    Hhat: np.ndarray
+    P_ancilla0: np.ndarray
+
+    def run(self, psi, t: float, tol: Tolerances = DEFAULT_TOL):
+        """The stage sequence on a unit state psi of shape (n,) or (n, m).
+
+        The m columns of a block are a spectator factor (Bob) that no stage
+        acts on. Returns (xi1, xi2, xi3, xi4, p_prepare, p_post).
+        """
+        # stage 1: couple the ancilla in |0>
+        xi1 = np.concatenate([psi, np.zeros_like(psi)])
+
+        # stage 2: unitary + post-selection onto Y_tau
+        prep = self.preparation
+        xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N, tol)
+        if p_prepare == 0.0:
+            raise errors.ZeroFinalStateError("preparation branch vanished")
+
+        # stage 3: unitary dilated evolution
+        xi3 = matrix_exp(-1j * t * self.Hhat, tol) @ xi2
+
+        # stage 4: unitary + post-selection onto X1, then the ancilla measurement
+        extr = self.extraction
+        xi4a, p1 = post_select(extr.U @ xi3, extr.P_N, tol)
+        if p1 == 0.0:
+            raise errors.ZeroFinalStateError("extraction branch vanished")
+        xi4, p2 = post_select(xi4a, self.P_ancilla0, tol)
+        return xi1, xi2, xi3, xi4, p_prepare, p1 * p2
 
 
 def _read_only(*arrays) -> None:
@@ -88,8 +118,12 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
     if key in d.stage_cache:
         return d.stage_cache[key]
     r, r_prime = resolve_rho(scheme, d.eta, rho, rho_prime, tol)
+    n = d.dim
+    p_ancilla0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    p_ancilla0[:n, :n] = np.eye(n)
+    _read_only(p_ancilla0)
     st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
-                      extraction_completion(d, r_prime, tol))
+                      extraction_completion(d, r_prime, tol), d.Hhat, p_ancilla0)
     if scheme != "custom":
         _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
@@ -110,10 +144,6 @@ class SimulationConfig:
 
     def stages(self, tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
         return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime, tol)
-
-    def resolved_rho(self, tol: Tolerances = DEFAULT_TOL):
-        st = self.stages(tol)
-        return st.rho, st.rho_prime
 
 
 @dataclass(frozen=True)
@@ -191,29 +221,7 @@ def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> Simu
     if np.linalg.norm(target) <= 1e-12:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
-    # stage 1: couple the ancilla
-    xi1 = np.concatenate([psi, np.zeros(n, dtype=complex)])
-
-    # stage 2: unitary + post-selection onto Y_tau
-    prep = st.preparation
-    xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N, tol)
-    if p_prepare == 0.0:
-        raise errors.ZeroFinalStateError("run_simulation: preparation branch vanished")
-
-    # stage 3: unitary dilated evolution
-    xi3 = matrix_exp(-1j * cfg.t * d.Hhat, tol) @ xi2
-
-    # stage 4: unitary + post-selection onto X1, then the ancilla measurement
-    extr = st.extraction
-    xi4a, p1 = post_select(extr.U @ xi3, extr.P_N, tol)
-    if p1 == 0.0:
-        raise errors.ZeroFinalStateError("run_simulation: extraction branch vanished")
-    p_ancilla0 = np.block(
-        [[np.eye(n, dtype=complex), np.zeros((n, n))], [np.zeros((n, n)), np.zeros((n, n))]]
-    )
-    xi4, p2 = post_select(xi4a, p_ancilla0, tol)
-    p_post = p1 * p2
-
+    xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t, tol)
     xi5 = xi4[:n]
     final_formula_check = float(np.linalg.norm(xi5 - target / np.linalg.norm(target)))
     return SimulationTrace(

@@ -65,7 +65,7 @@ class PTSystem:
             raise errors.DefectiveInputError("from_hamiltonian: H is defective")
         if c.kind is Kind.NOT_PT_SYMMETRIC:
             raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
-        j, psi, k = _paired_eigenframe(h, tol)
+        psi, k = _paired_eigenframe(h, tol)
         ptm = construct_pt_from_eigenframe(psi, k, tol)
         pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm, tol)
         return PTSystem(np.asarray(h, dtype=complex), pair)
@@ -183,8 +183,15 @@ def _pair_spectrum(spectrum, tol: Tolerances):
     return pairs, reals
 
 
+def _pair_swap(n_pairs: int, n: int) -> np.ndarray:
+    """K for n_pairs leading conjugate pairs and trailing reals: swaps 2i <-> 2i+1."""
+    perm = np.arange(n)
+    perm[: 2 * n_pairs] ^= 1
+    return np.eye(n, dtype=complex)[perm]
+
+
 def _paired_eigenframe(h, tol: Tolerances):
-    """(J, Psi, K) ordering conjugate pairs first, real eigenvalues trailing.
+    """(Psi, K) ordering conjugate pairs first, real eigenvalues trailing.
 
     Pair columns are kept as raw eigenvectors; no PT-dependent gauge applied.
     Used by from_hamiltonian where the PT is about to be *built* from Psi.
@@ -192,21 +199,8 @@ def _paired_eigenframe(h, tol: Tolerances):
     h = np.asarray(h, dtype=complex)
     d = eig(h, tol)
     pairs, reals = _pair_spectrum(d.eigenvalues, tol)
-    cols, lams, kblocks = [], [], []
-    for i, j in pairs:
-        cols += [d.eigenvector_matrix[:, i], d.eigenvector_matrix[:, j]]
-        lams += [d.eigenvalues[i], d.eigenvalues[j]]
-        kblocks.append(np.array([[0, 1], [1, 0]], dtype=complex))
-    for i in reals:
-        cols.append(d.eigenvector_matrix[:, i])
-        lams.append(complex(d.eigenvalues[i].real))
-        kblocks.append(np.array([[1]], dtype=complex))
-    psi = np.column_stack(cols)
-    j = np.diag(lams)
-    import scipy.linalg as sla
-
-    k = sla.block_diag(*kblocks).astype(complex)
-    return j, psi, k
+    order = [i for pair in pairs for i in pair] + reals
+    return d.eigenvector_matrix[:, order], _pair_swap(len(pairs), len(order))
 
 
 def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
@@ -224,13 +218,12 @@ def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalFor
     ptm = sys.pt.PT
     pairs, reals = _pair_spectrum(d.eigenvalues, tol)
 
-    cols, lams, kblocks = [], [], []
+    cols, lams = [], []
     for i, j in pairs:
         psi1 = d.eigenvector_matrix[:, i]
         psi2 = ptm @ psi1.conj()  # eigenvector for conj(lambda) by PT symmetry
         cols += [psi1, psi2]
         lams += [d.eigenvalues[i], np.conj(d.eigenvalues[i])]
-        kblocks.append(np.array([[0, 1], [1, 0]], dtype=complex))
     for i in reals:
         psi = d.eigenvector_matrix[:, i]
         phi = psi + ptm @ psi.conj()
@@ -238,16 +231,11 @@ def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalFor
             phi = 1j * (psi - ptm @ psi.conj())
         cols.append(phi / np.linalg.norm(phi))
         lams.append(complex(d.eigenvalues[i].real))
-        kblocks.append(np.array([[1]], dtype=complex))
 
     psi = np.column_stack(cols)
     if np.linalg.cond(psi) > tol.defect_cond:
         raise errors.NumericalFailureError("canonical_form: gauge-fixed frame is singular")
-    import scipy.linalg as sla
-
-    jmat = np.diag(lams)
-    kmat = sla.block_diag(*kblocks).astype(complex)
-    return CanonicalForm(jmat, psi, kmat)
+    return CanonicalForm(np.diag(lams), psi, _pair_swap(len(pairs), len(lams)))
 
 
 def construct_pt_from_eigenframe(psi, k, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -158,3 +158,18 @@ class TestPostSelect:
     def test_rejects_unnormalized(self):
         with pytest.raises(errors.NotNormalizedError):
             post_select(np.array([2.0, 0.0]), np.eye(2))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_block_matches_kron_lift(self, m, rank):
+        # P acts on the first axis; the m columns are a spectator factor
+        rng = np.random.default_rng(10 * m + rank)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        p = q[:, :rank] @ q[:, :rank].conj().T
+        block = rng.normal(size=(4, m)) + 1j * rng.normal(size=(4, m))
+        block /= np.linalg.norm(block)
+        out, prob = post_select(block, p)
+        flat, flat_prob = post_select(block.ravel(), np.kron(p, np.eye(m)))
+        assert out.shape == (4, m)
+        assert np.linalg.norm(out.ravel() - flat) <= 1e-14
+        assert abs(prob - flat_prob) <= 1e-14

@@ -14,8 +14,9 @@ from ptsim import (
     run_simulation,
     sample_successes,
 )
+from ptsim.completion import post_select
 from ptsim.linalg import DEFAULT_TOL, psd_power
-from ptsim.pipeline import extraction_completion, preparation_completion
+from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
 
 from corpus import random_unbroken, unbroken_corpus
 from oracle import expm_taylor
@@ -178,6 +179,45 @@ class TestReuse:
         cfg = SimulationConfig(sys=sys, dilation=build_dilation(sys), t=1.3, psi=psi,
                                scheme="metric_sandwich")
         assert run_simulation(cfg).final_formula_check <= 1e-11
+
+
+class TestStageSequence:
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    @pytest.mark.parametrize("alpha", [np.pi / 6, 1.0])
+    def test_block_run_matches_kron_lifted_sequence(self, scheme, alpha):
+        d = build_dilation(gunther_system(alpha), eta=gunther_eta(alpha), h1_choice="paper")
+        st = scheme_stages(d, scheme)
+        rng = np.random.default_rng(55)
+        block = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))  # (Alice, Bob)
+        block /= np.linalg.norm(block)
+        t = 0.8
+        xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(block, t)
+
+        # the same stages on the ravelled (ancilla, Alice, Bob) state, every
+        # Alice-side operator lifted as kron(op, I_Bob)
+        def lift(op):
+            return np.kron(op, np.eye(2))
+
+        x1 = np.concatenate([block.ravel(), np.zeros(4)])
+        x2, q_prepare = post_select(lift(st.preparation.U) @ x1, lift(st.preparation.P_N))
+        x3 = lift(matrix_exp(-1j * t * d.Hhat)) @ x2
+        x4a, q1 = post_select(lift(st.extraction.U) @ x3, lift(st.extraction.P_N))
+        p0 = np.zeros((8, 8))
+        p0[:4, :4] = np.eye(4)
+        x4, q2 = post_select(x4a, p0)
+
+        for a, b in ((xi1, x1), (xi2, x2), (xi3, x3), (xi4, x4)):
+            assert a.shape == (4, 2)
+            assert np.linalg.norm(a.ravel() - b) <= 1e-13
+        assert abs(p_prepare - q_prepare) <= 1e-13
+        assert abs(p_post - q1 * q2) <= 1e-13
+
+    def test_vanished_branch_raises(self):
+        # rho kills psi, so the preparation branch has probability 0
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        st = scheme_stages(d, "custom", rho=np.diag([0.0, 1.0]), rho_prime=np.eye(2))
+        with pytest.raises(errors.ZeroFinalStateError):
+            st.run(np.array([1.0, 0.0], dtype=complex), 1.0)
 
 
 class TestSampling:
