@@ -1,14 +1,15 @@
 """Command-line front door.
 
 Subcommands map one-to-one onto library operations; all numeric output comes
-from library calls. Exit codes: 0 success, 2 parse, 3 dimension/type,
-4 domain precondition, 5 numerical failure.
+from library calls. Exit codes: 0 success, else the error's ``exit_code``:
+2 parse, 3 dimension/type, 4 domain precondition, 5 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys as _sys
 
@@ -28,16 +29,7 @@ from .pipeline import (
 from .ptcore import PTSystem, classify, validate_pt_pair
 
 EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_DIMENSION = 3
-EXIT_DOMAIN = 4
-EXIT_NUMERICAL = 5
-
-_DIMENSION_ERRORS = (
-    errors.NonSquareError,
-    errors.DimensionMismatchError,
-    errors.WrongDimensionError,
-)
+EXIT_NUMERICAL = errors.NumericalFailureError.exit_code
 
 
 def _emit(obj, out_path=None) -> None:
@@ -49,20 +41,21 @@ def _emit(obj, out_path=None) -> None:
         print(text)
 
 
+def _load_pt_pair(args):
+    """The validated --P/--T pair, or None unless both are given."""
+    if args.P and args.T:
+        return validate_pt_pair(io.load_matrix(args.P), io.load_matrix(args.T))
+    return None
+
+
 def _load_system(args) -> PTSystem:
     h = io.load_matrix(args.matrix)
-    if args.P and args.T:
-        pair = validate_pt_pair(io.load_matrix(args.P), io.load_matrix(args.T))
-        return PTSystem(h, pair)
-    return PTSystem.from_hamiltonian(h)
+    pair = _load_pt_pair(args)
+    return PTSystem.from_hamiltonian(h) if pair is None else PTSystem(h, pair)
 
 
 def cmd_classify(args) -> int:
-    h = io.load_matrix(args.matrix)
-    pt = None
-    if args.P and args.T:
-        pt = validate_pt_pair(io.load_matrix(args.P), io.load_matrix(args.T))
-    c = classify(h, pt)
+    c = classify(io.load_matrix(args.matrix), _load_pt_pair(args))
     _emit(c.to_obj(), args.out)
     return EXIT_OK
 
@@ -127,7 +120,7 @@ def cmd_simulate(args) -> int:
     eta = io.matrix_from_obj(cfgobj["eta"]) if cfgobj.get("eta") else None
     d = build_dilation(sys, eta=eta, h1_choice=cfgobj.get("h1", "zero"))
     cfg = SimulationConfig(sys=sys, dilation=d, t=t, psi=psi, scheme=scheme, rho=rho,
-                           rho_prime=rho_prime, seed=seed)
+                           rho_prime=rho_prime)
     trace = run_simulation(cfg)
     out = trace.to_obj()
     if args.samples:
@@ -204,6 +197,7 @@ def cmd_paper(args) -> int:
     return EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ptsim", description="PT-symmetric quantum mechanics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -259,22 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except errors.ParseError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_PARSE
-    except _DIMENSION_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_DIMENSION
-    except errors.NumericalFailureError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_NUMERICAL
     except errors.PTSimError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_DOMAIN
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -19,10 +19,11 @@ from . import errors
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    eigen_power,
     fro,
     is_hermitian,
     matrix_exp,
-    principal_sqrt_psd,
+    psd_eigh,
     rel_scale,
 )
 from .metric import positive_metric, verify_metric
@@ -40,11 +41,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dilation:
-    """The dilation record. ``build_dilation`` makes its arrays read-only."""
+    """The dilation record. ``build_dilation`` makes its arrays read-only.
+
+    eta - I = V diag(w) V^dag is factored once into (``eta_minus_i_w``,
+    ``eta_minus_i_v``); ``ytau_frame`` is the Q of [I; tau], a basis of Y_tau.
+    """
 
     H: np.ndarray
     eta: np.ndarray
+    eta_minus_i_w: np.ndarray
+    eta_minus_i_v: np.ndarray
     tau: np.ndarray
+    ytau_frame: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
     H4: np.ndarray
@@ -54,6 +62,10 @@ class Dilation:
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    def eta_power(self, p: float) -> np.ndarray:
+        """eta^p = V diag((w + 1)^p) V^dag."""
+        return eigen_power(self.eta_minus_i_w + 1.0, self.eta_minus_i_v, p)
 
     @cached_property
     def stage_cache(self) -> dict:
@@ -103,30 +115,29 @@ def build_dilation(
     n = h.shape[0]
 
     if eta is None:
-        base = positive_metric(sys, tol).eta
-        w = np.linalg.eigvalsh(base)
-        eta = (margin / w.min()) * base
+        base = positive_metric(sys, tol)
+        eta = (margin / base.min_eigenvalue) * base.eta
     else:
         eta = np.array(eta, dtype=complex)
-        verify_metric(h, eta, tol)
-        w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-        if w.min() <= 1.0:
+        lam_min = verify_metric(h, eta, tol).min_eigenvalue
+        if lam_min <= 1.0:
             if not rescale_supplied:
                 raise errors.EtaNotGreaterThanIError(
-                    f"build_dilation: lambda_min(eta) = {w.min():.6g} <= 1"
+                    f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1"
                 )
-            eta = (margin / w.min()) * eta
+            eta = (margin / lam_min) * eta
 
-    tau = principal_sqrt_psd(eta - np.eye(n), tol)
-    tau_w = np.linalg.eigvalsh(tau)
-    if tau_w.min() <= tol.psd_tol:
+    w, v = psd_eigh(eta - np.eye(n), tol)
+    if np.sqrt(w[0]) <= tol.psd_tol:
         raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")
+    tau = eigen_power(w, v, 0.5)
     tau_inv = np.linalg.inv(tau)
+    ytau_frame, _ = np.linalg.qr(np.vstack([np.eye(n, dtype=complex), tau]))
 
     if h1_choice == "zero":
         h1m = np.zeros((n, n), dtype=complex)
     elif h1_choice == "paper":
-        eta_inv = np.linalg.inv(eta)
+        eta_inv = eigen_power(w + 1.0, v, -1.0)
         h1m = tau @ h @ tau @ eta_inv + h @ eta_inv
         h1m = 0.5 * (h1m + h1m.conj().T)
     elif h1_choice == "supplied":
@@ -148,9 +159,9 @@ def build_dilation(
         "tau_sq": fro(tau @ tau - (eta - np.eye(n))) / rel_scale(eta),
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
-    for a in (h, eta, tau, h1m, h2, h4, hhat):
+    for a in (h, eta, w, v, tau, ytau_frame, h1m, h2, h4, hhat):
         a.setflags(write=False)
-    return Dilation(h, eta, tau, h1m, h2, h4, hhat, residuals)
+    return Dilation(h, eta, w, v, tau, ytau_frame, h1m, h2, h4, hhat, residuals)
 
 
 def in_tau_subspace(x, tau, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -164,13 +175,11 @@ def in_tau_subspace(x, tau, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def embed_state(psi, d: Dilation, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """(psi; tau psi) / ||sqrt(eta) psi||, a unit vector in Y_tau."""
+    """(psi; tau psi) / sqrt(psi^dag eta psi), a unit vector in Y_tau."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if np.linalg.norm(psi) == 0.0:
         raise errors.ZeroVectorError("embed_state: zero input")
-    sqrt_eta = principal_sqrt_psd(d.eta, tol)
-    denom = np.linalg.norm(sqrt_eta @ psi)
-    return np.concatenate([psi, d.tau @ psi]) / denom
+    return np.concatenate([psi, d.tau @ psi]) / np.sqrt(np.vdot(psi, d.eta @ psi).real)
 
 
 def dilated_evolution(d: Dilation, t: float, xhat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -6,21 +6,23 @@ Exit-code buckets used by the CLI:
 
 
 class PTSimError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``exit_code`` is the CLI's bucket."""
+
+    exit_code = 4
 
 
 # -- dimension / type errors (CLI exit 3) -----------------------------------
 
 class NonSquareError(PTSimError):
-    pass
+    exit_code = 3
 
 
 class DimensionMismatchError(PTSimError):
-    pass
+    exit_code = 3
 
 
 class WrongDimensionError(PTSimError):
-    pass
+    exit_code = 3
 
 
 # -- domain precondition errors (CLI exit 4) --------------------------------
@@ -120,10 +122,10 @@ class ZeroBranchError(PTSimError):
 # -- numerical failures (CLI exit 5) -----------------------------------------
 
 class NumericalFailureError(PTSimError):
-    pass
+    exit_code = 5
 
 
 # -- I/O (CLI exit 2) ---------------------------------------------------------
 
 class ParseError(PTSimError):
-    pass
+    exit_code = 2

@@ -83,11 +83,11 @@ def load_vector(path) -> np.ndarray:
 
 
 def _normalize(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, (np.integer, int, float, str, bool)) or obj is None:
+    if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1:

@@ -21,6 +21,8 @@ __all__ = [
     "matrix_exp",
     "principal_sqrt_psd",
     "psd_power",
+    "psd_eigh",
+    "eigen_power",
     "sylvester_hermitian_nullspace",
     "orthonormal_extension",
     "SIGMA_X",
@@ -183,15 +185,29 @@ def psd_power(a, p: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Using one eigh call per matrix keeps powers mutually consistent, e.g.
     psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding.
     """
-    a = _require_square(a, "psd_power")
-    if not is_hermitian(a, tol):
-        raise errors.NotHermitianError("psd_power: input is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if np.min(w) < -tol.psd_tol:
-        raise errors.NotPSDError(f"psd_power: eigenvalue {np.min(w):.3e} below -psd_tol")
-    w = np.clip(w, 0.0, None)
+    w, v = psd_eigh(a, tol)
     if p < 0 and np.min(w) == 0.0:
         raise errors.NotPositiveDefiniteError("psd_power: negative power of a singular matrix")
+    return eigen_power(w, v, p)
+
+
+def psd_eigh(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian PSD matrix.
+
+    Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below the
+    window is rejected.
+    """
+    a = _require_square(a, "psd_eigh")
+    if not is_hermitian(a, tol):
+        raise errors.NotHermitianError("psd_eigh: input is not Hermitian within eq_tol")
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    if np.min(w) < -tol.psd_tol:
+        raise errors.NotPSDError(f"psd_eigh: eigenvalue {np.min(w):.3e} below -psd_tol")
+    return np.clip(w, 0.0, None), v
+
+
+def eigen_power(w, v, p: float) -> np.ndarray:
+    """V diag(w^p) V^dag, Hermitian-symmetrized, from the eigh factors (w, V)."""
     s = v @ np.diag(w**p) @ v.conj().T
     return 0.5 * (s + s.conj().T)
 

@@ -43,12 +43,19 @@ __all__ = [
 
 
 def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DEFAULT_TOL):
-    """(rho, rho') of a scheme: identity | metric_sandwich | custom."""
+    """(rho, rho') of a scheme: identity | metric_sandwich | custom.
+
+    eta is a metric, or a Dilation, whose factors of eta - I give its powers.
+    """
+    if isinstance(eta, Dilation):
+        n, eta_power = eta.dim, eta.eta_power
+    else:
+        n, eta_power = eta.shape[0], lambda p: psd_power(eta, p, tol)
     if scheme == "identity":
-        eye = np.eye(eta.shape[0], dtype=complex)
+        eye = np.eye(n, dtype=complex)
         return eye, eye
     if scheme == "metric_sandwich":
-        return psd_power(eta, -0.5, tol), psd_power(eta, 0.5, tol)
+        return eta_power(-0.5), eta_power(0.5)
     if scheme == "custom":
         if rho is None or rho_prime is None:
             raise errors.ParseError("custom scheme requires rho and rho_prime")
@@ -117,15 +124,12 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
     key = (scheme, tol)
     if key in d.stage_cache:
         return d.stage_cache[key]
-    r, r_prime = resolve_rho(scheme, d.eta, rho, rho_prime, tol)
-    n = d.dim
-    p_ancilla0 = np.zeros((2 * n, 2 * n), dtype=complex)
-    p_ancilla0[:n, :n] = np.eye(n)
-    _read_only(p_ancilla0)
+    r, r_prime = resolve_rho(scheme, d, rho, rho_prime, tol)
+    p_ancilla0 = np.diag(np.repeat([1.0 + 0j, 0.0], d.dim))
     st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
                       extraction_completion(d, r_prime, tol), d.Hhat, p_ancilla0)
     if scheme != "custom":
-        _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
+        _read_only(r, r_prime, p_ancilla0, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
         d.stage_cache[key] = st
     return st
@@ -140,7 +144,6 @@ class SimulationConfig:
     scheme: str = "identity"  # identity | metric_sandwich | custom
     rho: np.ndarray | None = None
     rho_prime: np.ndarray | None = None
-    seed: int | None = None
 
     def stages(self, tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
         return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime, tol)
@@ -174,34 +177,18 @@ class SimulationTrace:
         }
 
 
-def _x1_basis(n: int) -> np.ndarray:
-    return np.vstack([np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)])
-
-
-def _ytau_basis(tau: np.ndarray) -> np.ndarray:
-    n = tau.shape[0]
-    v = np.vstack([np.eye(n, dtype=complex), tau])
-    q, _ = np.linalg.qr(v)
-    return q
-
-
 def preparation_completion(d: Dilation, rho, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi)."""
-    n = d.dim
-    e1 = _x1_basis(n)
-    qy = _ytau_basis(d.tau)
-    images = np.vstack([rho, d.tau @ rho])
-    action = qy.conj().T @ images
-    return unitary_completion(SubspaceMap(e1, qy, action), tol)
+    action = d.ytau_frame.conj().T @ np.vstack([rho, d.tau @ rho])
+    x1_frame = np.eye(2 * d.dim, d.dim, dtype=complex)
+    return unitary_completion(SubspaceMap(x1_frame, d.ytau_frame, action), tol)
 
 
 def extraction_completion(d: Dilation, rho_prime, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
     """Completion for the induced map (phi; tau phi) -> (rho' phi; 0)."""
-    n = d.dim
-    e1 = _x1_basis(n)
-    qy = _ytau_basis(d.tau)
-    action = rho_prime @ qy[:n, :]
-    return unitary_completion(SubspaceMap(qy, e1, action), tol)
+    action = rho_prime @ d.ytau_frame[:d.dim, :]
+    x1_frame = np.eye(2 * d.dim, d.dim, dtype=complex)
+    return unitary_completion(SubspaceMap(d.ytau_frame, x1_frame, action), tol)
 
 
 def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> SimulationTrace:

@@ -135,6 +135,14 @@ class TestEmbedState:
         raw = np.concatenate([psi, d.tau @ psi])
         assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(sqrt_eta @ psi), abs=1e-12)
 
+    def test_matches_psd_power_normalizer(self):
+        rng = np.random.default_rng(44)
+        for sys in unbroken_corpus():
+            d = build_dilation(sys)
+            psi = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
+            expected = np.concatenate([psi, d.tau @ psi]) / np.linalg.norm(psd_power(d.eta, 0.5) @ psi)
+            assert np.linalg.norm(embed_state(psi, d) - expected) <= 1e-12
+
     def test_eta_norm_conservation_under_evolution(self):
         # ||sqrt(eta) psi(t)|| is constant, so the embedded state stays unit
         sys = gunther_system(np.pi / 4)

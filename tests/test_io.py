@@ -49,3 +49,8 @@ def test_matrix_round_trip_is_bit_exact():
     assert back.tobytes() == EDGE.tobytes()  # keeps the sign of each zero
     v = io.vector_from_obj(json.loads(io.dumps(EDGE[0])))
     assert v.tobytes() == EDGE[0].tobytes()
+
+
+def test_dumps_numpy_scalars():
+    obj = [np.int64(3), np.bool_(True), np.complex64(1 + 2j), np.float32(0.5)]
+    assert json.loads(io.dumps(obj)) == [3, True, [1.0, 2.0], 0.5]

@@ -172,6 +172,27 @@ class TestReuse:
         sys.H[0, 0] += 0.0
         eta[0, 0] += 0.0
 
+    def test_factorizations_per_dilation(self, monkeypatch):
+        # one eigh of eta - I plus one per completion's defect root, the
+        # eigvalsh of positive_metric, one QR of [I; tau] plus three complete
+        # QRs per completion
+        sys = random_unbroken(np.random.default_rng(56), 8)
+        counts = dict.fromkeys(("eigh", "eigvalsh", "qr"), 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        scheme_stages(build_dilation(sys), "metric_sandwich")
+        assert counts == {"eigh": 3, "eigvalsh": 1, "qr": 7}
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_metric_sandwich_factors_match_psd_power(self, n):
+        d = build_dilation(random_unbroken(np.random.default_rng(57), n))
+        st = scheme_stages(d, "metric_sandwich")
+        assert np.linalg.norm(st.rho - psd_power(d.eta, -0.5)) <= 1e-12
+        assert np.linalg.norm(st.rho_prime - psd_power(d.eta, 0.5)) <= 1e-12
+
     def test_n64_accuracy(self):
         rng = np.random.default_rng(54)
         sys = random_unbroken(rng, 64)
