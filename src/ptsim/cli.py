@@ -8,6 +8,7 @@ from library calls. Exit codes: 0 success, else the error's ``exit_code``:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -32,30 +33,49 @@ EXIT_OK = 0
 EXIT_NUMERICAL = errors.NumericalFailureError.exit_code
 
 
+@contextlib.contextmanager
+def _writing(path, newline=None):
+    """path opened for writing; an OSError becomes a ParseError (exit 2)."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise errors.ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(obj, out_path=None) -> None:
     text = io.dumps(obj)
     if out_path:
-        with open(out_path, "w") as fh:
+        with _writing(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _load_pt_pair(args):
-    """The validated --P/--T pair, or None unless both are given."""
-    if args.P and args.T:
-        return validate_pt_pair(io.load_matrix(args.P), io.load_matrix(args.T))
-    return None
+def _pt_pair(p, t):
+    """The validated (P, T) pair, or None unless both matrices are given."""
+    return None if p is None or t is None else validate_pt_pair(p, t)
 
 
-def _load_system(args) -> PTSystem:
-    h = io.load_matrix(args.matrix)
-    pair = _load_pt_pair(args)
+def _system(h, p, t) -> PTSystem:
+    """H with its (P, T) pair, or with a pair built from H's eigenframe."""
+    pair = _pt_pair(p, t)
     return PTSystem.from_hamiltonian(h) if pair is None else PTSystem(h, pair)
 
 
+def _pair_files(args):
+    """The --P/--T matrices, each None unless both files are given."""
+    if args.P and args.T:
+        return io.load_matrix(args.P), io.load_matrix(args.T)
+    return None, None
+
+
+def _load_system(args) -> PTSystem:
+    return _system(io.load_matrix(args.matrix), *_pair_files(args))
+
+
 def cmd_classify(args) -> int:
-    c = classify(io.load_matrix(args.matrix), _load_pt_pair(args))
+    c = classify(io.load_matrix(args.matrix), _pt_pair(*_pair_files(args)))
     _emit(c.to_obj(), args.out)
     return EXIT_OK
 
@@ -101,13 +121,8 @@ def cmd_simulate(args) -> int:
             sys = gunther_system(float(ap["alpha"]), float(ap.get("s", 1.0)), float(ap.get("E0", 0.0)))
         else:
             h = io.matrix_from_obj(cfgobj["hamiltonian"])
-            if "P" in cfgobj and "T" in cfgobj:
-                pair = validate_pt_pair(
-                    io.matrix_from_obj(cfgobj["P"]), io.matrix_from_obj(cfgobj["T"])
-                )
-                sys = PTSystem(h, pair)
-            else:
-                sys = PTSystem.from_hamiltonian(h)
+            pt = [io.matrix_from_obj(cfgobj[k]) if cfgobj.get(k) else None for k in ("P", "T")]
+            sys = _system(h, *pt)
         scheme = cfgobj.get("scheme", "identity")
         rho = io.matrix_from_obj(cfgobj["rho"]) if cfgobj.get("rho") else None
         rho_prime = io.matrix_from_obj(cfgobj["rho_prime"]) if cfgobj.get("rho_prime") else None
@@ -136,9 +151,12 @@ def cmd_nosignal(args) -> int:
     scheme = {"metric": "metric_sandwich"}.get(args.scheme, args.scheme)
     if args.sweep:
         alphas = [alpha]
-        ts = [float(x) for x in args.t_grid.split(",")] if args.t_grid else [args.t]
+        try:
+            ts = [float(x) for x in args.t_grid.split(",")] if args.t_grid else [args.t]
+        except ValueError as exc:
+            raise errors.ParseError(f"nosignal: malformed --t-grid: {exc}") from exc
         rows = sweep_delta_s(alphas, ts, scheme, mode=args.mode, s=args.s)
-        with open(args.sweep, "w", newline="") as fh:
+        with _writing(args.sweep, newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["alpha", "t", "scheme", "delta_s", "p_success_1", "p_success_2"]
             )

@@ -73,42 +73,43 @@ def _complement_basis(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
     return full[:, basis.shape[1]:]
 
 
-def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
-    """Unitary U and projection P_N with P_N U v = scale * A v on M.
+def _completion(m: SubspaceMap, c: np.ndarray, scale: float, tol: Tolerances) -> CompletionResult:
+    """U = [images | completion] [M | completion]^dag for C = A/||A|| or C = 0.
 
-    Columns of A, scaled to unit total energy, give the N-components of the
-    images; the deficit goes into N-perp, whose basis is the tail of N's
-    orthonormal extension, through the principal PSD root of I - C^dag C.
-    U = [images | completion] [M | completion]^dag, each completion one
-    complete QR (``orthonormal_extension``), so U costs O(n^3) and is
-    deterministic; its action off M does not affect P_N U on M.
+    The images N C + W D, with W an orthonormal basis of N-perp (the tail of
+    N's orthonormal extension) and D the principal PSD root of I - C^dag C,
+    are orthonormal; with C = 0 they are W itself, so P_N U vanishes on M.
+    Each completion is one complete QR (``orthonormal_extension``), so U
+    costs O(n^3) and is deterministic; its action off M does not affect
+    P_N U on M.
     """
-    k = m.subspace_dim
-    a_norm = fro(m.action)
-    if a_norm == 0.0:
-        raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
-    c = m.action / a_norm
-    d = principal_sqrt_psd(np.eye(k) - c.conj().T @ c, tol)
-    w = _complement_basis(m.n_basis, tol)  # orthonormal basis of N-perp
-    images = m.n_basis @ c + w @ d  # orthonormal image columns
-
+    d = principal_sqrt_psd(np.eye(m.subspace_dim) - c.conj().T @ c, tol)
+    w = _complement_basis(m.n_basis, tol)
+    images = m.n_basis @ c + w @ d
     full_m = orthonormal_extension(list(m.m_basis.T), m.ambient_dim, tol)
     full_v = orthonormal_extension(list(images.T), m.ambient_dim, tol)
     u = full_v @ full_m.conj().T
     p_n = m.n_basis @ m.n_basis.conj().T
-    return CompletionResult(u, p_n, 1.0 / a_norm)
+    return CompletionResult(u, p_n, scale)
+
+
+def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+    """Unitary U and projection P_N with P_N U v = scale * A v on M.
+
+    Columns of A, scaled to unit total energy, give the N-components of the
+    images; the deficit goes into N-perp.
+    """
+    a_norm = fro(m.action)
+    if a_norm == 0.0:
+        raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
+    return _completion(m, m.action / a_norm, 1.0 / a_norm, tol)
 
 
 def zero_map_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
     """U sending M onto N-perp, so P_N U vanishes on M."""
     if fro(m.action) != 0.0:
         raise errors.DimensionMismatchError("zero_map_completion: action is nonzero")
-    w = _complement_basis(m.n_basis, tol)
-    full_m = orthonormal_extension(list(m.m_basis.T), m.ambient_dim, tol)
-    full_v = np.hstack([w, m.n_basis])
-    u = full_v @ full_m.conj().T
-    p_n = m.n_basis @ m.n_basis.conj().T
-    return CompletionResult(u, p_n, 0.0)
+    return _completion(m, m.action, 0.0, tol)
 
 
 def post_select(state, p, tol: Tolerances = DEFAULT_TOL):

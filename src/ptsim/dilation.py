@@ -145,7 +145,7 @@ def build_dilation(
         if h1m.shape != (n, n) or not is_hermitian(h1m, tol):
             raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")
     else:
-        raise ValueError(f"unknown h1_choice {h1_choice!r}")
+        raise errors.ParseError(f"unknown h1_choice {h1_choice!r}")
 
     h2 = (h - h1m) @ tau_inv
     h4 = (tau @ h - h2.conj().T) @ tau_inv

@@ -20,7 +20,6 @@ __all__ = [
     "vector_to_obj",
     "vector_from_obj",
     "load_matrix",
-    "load_vector",
     "dumps",
 ]
 
@@ -71,15 +70,6 @@ def load_matrix(path) -> np.ndarray:
     except (OSError, json.JSONDecodeError) as exc:
         raise errors.ParseError(f"cannot read matrix file {path}: {exc}") from exc
     return matrix_from_obj(obj)
-
-
-def load_vector(path) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise errors.ParseError(f"cannot read vector file {path}: {exc}") from exc
-    return vector_from_obj(obj)
 
 
 def _normalize(obj):

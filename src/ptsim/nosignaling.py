@@ -103,7 +103,7 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> Join
             *_, xi4, p_prepare, p_post = st.run(bob_phase * state, cfg.t, tol)
             return xi4[:2], p_prepare * p_post
     else:
-        raise ValueError(f"unknown mode {cfg.mode!r}")
+        raise errors.ParseError(f"unknown mode {cfg.mode!r}")
 
     table = np.zeros((2, 2, 2))
     p_success = np.ones(2)

@@ -60,7 +60,7 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DE
         if rho is None or rho_prime is None:
             raise errors.ParseError("custom scheme requires rho and rho_prime")
         return np.asarray(rho, dtype=complex), np.asarray(rho_prime, dtype=complex)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    raise errors.ParseError(f"unknown scheme {scheme!r}")
 
 
 @dataclass(frozen=True)

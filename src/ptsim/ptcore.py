@@ -65,8 +65,10 @@ class PTSystem:
             raise errors.DefectiveInputError("from_hamiltonian: H is defective")
         if c.kind is Kind.NOT_PT_SYMMETRIC:
             raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
-        psi, k = _paired_eigenframe(h, tol)
-        ptm = construct_pt_from_eigenframe(psi, k, tol)
+        pairs, reals = _pair_spectrum(c.spectrum, tol)
+        order = [i for pair in pairs for i in pair] + reals
+        k = _pair_swap(len(pairs), len(order))
+        ptm = construct_pt_from_eigenframe(c.eigenframe[:, order], k, tol)
         pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm, tol)
         return PTSystem(np.asarray(h, dtype=complex), pair)
 
@@ -127,30 +129,25 @@ def classify(h, pt: PTPair | None = None, tol: Tolerances = DEFAULT_TOL) -> Clas
 
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
     complete criterion for unbrokenness. If the spectrum is not closed under
-    conjugation the matrix cannot be PT-symmetric at all.
+    conjugation the matrix cannot be PT-symmetric at all. This is the
+    module's only eig of H; from_hamiltonian and canonical_form read it.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise errors.NonSquareError("classify: H must be square")
-    if pt is not None and not is_pt_symmetric(h, pt, tol):
-        d = eig(h, tol)
-        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
+    symmetric = pt is None or is_pt_symmetric(h, pt, tol)
     d = eig(h, tol)
+    if not symmetric:
+        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
     if d.defective:
         return Classification(Kind.DEFECTIVE, d.eigenvalues, None)
     if all(is_real_eigenvalue(lam, tol) for lam in d.eigenvalues):
         return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix)
-    if _conjugation_closed(d.eigenvalues, tol):
-        return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix)
-    return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
-
-
-def _conjugation_closed(spectrum, tol: Tolerances) -> bool:
     try:
-        _pair_spectrum(spectrum, tol)
+        _pair_spectrum(d.eigenvalues, tol)
     except errors.InconsistentSpectrumError:
-        return False
-    return True
+        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
+    return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix)
 
 
 def _pair_spectrum(spectrum, tol: Tolerances):
@@ -190,19 +187,6 @@ def _pair_swap(n_pairs: int, n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)[perm]
 
 
-def _paired_eigenframe(h, tol: Tolerances):
-    """(Psi, K) ordering conjugate pairs first, real eigenvalues trailing.
-
-    Pair columns are kept as raw eigenvectors; no PT-dependent gauge applied.
-    Used by from_hamiltonian where the PT is about to be *built* from Psi.
-    """
-    h = np.asarray(h, dtype=complex)
-    d = eig(h, tol)
-    pairs, reals = _pair_spectrum(d.eigenvalues, tol)
-    order = [i for pair in pairs for i in pair] + reals
-    return d.eigenvector_matrix[:, order], _pair_swap(len(pairs), len(order))
-
-
 def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
     """Eigenframe gauge-fixed against PT: Psi^{-1} H Psi = J, Psi^{-1} PT conj(Psi) = K.
 
@@ -210,27 +194,27 @@ def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalFor
     column); for a real eigenvalue the column is put in the self-conjugate
     gauge PT conj(psi) = psi.
     """
-    if not is_pt_symmetric(sys.H, sys.pt, tol):
+    c = classify(sys.H, sys.pt, tol)
+    if c.kind is Kind.NOT_PT_SYMMETRIC:
         raise errors.NotPTSymmetricError("canonical_form: H is not PT-symmetric for this pair")
-    d = eig(sys.H, tol)
-    if d.defective:
+    if c.kind is Kind.DEFECTIVE:
         raise errors.DefectiveInputError("canonical_form: defective H is out of scope")
     ptm = sys.pt.PT
-    pairs, reals = _pair_spectrum(d.eigenvalues, tol)
+    pairs, reals = _pair_spectrum(c.spectrum, tol)
 
     cols, lams = [], []
     for i, j in pairs:
-        psi1 = d.eigenvector_matrix[:, i]
+        psi1 = c.eigenframe[:, i]
         psi2 = ptm @ psi1.conj()  # eigenvector for conj(lambda) by PT symmetry
         cols += [psi1, psi2]
-        lams += [d.eigenvalues[i], np.conj(d.eigenvalues[i])]
+        lams += [c.spectrum[i], np.conj(c.spectrum[i])]
     for i in reals:
-        psi = d.eigenvector_matrix[:, i]
+        psi = c.eigenframe[:, i]
         phi = psi + ptm @ psi.conj()
         if np.linalg.norm(phi) < 1e-8 * np.linalg.norm(psi):
             phi = 1j * (psi - ptm @ psi.conj())
         cols.append(phi / np.linalg.norm(phi))
-        lams.append(complex(d.eigenvalues[i].real))
+        lams.append(complex(c.spectrum[i].real))
 
     psi = np.column_stack(cols)
     if np.linalg.cond(psi) > tol.defect_cond:

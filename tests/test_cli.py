@@ -6,12 +6,18 @@ import pytest
 
 from ptsim import io
 from ptsim.cli import main
+from ptsim.linalg import SIGMA_X
 from ptsim.pipeline import gunther_eta, gunther_hamiltonian
 
 
 def write_matrix(path, a):
     path.write_text(json.dumps(io.matrix_to_obj(np.asarray(a, dtype=complex))))
     return str(path)
+
+
+def assert_parse_error(rc, capsys):
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.fixture
@@ -70,6 +76,10 @@ class TestExitCodes:
         p = write_matrix(tmp_path / "p.json", 2 * np.eye(2))
         t = write_matrix(tmp_path / "t.json", np.eye(2))
         assert main(["classify", h0_file, "--P", p, "--T", t]) == 4
+
+    def test_unwritable_out_is_2(self, h0_file, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "c.json"
+        assert_parse_error(main(["classify", h0_file, "--out", str(out)]), capsys)
 
 
 class TestMetric:
@@ -155,6 +165,36 @@ class TestSimulate:
         path.write_text(json.dumps({"scheme": "identity"}))
         assert main(["simulate", str(path)]) == 2
 
+    @pytest.mark.parametrize("field", ["scheme", "h1"])
+    def test_unknown_choice_is_2(self, field, tmp_path, capsys):
+        cfgp = self.make_config(tmp_path, **{field: "bogus"})
+        assert_parse_error(main(["simulate", cfgp]), capsys)
+
+    def hamiltonian_config(self, tmp_path, **pt):
+        h = gunther_hamiltonian(np.pi / 6)
+        objs = {k: io.matrix_to_obj(v) for k, v in pt.items()}
+        return self.make_config(tmp_path, alpha_params=None, hamiltonian=io.matrix_to_obj(h),
+                                **objs)
+
+    def run_to_text(self, cfgp, out):
+        assert main(["simulate", cfgp, "--out", str(out)]) == 0
+        return out.read_text()
+
+    def test_hamiltonian_with_pt_pair(self, tmp_path):
+        # the same H, pair, eta and H1 as the alpha_params config: same output
+        expected = self.run_to_text(self.make_config(tmp_path), tmp_path / "a.json")
+        cfgp = self.hamiltonian_config(tmp_path, P=SIGMA_X, T=np.eye(2))
+        assert self.run_to_text(cfgp, tmp_path / "b.json") == expected
+
+    def test_hamiltonian_without_pt_pair(self, tmp_path):
+        obj = json.loads(self.run_to_text(self.hamiltonian_config(tmp_path), tmp_path / "b.json"))
+        assert obj["p_prepare"] == pytest.approx(0.5, abs=1e-12)
+        assert obj["final_formula_check"] <= 1e-10
+
+    def test_hamiltonian_non_involutory_p_is_4(self, tmp_path, capsys):
+        cfgp = self.hamiltonian_config(tmp_path, P=2 * np.eye(2), T=np.eye(2))
+        assert main(["simulate", cfgp]) == 4
+
     def test_deterministic_output(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         cfgp = self.make_config(tmp_path)
@@ -186,6 +226,19 @@ class TestNosignal:
     def test_alpha_out_of_range_is_4(self, capsys):
         assert main(["nosignal", "--alpha", "1.6"]) == 4
 
+    def test_unknown_scheme_is_2(self, capsys):
+        assert_parse_error(main(["nosignal", "--alpha", "0.5", "--scheme", "bogus"]), capsys)
+
+    def test_malformed_t_grid_is_2(self, tmp_path, capsys):
+        rc = main(["nosignal", "--alpha", "0.5", "--t-grid", "a,b",
+                   "--sweep", str(tmp_path / "f.csv")])
+        assert_parse_error(rc, capsys)
+
+    def test_unwritable_sweep_is_2(self, tmp_path, capsys):
+        rc = main(["nosignal", "--alpha", "0.5", "--t-grid", "0.5",
+                   "--sweep", str(tmp_path / "missing_dir" / "f.csv")])
+        assert_parse_error(rc, capsys)
+
     def test_sweep_csv(self, tmp_path):
         csv_path = tmp_path / "sweep.csv"
         out = tmp_path / "ns.json"
@@ -213,3 +266,7 @@ class TestPaper:
         assert main(["paper"]) == 0
         text = capsys.readouterr().out
         assert "PASS" in text and "FAIL " not in text
+
+    def test_unwritable_json_is_2(self, tmp_path, capsys):
+        out = tmp_path / "missing_dir" / "checks.json"
+        assert_parse_error(main(["paper", "--json", str(out)]), capsys)

@@ -143,6 +143,33 @@ class TestCanonicalForm:
         with pytest.raises(errors.DefectiveInputError):
             canonical_form(sys)
 
+    def test_not_pt_symmetric_refused(self):
+        sys = PTSystem(np.diag([1j, 2.0]).astype(complex), validate_pt_pair(EYE2, EYE2))
+        with pytest.raises(errors.NotPTSymmetricError):
+            canonical_form(sys)
+
+
+class TestFactorizations:
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=np.linalg.eig, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        return calls
+
+    @pytest.mark.parametrize("sys", [unbroken_corpus()[0], broken_corpus()[0]],
+                             ids=["unbroken", "broken"])
+    def test_one_eig_per_hamiltonian(self, sys, eig_calls):
+        # classify runs the one eig; from_hamiltonian and canonical_form read it
+        PTSystem.from_hamiltonian(sys.H)
+        assert len(eig_calls) == 1
+        canonical_form(sys)
+        assert len(eig_calls) == 2
+
 
 class TestConstructPT:
     def test_identity(self):
