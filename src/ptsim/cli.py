@@ -63,6 +63,13 @@ def _system(h, p, t) -> PTSystem:
     return PTSystem.from_hamiltonian(h) if pair is None else PTSystem(h, pair)
 
 
+def _finite(name, x):
+    """x, or a ParseError (exit 2) if it is NaN or infinite."""
+    if x is not None and not np.isfinite(x):
+        raise errors.ParseError(f"{name} must be finite, got {x}")
+    return x
+
+
 def _pair_files(args):
     """The --P/--T matrices, each None unless both files are given."""
     if args.P and args.T:
@@ -110,6 +117,8 @@ def cmd_dilate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.samples < 0:
+        raise errors.ParseError(f"--samples must be >= 0, got {args.samples}")
     try:
         with open(args.config) as fh:
             cfgobj = json.load(fh)
@@ -117,8 +126,8 @@ def cmd_simulate(args) -> int:
         raise errors.ParseError(f"cannot read config: {exc}") from exc
     try:
         if "alpha_params" in cfgobj and cfgobj["alpha_params"]:
-            ap = cfgobj["alpha_params"]
-            sys = gunther_system(float(ap["alpha"]), float(ap.get("s", 1.0)), float(ap.get("E0", 0.0)))
+            ap = {"s": 1.0, "E0": 0.0, **cfgobj["alpha_params"]}
+            sys = gunther_system(*(_finite(k, float(ap[k])) for k in ("alpha", "s", "E0")))
         else:
             h = io.matrix_from_obj(cfgobj["hamiltonian"])
             pt = [io.matrix_from_obj(cfgobj[k]) if cfgobj.get(k) else None for k in ("P", "T")]
@@ -126,7 +135,7 @@ def cmd_simulate(args) -> int:
         scheme = cfgobj.get("scheme", "identity")
         rho = io.matrix_from_obj(cfgobj["rho"]) if cfgobj.get("rho") else None
         rho_prime = io.matrix_from_obj(cfgobj["rho_prime"]) if cfgobj.get("rho_prime") else None
-        t = float(cfgobj["t"])
+        t = _finite("t", float(cfgobj["t"]))
         psi = io.vector_from_obj(cfgobj["psi"])
         seed = cfgobj.get("seed")
     except (KeyError, TypeError, ValueError) as exc:
@@ -145,6 +154,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_nosignal(args) -> int:
+    for flag, value in (("--alpha", args.alpha), ("--alpha-deg", args.alpha_deg), ("--s", args.s),
+                        ("--t", args.t)):
+        _finite(flag, value)
     alpha = np.deg2rad(args.alpha_deg) if args.alpha_deg is not None else args.alpha
     if alpha is None:
         raise errors.ParseError("nosignal: --alpha or --alpha-deg is required")
@@ -152,7 +164,8 @@ def cmd_nosignal(args) -> int:
     if args.sweep:
         alphas = [alpha]
         try:
-            ts = [float(x) for x in args.t_grid.split(",")] if args.t_grid else [args.t]
+            ts = ([_finite("--t-grid", float(x)) for x in args.t_grid.split(",")]
+                  if args.t_grid else [args.t])
         except ValueError as exc:
             raise errors.ParseError(f"nosignal: malformed --t-grid: {exc}") from exc
         rows = sweep_delta_s(alphas, ts, scheme, mode=args.mode, s=args.s)
@@ -173,37 +186,23 @@ def cmd_nosignal(args) -> int:
 def cmd_paper(args) -> int:
     """Regenerate every closed-form fixture check and print a pass/fail table."""
     checks = []
+
+    def check(name, residual, tolerance, passed):
+        checks.append({"check": name, "residual": residual, "tolerance": tolerance, "pass": passed})
+
     for alpha in (np.pi / 6, np.pi / 4, 1.0):
         for s in (1.0, 2.0):
             for e0 in (0.0, 1.0):
                 rep = reproduce_gunther_example(alpha, s, e0, t=1.0)
                 for name, resid in rep.items():
                     tol = 1e-8 if name == "evolution_top" else 1e-10
-                    checks.append(
-                        {
-                            "check": f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
-                            "residual": float(resid),
-                            "tolerance": tol,
-                            "pass": bool(resid <= tol),
-                        }
-                    )
+                    check(f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
+                          float(resid), tol, bool(resid <= tol))
     demo = scalar_sum_obstruction_demo()
-    checks.append(
-        {
-            "check": "scalar_sum_obstruction.entry_13",
-            "residual": abs(demo["obstruction_entry_13"] - 1.0),
-            "tolerance": 0.0,
-            "pass": demo["obstruction_entry_13"] == 1.0,
-        }
-    )
-    checks.append(
-        {
-            "check": "scalar_sum_obstruction.grid_min_residual_exceeds_0.1",
-            "residual": demo["min_residual"],
-            "tolerance": 0.1,
-            "pass": bool(demo["min_residual"] > 0.1),
-        }
-    )
+    entry = demo["obstruction_entry_13"]
+    check("scalar_sum_obstruction.entry_13", abs(entry - 1.0), 0.0, entry == 1.0)
+    check("scalar_sum_obstruction.grid_min_residual_exceeds_0.1", demo["min_residual"], 0.1,
+          bool(demo["min_residual"] > 0.1))
     all_pass = all(c["pass"] for c in checks)
     if args.json_out:
         _emit({"checks": checks, "all_pass": all_pass}, args.json_out)

@@ -21,6 +21,7 @@ from .linalg import (
 __all__ = [
     "SubspaceMap",
     "CompletionResult",
+    "frame_completion",
     "unitary_completion",
     "zero_map_completion",
     "post_select",
@@ -68,29 +69,43 @@ class CompletionResult:
     scale: float
 
 
-def _complement_basis(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
-    full = orthonormal_extension(list(basis.T), basis.shape[0], tol)
-    return full[:, basis.shape[1]:]
+def _frame(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """[B | B-perp]: the unitary whose leading columns are the orthonormal basis B."""
+    return orthonormal_extension(list(basis.T), basis.shape[0], tol)
 
 
-def _completion(m: SubspaceMap, c: np.ndarray, scale: float, tol: Tolerances) -> CompletionResult:
-    """U = [images | completion] [M | completion]^dag for C = A/||A|| or C = 0.
+def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray, scale: float,
+                tol: Tolerances) -> CompletionResult:
+    """U = [images | completion] [M | M-perp]^dag for C = A/||A|| or C = 0.
 
-    The images N C + W D, with W an orthonormal basis of N-perp (the tail of
-    N's orthonormal extension) and D the principal PSD root of I - C^dag C,
-    are orthonormal; with C = 0 they are W itself, so P_N U vanishes on M.
-    Each completion is one complete QR (``orthonormal_extension``), so U
-    costs O(n^3) and is deterministic; its action off M does not affect
+    full_m = [M | M-perp] and full_n = [N | N-perp] are unitary frames of the
+    ambient space whose leading k columns are the bases of M and N. The
+    images N C + N-perp D, with D the principal PSD root of I - C^dag C, are
+    orthonormal; with C = 0 they are N-perp itself, so P_N U vanishes on M.
+    One complete QR (``orthonormal_extension``) extends them to a unitary,
+    so U costs O(n^3) given the frames; its action off M does not affect
     P_N U on M.
     """
-    d = principal_sqrt_psd(np.eye(m.subspace_dim) - c.conj().T @ c, tol)
-    w = _complement_basis(m.n_basis, tol)
-    images = m.n_basis @ c + w @ d
-    full_m = orthonormal_extension(list(m.m_basis.T), m.ambient_dim, tol)
-    full_v = orthonormal_extension(list(images.T), m.ambient_dim, tol)
+    k = c.shape[0]
+    d = principal_sqrt_psd(np.eye(k) - c.conj().T @ c, tol)
+    images = full_n[:, :k] @ c + full_n[:, k:] @ d
+    full_v = orthonormal_extension(list(images.T), full_n.shape[0], tol)
     u = full_v @ full_m.conj().T
-    p_n = m.n_basis @ m.n_basis.conj().T
+    p_n = full_n[:, :k] @ full_n[:, :k].conj().T
     return CompletionResult(u, p_n, scale)
+
+
+def frame_completion(full_m: np.ndarray, full_n: np.ndarray, action,
+                     tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+    """``unitary_completion`` for a caller that holds the unitary frames
+    [M | M-perp] and [N | N-perp], with A the k x k action in their leading
+    columns, so neither frame is rebuilt by QR.
+    """
+    action = np.asarray(action, dtype=complex)
+    a_norm = fro(action)
+    if a_norm == 0.0:
+        raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
+    return _completion(full_m, full_n, action / a_norm, 1.0 / a_norm, tol)
 
 
 def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
@@ -99,17 +114,14 @@ def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> Complet
     Columns of A, scaled to unit total energy, give the N-components of the
     images; the deficit goes into N-perp.
     """
-    a_norm = fro(m.action)
-    if a_norm == 0.0:
-        raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
-    return _completion(m, m.action / a_norm, 1.0 / a_norm, tol)
+    return frame_completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, tol)
 
 
 def zero_map_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
     """U sending M onto N-perp, so P_N U vanishes on M."""
     if fro(m.action) != 0.0:
         raise errors.DimensionMismatchError("zero_map_completion: action is nonzero")
-    return _completion(m, m.action, 0.0, tol)
+    return _completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, 0.0, tol)
 
 
 def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
@@ -122,9 +134,8 @@ def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
     """
     state = np.asarray(state, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    if fro(p @ p - p) > tol.eq_tol * max(1.0, fro(p)) or fro(p - p.conj().T) > tol.eq_tol * max(
-        1.0, fro(p)
-    ):
+    p_tol = tol.eq_tol * max(1.0, fro(p))
+    if fro(p @ p - p) > p_tol or fro(p - p.conj().T) > p_tol:
         raise errors.NotProjectionError("post_select: P is not an orthogonal projection")
     nrm = np.linalg.norm(state)
     if abs(nrm - 1.0) > 1e-8:

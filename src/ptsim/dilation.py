@@ -44,7 +44,9 @@ class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
     eta - I = V diag(w) V^dag is factored once into (``eta_minus_i_w``,
-    ``eta_minus_i_v``); ``ytau_frame`` is the Q of [I; tau], a basis of Y_tau.
+    ``eta_minus_i_v``). ``ytau_q`` is the complete Q of [I; tau]: its first n
+    columns (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one
+    of Y_tau-perp.
     """
 
     H: np.ndarray
@@ -52,7 +54,7 @@ class Dilation:
     eta_minus_i_w: np.ndarray
     eta_minus_i_v: np.ndarray
     tau: np.ndarray
-    ytau_frame: np.ndarray
+    ytau_q: np.ndarray
     H1: np.ndarray
     H2: np.ndarray
     H4: np.ndarray
@@ -62,6 +64,10 @@ class Dilation:
     @property
     def dim(self) -> int:
         return self.H.shape[0]
+
+    @property
+    def ytau_frame(self) -> np.ndarray:
+        return self.ytau_q[:, :self.dim]
 
     def eta_power(self, p: float) -> np.ndarray:
         """eta^p = V diag((w + 1)^p) V^dag."""
@@ -79,16 +85,9 @@ class Dilation:
     def to_obj(self) -> dict:
         from .io import matrix_to_obj
 
-        return {
-            "H": matrix_to_obj(self.H),
-            "eta": matrix_to_obj(self.eta),
-            "tau": matrix_to_obj(self.tau),
-            "H1": matrix_to_obj(self.H1),
-            "H2": matrix_to_obj(self.H2),
-            "H4": matrix_to_obj(self.H4),
-            "Hhat": matrix_to_obj(self.Hhat),
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-        }
+        out = {k: matrix_to_obj(getattr(self, k)) for k in ("H", "eta", "tau", "H1", "H2", "H4", "Hhat")}
+        out["residuals"] = {k: float(v) for k, v in self.residuals.items()}
+        return out
 
 
 def build_dilation(
@@ -115,7 +114,7 @@ def build_dilation(
     n = h.shape[0]
 
     if eta is None:
-        base = positive_metric(sys, tol)
+        base = positive_metric(sys, tol, c)
         eta = (margin / base.min_eigenvalue) * base.eta
     else:
         eta = np.array(eta, dtype=complex)
@@ -132,7 +131,7 @@ def build_dilation(
         raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")
     tau = eigen_power(w, v, 0.5)
     tau_inv = np.linalg.inv(tau)
-    ytau_frame, _ = np.linalg.qr(np.vstack([np.eye(n, dtype=complex), tau]))
+    ytau_q, _ = np.linalg.qr(np.vstack([np.eye(n, dtype=complex), tau]), mode="complete")
 
     if h1_choice == "zero":
         h1m = np.zeros((n, n), dtype=complex)
@@ -159,9 +158,9 @@ def build_dilation(
         "tau_sq": fro(tau @ tau - (eta - np.eye(n))) / rel_scale(eta),
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
-    for a in (h, eta, w, v, tau, ytau_frame, h1m, h2, h4, hhat):
+    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat):
         a.setflags(write=False)
-    return Dilation(h, eta, w, v, tau, ytau_frame, h1m, h2, h4, hhat, residuals)
+    return Dilation(h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, residuals)
 
 
 def in_tau_subspace(x, tau, tol: Tolerances = DEFAULT_TOL) -> bool:

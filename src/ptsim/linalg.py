@@ -98,10 +98,6 @@ class EigenDecomposition:
     condition_estimate: float
     defective: bool
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvector_matrix.shape[0]
-
 
 def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
     """Eigendecomposition with a defectiveness verdict.
@@ -135,18 +131,20 @@ def _has_clustered_rank_deficit(lam, psi, tol: Tolerances) -> bool:
     n = len(lam)
     scale = max(1.0, float(np.max(np.abs(lam))))
     window = max(tol.real_tol, 1e-6) * scale
-    unassigned = list(range(n))
-    while unassigned:
-        i = unassigned.pop(0)
-        cluster = [i]
-        for j in list(unassigned):
-            if abs(lam[i] - lam[j]) <= window:
-                cluster.append(j)
-                unassigned.remove(j)
-        if len(cluster) > 1:
-            s = np.linalg.svd(psi[:, cluster], compute_uv=False)
-            if s[-1] <= 1e-6 * max(1.0, s[0]):
-                return True
+    close = np.abs(lam[:, None] - lam[None, :]) <= window
+    if np.count_nonzero(close) == n:  # no pair is close: the common case
+        return False
+    # greedy clusters: the first unassigned eigenvalue and all still
+    # unassigned within the window of it
+    unassigned = np.ones(n, dtype=bool)
+    for i in range(n):
+        if unassigned[i]:
+            cluster = np.flatnonzero(close[i] & unassigned)
+            unassigned[cluster] = False
+            if len(cluster) > 1:
+                s = np.linalg.svd(psi[:, cluster], compute_uv=False)
+                if s[-1] <= 1e-6 * max(1.0, s[0]):
+                    return True
     return False
 
 

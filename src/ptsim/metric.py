@@ -16,7 +16,7 @@ from .linalg import (
     is_hermitian,
     rel_scale,
 )
-from .ptcore import Kind, PTSystem, classify
+from .ptcore import Classification, Kind, PTSystem, classify
 
 __all__ = [
     "MetricOperator",
@@ -54,13 +54,15 @@ def _intertwining_residual(h, eta) -> float:
     return fro(h.conj().T @ eta - eta @ h)
 
 
-def positive_metric(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> MetricOperator:
+def positive_metric(sys: PTSystem, tol: Tolerances = DEFAULT_TOL,
+                    classification: Classification | None = None) -> MetricOperator:
     """Canonical positive-definite metric eta = (Psi Psi^dag)^{-1}.
 
     Psi is the eigenframe with unit-norm columns; the output is one
-    representative of the multi-dimensional metric family.
+    representative of the multi-dimensional metric family. A caller that
+    has already classified sys passes that result, so H is factored once.
     """
-    c = classify(sys.H, sys.pt, tol)
+    c = classify(sys.H, sys.pt, tol) if classification is None else classification
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"positive_metric: classification is {c.kind.value}")
     psi = c.eigenframe / np.linalg.norm(c.eigenframe, axis=0, keepdims=True)
@@ -91,12 +93,9 @@ def metric_signature(sys: PTSystem, eta, tol: Tolerances = DEFAULT_TOL) -> Signa
     verify_metric(sys.H, eta, tol)
     lam = c.spectrum
     scale = max(1.0, float(np.max(np.abs(lam))))
-    for i in range(len(lam)):
-        for j in range(i + 1, len(lam)):
-            if abs(lam[i] - lam[j]) <= tol.real_tol * scale:
-                raise errors.DegenerateSpectrumUnsupportedError(
-                    "metric_signature: repeated eigenvalues are refused"
-                )
+    if np.count_nonzero(np.abs(lam[:, None] - lam[None, :]) <= tol.real_tol * scale) > len(lam):
+        raise errors.DegenerateSpectrumUnsupportedError(
+            "metric_signature: repeated eigenvalues are refused")
     psi = c.eigenframe
     gram = psi.conj().T @ np.asarray(eta, dtype=complex) @ psi
     off = gram - np.diag(np.diag(gram))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .completion import CompletionResult, SubspaceMap, post_select, unitary_completion
+from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
 from .linalg import (
     DEFAULT_TOL,
@@ -67,10 +67,10 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DE
 class SchemeStages:
     """The stage operators of a scheme on one dilation.
 
-    They are the scheme's (rho, rho'), the two completions these induce, the
-    dilation's Hhat and the projector onto ancilla |0>. It holds no
-    reference to the dilation, so a dilation that keeps its stages forms no
-    reference cycle and is freed as soon as it is dropped.
+    They are the scheme's (rho, rho'), the two completions these induce and
+    the dilation's Hhat. It holds no reference to the dilation, so a
+    dilation that keeps its stages forms no reference cycle and is freed as
+    soon as it is dropped.
     """
 
     rho: np.ndarray
@@ -78,7 +78,6 @@ class SchemeStages:
     preparation: CompletionResult
     extraction: CompletionResult
     Hhat: np.ndarray
-    P_ancilla0: np.ndarray
 
     def run(self, psi, t: float, tol: Tolerances = DEFAULT_TOL):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
@@ -98,13 +97,13 @@ class SchemeStages:
         # stage 3: unitary dilated evolution
         xi3 = matrix_exp(-1j * t * self.Hhat, tol) @ xi2
 
-        # stage 4: unitary + post-selection onto X1, then the ancilla measurement
+        # stage 4: unitary + post-selection onto X1, which is the ancilla
+        # measurement: extraction.P_N is the projector onto ancilla |0>
         extr = self.extraction
-        xi4a, p1 = post_select(extr.U @ xi3, extr.P_N, tol)
-        if p1 == 0.0:
+        xi4, p_post = post_select(extr.U @ xi3, extr.P_N, tol)
+        if p_post == 0.0:
             raise errors.ZeroFinalStateError("extraction branch vanished")
-        xi4, p2 = post_select(xi4a, self.P_ancilla0, tol)
-        return xi1, xi2, xi3, xi4, p_prepare, p1 * p2
+        return xi1, xi2, xi3, xi4, p_prepare, p_post
 
 
 def _read_only(*arrays) -> None:
@@ -125,11 +124,10 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
     if key in d.stage_cache:
         return d.stage_cache[key]
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime, tol)
-    p_ancilla0 = np.diag(np.repeat([1.0 + 0j, 0.0], d.dim))
     st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
-                      extraction_completion(d, r_prime, tol), d.Hhat, p_ancilla0)
+                      extraction_completion(d, r_prime, tol), d.Hhat)
     if scheme != "custom":
-        _read_only(r, r_prime, p_ancilla0, st.preparation.U, st.preparation.P_N,
+        _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
         d.stage_cache[key] = st
     return st
@@ -164,31 +162,25 @@ class SimulationTrace:
     def to_obj(self) -> dict:
         from .io import vector_to_obj
 
-        return {
-            "xi1": vector_to_obj(self.xi1),
-            "xi2": vector_to_obj(self.xi2),
-            "xi3": vector_to_obj(self.xi3),
-            "xi4": vector_to_obj(self.xi4),
-            "xi5": vector_to_obj(self.xi5),
-            "p_prepare": self.p_prepare,
-            "p_post": self.p_post,
-            "p_total": self.p_total,
-            "final_formula_check": self.final_formula_check,
-        }
+        return {k: vector_to_obj(v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
 def preparation_completion(d: Dilation, rho, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
-    """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi)."""
+    """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
+
+    Its frames are the coordinate frame [X1 | X1-perp] = I and the
+    dilation's complete Q of [I; tau].
+    """
     action = d.ytau_frame.conj().T @ np.vstack([rho, d.tau @ rho])
-    x1_frame = np.eye(2 * d.dim, d.dim, dtype=complex)
-    return unitary_completion(SubspaceMap(x1_frame, d.ytau_frame, action), tol)
+    return frame_completion(np.eye(2 * d.dim, dtype=complex), d.ytau_q, action, tol)
 
 
 def extraction_completion(d: Dilation, rho_prime, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
-    """Completion for the induced map (phi; tau phi) -> (rho' phi; 0)."""
+    """Completion for the induced map (phi; tau phi) -> (rho' phi; 0),
+    on the frames of ``preparation_completion`` in reverse.
+    """
     action = rho_prime @ d.ytau_frame[:d.dim, :]
-    x1_frame = np.eye(2 * d.dim, d.dim, dtype=complex)
-    return unitary_completion(SubspaceMap(d.ytau_frame, x1_frame, action), tol)
+    return frame_completion(d.ytau_q, np.eye(2 * d.dim, dtype=complex), action, tol)
 
 
 def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> SimulationTrace:

@@ -160,6 +160,19 @@ class TestSimulate:
         obj = json.loads(out.read_text())
         assert obj["sampling"]["samples"] == 1000
 
+    def test_negative_samples_is_2(self, tmp_path, capsys):
+        rc = main(["simulate", self.make_config(tmp_path), "--samples", "-5"])
+        assert_parse_error(rc, capsys)
+
+    @pytest.mark.parametrize("field", ["t", "alpha"])
+    def test_non_finite_config_number_is_2(self, field, tmp_path, capsys):
+        cfg = {"t": 1.0, "alpha_params": {"alpha": np.pi / 6}}
+        if field == "t":
+            cfg["t"] = float("nan")
+        else:
+            cfg["alpha_params"]["alpha"] = float("inf")
+        assert_parse_error(main(["simulate", self.make_config(tmp_path, **cfg)]), capsys)
+
     def test_malformed_config_is_2(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"scheme": "identity"}))
@@ -228,6 +241,18 @@ class TestNosignal:
 
     def test_unknown_scheme_is_2(self, capsys):
         assert_parse_error(main(["nosignal", "--alpha", "0.5", "--scheme", "bogus"]), capsys)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--alpha-deg", "--t", "--s"])
+    def test_non_finite_input_is_2(self, flag, value, capsys):
+        base = [] if flag.startswith("--alpha") else ["--alpha", "0.5"]
+        assert_parse_error(main(["nosignal", *base, f"{flag}={value}"]), capsys)
+
+    def test_non_finite_t_grid_is_2(self, tmp_path, capsys):
+        rc = main(["nosignal", "--alpha", "0.5", "--t-grid", "0.5,nan",
+                   "--sweep", str(tmp_path / "f.csv")])
+        assert_parse_error(rc, capsys)
+        assert not (tmp_path / "f.csv").exists()
 
     def test_malformed_t_grid_is_2(self, tmp_path, capsys):
         rc = main(["nosignal", "--alpha", "0.5", "--t-grid", "a,b",

@@ -14,7 +14,7 @@ from ptsim import (
 )
 from ptsim.linalg import psd_power
 
-from corpus import broken_corpus, defective_corpus, unbroken_corpus
+from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
 
 RESIDUAL_KEYS = ("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq")
 
@@ -81,6 +81,30 @@ class TestBuildDilation:
             g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             d = build_dilation(sys, h1_choice="supplied", h1=0.5 * (g + g.conj().T))
             assert_clean(d)
+
+    def test_one_eig_per_dilation(self, monkeypatch):
+        # positive_metric reads build_dilation's classification of H
+        calls = []
+
+        def counted(*args, _fn=np.linalg.eig, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eig", counted)
+        build_dilation(random_unbroken(np.random.default_rng(42), 8))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [2, 16])
+    def test_ytau_q_splits_into_ytau_and_its_complement(self, n):
+        d = build_dilation(random_unbroken(np.random.default_rng(43), n))
+        q = d.ytau_q
+        assert np.linalg.norm(q.conj().T @ q - np.eye(2 * n)) <= 1e-12
+        assert np.array_equal(d.ytau_frame, q[:, :n])
+        # Y_tau is the graph {(x; tau x)}, so its complement is {(-tau y; y)}
+        graph = np.vstack([np.eye(n), d.tau])
+        assert np.linalg.norm(q[:, n:].conj().T @ graph) <= 1e-12 * np.linalg.norm(graph)
+        for col in q[:, :n].T:
+            assert in_tau_subspace(col, d.tau)
 
 
 class TestEvolution:

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptsim
-from ptsim import errors
+from ptsim import Kind, classify, errors
 from ptsim.linalg import (
+    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Z,
+    _has_clustered_rank_deficit,
     eig,
     matrix_exp,
     orthonormal_extension,
@@ -17,6 +19,7 @@ from ptsim.linalg import (
 )
 from ptsim.metric import H3
 
+from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
 from oracle import expm_taylor, hermitian_sylvester_nullity_bruteforce, quadratic_eigs_2x2
 
 
@@ -69,6 +72,66 @@ class TestEig:
                 a @ d.eigenvector_matrix - d.eigenvector_matrix @ np.diag(d.eigenvalues)
             )
             assert res <= 1e-10 * max(1.0, np.linalg.norm(a))
+
+
+class TestClusterCheck:
+    """eig's cluster check: one vectorized pass, the SVD only for close pairs."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=np.linalg.svd, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_matches_the_greedy_loop(self):
+        # the pairwise loop that the vectorized check replaced, kept as the reference
+        def greedy(lam, psi, window):
+            unassigned = list(range(len(lam)))
+            while unassigned:
+                i = unassigned.pop(0)
+                cluster = [i] + [j for j in unassigned if abs(lam[i] - lam[j]) <= window]
+                unassigned = [j for j in unassigned if j not in cluster]
+                if len(cluster) > 1:
+                    s = np.linalg.svd(psi[:, cluster], compute_uv=False)
+                    if s[-1] <= 1e-6 * max(1.0, s[0]):
+                        return True
+            return False
+
+        rng = np.random.default_rng(9)
+        systems = unbroken_corpus() + broken_corpus() + defective_corpus()
+        # a chain 0, 8e-7, 1.6e-6: the window joins neighbours but not the ends
+        mats = [s.H for s in systems] + [np.eye(3), np.diag([1.0, 1.0 + 1e-7, 2.0]),
+                                         np.diag([0.0, 8e-7, 1.6e-6]),
+                                         np.array([[1.0, 1.0], [1e-14, 1.0]])]
+        mats += [np.diag([1.0, 1.0, 1.0 + 5e-7, 3.0]) + 1e-9 * rng.normal(size=(4, 4))
+                 for _ in range(5)]
+        for h in mats:
+            lam, psi = np.linalg.eig(np.asarray(h, dtype=complex))
+            window = 1e-6 * max(1.0, float(np.max(np.abs(lam))))
+            assert _has_clustered_rank_deficit(lam, psi, DEFAULT_TOL) == greedy(lam, psi, window)
+
+    def test_perturbed_jordan_block_is_defective(self, svd_calls):
+        # 1e-14 splits the eigenvalue by 2e-7, inside the cluster window; the
+        # frame's condition (~1e7) is below defect_cond, so the cluster decides
+        h = np.array([[1.0, 1.0], [1e-14, 1.0]], dtype=complex)
+        d = eig(h)
+        assert d.condition_estimate < DEFAULT_TOL.defect_cond
+        assert d.defective and len(svd_calls) == 1
+        assert classify(h).kind is Kind.DEFECTIVE
+
+    def test_separated_spectrum_takes_no_svd(self, svd_calls):
+        assert not eig(random_unbroken(np.random.default_rng(8), 16).H).defective
+        assert svd_calls == []
+
+    @pytest.mark.parametrize("h", [np.eye(3), np.diag([1.0, 1.0 + 1e-7, 2.0])])
+    def test_close_eigenvalues_with_independent_vectors(self, h, svd_calls):
+        assert not eig(h).defective
+        assert len(svd_calls) == 1
 
 
 class TestMatrixExp:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,9 @@ from ptsim.pipeline import extraction_completion, preparation_completion, scheme
 
 from corpus import random_unbroken, unbroken_corpus
 from oracle import expm_taylor
+
+FROZEN_TRACES = json.loads(
+    (Path(__file__).parent / "data" / "simulation_traces.json").read_text())
 
 
 def make_cfg(alpha=np.pi / 6, t=1.0, scheme="identity", psi=None, **kw):
@@ -174,8 +180,8 @@ class TestReuse:
 
     def test_factorizations_per_dilation(self, monkeypatch):
         # one eigh of eta - I plus one per completion's defect root, the
-        # eigvalsh of positive_metric, one QR of [I; tau] plus three complete
-        # QRs per completion
+        # eigvalsh of positive_metric, one complete QR of [I; tau] plus one
+        # complete QR per completion, of its images
         sys = random_unbroken(np.random.default_rng(56), 8)
         counts = dict.fromkeys(("eigh", "eigvalsh", "qr"), 0)
         for name in counts:
@@ -184,7 +190,7 @@ class TestReuse:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 3, "eigvalsh": 1, "qr": 7}
+        assert counts == {"eigh": 3, "eigvalsh": 1, "qr": 3}
 
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_metric_sandwich_factors_match_psd_power(self, n):
@@ -192,6 +198,37 @@ class TestReuse:
         st = scheme_stages(d, "metric_sandwich")
         assert np.linalg.norm(st.rho - psd_power(d.eta, -0.5)) <= 1e-12
         assert np.linalg.norm(st.rho_prime - psd_power(d.eta, 0.5)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_stage_completions_realize_their_maps(self, n):
+        # P_N U M = scale N A for each completion, with U unitary
+        d = build_dilation(random_unbroken(np.random.default_rng(58), n))
+        st = scheme_stages(d, "metric_sandwich")
+        x1 = np.eye(2 * n, n)
+        ytau = d.ytau_frame
+        maps = (
+            (st.preparation, x1, np.vstack([st.rho, d.tau @ st.rho])),
+            (st.extraction, ytau, np.vstack([st.rho_prime @ ytau[:n], np.zeros((n, n))])),
+        )
+        for comp, m, image in maps:
+            assert np.linalg.norm(comp.U.conj().T @ comp.U - np.eye(2 * n)) <= 1e-12
+            assert np.linalg.norm(comp.P_N @ comp.U @ m - comp.scale * image) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_traces_match_frozen_values(self, scheme, n):
+        # recorded with the earlier construction, which re-derived every frame
+        # of both completions by QR; the frames now come from the dilation
+        frozen = FROZEN_TRACES[f"{scheme}-{n}"]
+        rng = np.random.default_rng(600 + n)
+        sys = random_unbroken(rng, n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        trace = run_simulation(SimulationConfig(sys=sys, dilation=build_dilation(sys), t=1.3,
+                                                psi=psi, scheme=scheme))
+        for name in ("xi2", "xi5"):
+            expected = np.array(frozen[name]) @ [1.0, 1j]
+            assert getattr(trace, name) == pytest.approx(expected, rel=0, abs=1e-13), name
+        assert trace.p_total == pytest.approx(frozen["p_total"], rel=0, abs=1e-13)
 
     def test_n64_accuracy(self):
         rng = np.random.default_rng(54)

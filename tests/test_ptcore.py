@@ -83,12 +83,13 @@ class TestClassify:
         assert sorted(np.imag(c.spectrum)) == pytest.approx([-np.sqrt(3), np.sqrt(3)])
 
     def test_corpus_kinds(self):
-        for sys in unbroken_corpus():
-            assert classify(sys.H, sys.pt).kind is Kind.UNBROKEN
-        for sys in broken_corpus():
-            assert classify(sys.H, sys.pt).kind is Kind.BROKEN_DIAGONALIZABLE
-        for sys in defective_corpus():
-            assert classify(sys.H, sys.pt).kind is Kind.DEFECTIVE
+        # with and without the pair: the spectrum alone decides these
+        for corpus, kind in ((unbroken_corpus, Kind.UNBROKEN),
+                             (broken_corpus, Kind.BROKEN_DIAGONALIZABLE),
+                             (defective_corpus, Kind.DEFECTIVE)):
+            for sys in corpus():
+                assert classify(sys.H, sys.pt).kind is kind
+                assert classify(sys.H).kind is kind
 
     def test_not_pt_symmetric_kind(self):
         pair = validate_pt_pair(EYE2, EYE2)
