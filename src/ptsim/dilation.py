@@ -19,10 +19,10 @@ from . import errors
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    eigen_evolve,
     eigen_power,
     fro,
     is_hermitian,
-    matrix_exp,
     psd_eigh,
     rel_scale,
 )
@@ -44,9 +44,10 @@ class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
     eta - I = V diag(w) V^dag is factored once into (``eta_minus_i_w``,
-    ``eta_minus_i_v``). ``ytau_q`` is the complete Q of [I; tau]: its first n
-    columns (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one
-    of Y_tau-perp.
+    ``eta_minus_i_v``), and Hhat once into ``hhat_eigh`` = (w, V), which
+    gives every e^{-itHhat}. ``ytau_q`` is the complete Q of [I; tau]: its
+    first n columns (``ytau_frame``) are an orthonormal basis of Y_tau, the
+    rest one of Y_tau-perp.
     """
 
     H: np.ndarray
@@ -59,6 +60,7 @@ class Dilation:
     H2: np.ndarray
     H4: np.ndarray
     Hhat: np.ndarray
+    hhat_eigh: tuple
     residuals: dict
 
     @property
@@ -158,9 +160,10 @@ def build_dilation(
         "tau_sq": fro(tau @ tau - (eta - np.eye(n))) / rel_scale(eta),
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
-    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat):
+    hhat_eigh = np.linalg.eigh(hhat)
+    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, *hhat_eigh):
         a.setflags(write=False)
-    return Dilation(h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, residuals)
+    return Dilation(h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, tuple(hhat_eigh), residuals)
 
 
 def in_tau_subspace(x, tau, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -185,7 +188,7 @@ def dilated_evolution(d: Dilation, t: float, xhat, tol: Tolerances = DEFAULT_TOL
     xhat = np.asarray(xhat, dtype=complex).reshape(-1)
     if not in_tau_subspace(xhat, d.tau, tol):
         raise errors.NotInSubspaceError("dilated_evolution: input is not in Y_tau")
-    return matrix_exp(-1j * t * d.Hhat, tol) @ xhat
+    return eigen_evolve(*d.hhat_eigh, t, xhat)
 
 
 def embedding_membership(hhat, h, x, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -23,6 +23,7 @@ __all__ = [
     "psd_power",
     "psd_eigh",
     "eigen_power",
+    "eigen_evolve",
     "sylvester_hermitian_nullspace",
     "orthonormal_extension",
     "SIGMA_X",
@@ -151,16 +152,11 @@ def _has_clustered_rank_deficit(lam, psi, tol: Tolerances) -> bool:
 def matrix_exp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """e^{A}.
 
-    Exactly skew-Hermitian A = -iK (every evolution generator -itHhat) takes
-    one eigh of K and returns V diag(e^{-iw}) V^dag, unitary to rounding
-    (Higham, Functions of Matrices, ch. 10). Other input uses its
-    eigendecomposition when that is well-conditioned and not defective, and
-    Pade scaling-and-squaring otherwise.
+    Uses the eigendecomposition of A when that is well-conditioned and not
+    defective, and Pade scaling-and-squaring otherwise. An evolution under a
+    Hermitian K with kept eigh factors is ``eigen_evolve`` instead.
     """
     a = _require_square(a, "matrix_exp")
-    if np.array_equal(a, -a.conj().T):
-        w, v = np.linalg.eigh(1j * a)
-        return (v * np.exp(-1j * w)) @ v.conj().T
     d = eig(a, tol)
     if not d.defective and d.condition_estimate <= _EXPM_COND_LIMIT:
         psi = d.eigenvector_matrix
@@ -208,6 +204,12 @@ def eigen_power(w, v, p: float) -> np.ndarray:
     """V diag(w^p) V^dag, Hermitian-symmetrized, from the eigh factors (w, V)."""
     s = v @ np.diag(w**p) @ v.conj().T
     return 0.5 * (s + s.conj().T)
+
+
+def eigen_evolve(w, v, t: float, x) -> np.ndarray:
+    """e^{-itK} x = V (e^{-itw} . (V^dag x)) for x of shape (d,) or (d, m), from
+    the eigh factors (w, V) of a Hermitian K (Higham, Functions of Matrices, ch. 10)."""
+    return v @ (np.exp(-1j * t * w) * (v.conj().T @ x).T).T
 
 
 def _hermitian_basis(n: int) -> list[np.ndarray]:

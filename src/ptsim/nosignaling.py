@@ -12,7 +12,7 @@ import numpy as np
 
 from . import errors
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, matrix_exp
+from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, eigen_evolve, matrix_exp
 from .pipeline import gunther_eta, gunther_system, resolve_rho, scheme_stages
 
 __all__ = [
@@ -126,12 +126,11 @@ def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_
     psi = bell_plus_x_state().reshape(2, 2)
     d = _paper_dilation(cfg, tol)
     prep = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol).preparation
-    u_evo = matrix_exp(-1j * cfg.t * d.Hhat, tol)
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):
         state = u_a @ psi
-        xi = u_evo @ (prep.U @ np.concatenate([state, np.zeros_like(state)]))
+        xi = eigen_evolve(*d.hhat_eigh, cfg.t, prep.U @ np.concatenate([state, np.zeros_like(state)]))
         rho_bob = xi.T @ xi.conj()  # trace over the dilated Alice factor
         out[k] = np.real(np.diag(_Y_BASIS.conj().T @ rho_bob @ _Y_BASIS))
     return out

@@ -20,6 +20,7 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     Tolerances,
+    eigen_evolve,
     fro,
     matrix_exp,
     psd_power,
@@ -68,16 +69,16 @@ class SchemeStages:
     """The stage operators of a scheme on one dilation.
 
     They are the scheme's (rho, rho'), the two completions these induce and
-    the dilation's Hhat. It holds no reference to the dilation, so a
-    dilation that keeps its stages forms no reference cycle and is freed as
-    soon as it is dropped.
+    the dilation's eigh factors of Hhat, which evolve every t. It holds no
+    reference to the dilation, so a dilation that keeps its stages forms no
+    reference cycle and is freed as soon as it is dropped.
     """
 
     rho: np.ndarray
     rho_prime: np.ndarray
     preparation: CompletionResult
     extraction: CompletionResult
-    Hhat: np.ndarray
+    hhat_eigh: tuple
 
     def run(self, psi, t: float, tol: Tolerances = DEFAULT_TOL):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
@@ -95,7 +96,7 @@ class SchemeStages:
             raise errors.ZeroFinalStateError("preparation branch vanished")
 
         # stage 3: unitary dilated evolution
-        xi3 = matrix_exp(-1j * t * self.Hhat, tol) @ xi2
+        xi3 = eigen_evolve(*self.hhat_eigh, t, xi2)
 
         # stage 4: unitary + post-selection onto X1, which is the ancilla
         # measurement: extraction.P_N is the projector onto ancilla |0>
@@ -125,7 +126,7 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
         return d.stage_cache[key]
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime, tol)
     st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
-                      extraction_completion(d, r_prime, tol), d.Hhat)
+                      extraction_completion(d, r_prime, tol), d.hhat_eigh)
     if scheme != "custom":
         _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
@@ -285,7 +286,7 @@ def reproduce_gunther_example(
     amp_residual = abs(amp - ca / 2.0) + np.linalg.norm(w - amp * psi_hat)
 
     xhat = np.concatenate([psi_i, d.tau @ psi_i])
-    evolved = matrix_exp(-1j * t * d.Hhat, tol) @ xhat
+    evolved = eigen_evolve(*d.hhat_eigh, t, xhat)
     top_target = matrix_exp(-1j * t * d.H, tol) @ psi_i
     evo_residual = float(
         np.linalg.norm(evolved[:2] - top_target)

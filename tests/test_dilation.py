@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptsim import (
     build_dilation,
@@ -12,7 +13,7 @@ from ptsim import (
     in_tau_subspace,
     matrix_exp,
 )
-from ptsim.linalg import psd_power
+from ptsim.linalg import eigen_evolve, psd_power
 
 from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
 
@@ -118,6 +119,18 @@ class TestEvolution:
             target = matrix_exp(-1j * t * d.H) @ psi
             assert np.linalg.norm(y[:2] - target) <= 1e-8
             assert np.linalg.norm(y[2:] - d.tau @ target) <= 1e-8
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_kept_hhat_factors_match_expm(self, n):
+        rng = np.random.default_rng(70 + n)
+        d = build_dilation(random_unbroken(rng, n))
+        for x in (rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n),
+                  rng.normal(size=(2 * n, 3)) + 1j * rng.normal(size=(2 * n, 3))):
+            for t in (0.3, 1.3):
+                expected = scipy.linalg.expm(-1j * t * d.Hhat) @ x
+                got = eigen_evolve(*d.hhat_eigh, t, x)
+                assert got.shape == x.shape
+                assert np.linalg.norm(got - expected) <= 1e-12
 
     def test_subspace_is_invariant(self):
         for sys in unbroken_corpus()[:4]:

@@ -157,7 +157,8 @@ class TestMatrixExp:
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_skew_hermitian_generator(self, n):
-        # the -itK route (one eigh) against scipy's Pade expm
+        # a skew-Hermitian generator -itK through the general route,
+        # against scipy's Pade expm
         rng = np.random.default_rng(n)
         k = random_complex(rng, n, scale=3.0)
         k = 0.5 * (k + k.conj().T)

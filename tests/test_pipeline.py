@@ -178,19 +178,37 @@ class TestReuse:
         sys.H[0, 0] += 0.0
         eta[0, 0] += 0.0
 
-    def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh of eta - I plus one per completion's defect root, the
-        # eigvalsh of positive_metric, one complete QR of [I; tau] plus one
-        # complete QR per completion, of its images
-        sys = random_unbroken(np.random.default_rng(56), 8)
-        counts = dict.fromkeys(("eigh", "eigvalsh", "qr"), 0)
-        for name in counts:
+    @staticmethod
+    def count_linalg(monkeypatch, *names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
             def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    def test_factorizations_per_dilation(self, monkeypatch):
+        # one eigh each of eta - I and Hhat plus one per completion's defect
+        # root, the eigvalsh of positive_metric, one complete QR of [I; tau]
+        # plus one complete QR per completion, of its images
+        sys = random_unbroken(np.random.default_rng(56), 8)
+        counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr")
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 3, "eigvalsh": 1, "qr": 3}
+        assert counts == {"eigh": 4, "eigvalsh": 1, "qr": 3}
+
+    def test_t_sweep_adds_no_eigh(self, monkeypatch):
+        # every t evolves on the dilation's kept eigh of Hhat
+        rng = np.random.default_rng(58)
+        sys = random_unbroken(rng, 8)
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        counts = self.count_linalg(monkeypatch, "eigh")
+        d = build_dilation(sys)
+        scheme_stages(d, "metric_sandwich")
+        for t in np.linspace(0.5, 2.0, 5):
+            run_simulation(SimulationConfig(sys=sys, dilation=d, t=t, psi=psi,
+                                            scheme="metric_sandwich"))
+        assert counts == {"eigh": 4}
 
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_metric_sandwich_factors_match_psd_power(self, n):
