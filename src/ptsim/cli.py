@@ -138,6 +138,8 @@ def cmd_simulate(args) -> int:
         t = _finite("t", float(cfgobj["t"]))
         psi = io.vector_from_obj(cfgobj["psi"])
         seed = cfgobj.get("seed")
+        if seed is not None and (type(seed) is not int or seed < 0):
+            raise errors.ParseError(f"seed must be a non-negative integer, got {seed!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise errors.ParseError(f"malformed config: {exc}") from exc
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -109,6 +110,8 @@ def build_dilation(
     ``rescale_supplied`` is set. h1_choice is one of "zero", "paper"
     (H1 = tau H tau eta^{-1} + H eta^{-1}) or "supplied".
     """
+    if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
+        raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
     c = classify(sys.H, sys.pt, tol)
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"build_dilation: classification is {c.kind.value}")

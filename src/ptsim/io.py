@@ -38,6 +38,8 @@ def matrix_from_obj(obj) -> np.ndarray:
         flat = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (KeyError, TypeError, ValueError) as exc:
         raise errors.ParseError(f"malformed matrix object: {exc}") from exc
+    if rows < 1 or cols < 1:
+        raise errors.ParseError(f"matrix rows and cols must be >= 1, got {rows}x{cols}")
     if flat.size != rows * cols:
         raise errors.ParseError("matrix data length != rows*cols")
     if not np.all(np.isfinite(flat)):

@@ -60,7 +60,11 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DE
     if scheme == "custom":
         if rho is None or rho_prime is None:
             raise errors.ParseError("custom scheme requires rho and rho_prime")
-        return np.asarray(rho, dtype=complex), np.asarray(rho_prime, dtype=complex)
+        rho, rho_prime = np.asarray(rho, dtype=complex), np.asarray(rho_prime, dtype=complex)
+        if rho.shape != (n, n) or rho_prime.shape != (n, n):
+            raise errors.DimensionMismatchError(
+                f"custom scheme: rho {rho.shape} and rho_prime {rho_prime.shape} must be {n}x{n}")
+        return rho, rho_prime
     raise errors.ParseError(f"unknown scheme {scheme!r}")
 
 

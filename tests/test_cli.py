@@ -77,6 +77,13 @@ class TestExitCodes:
         t = write_matrix(tmp_path / "t.json", np.eye(2))
         assert main(["classify", h0_file, "--P", p, "--T", t]) == 4
 
+    @pytest.mark.parametrize("obj", [{"rows": -1, "cols": -1, "data": [[1, 0]]},
+                                     {"rows": 0, "cols": 0, "data": []}])
+    def test_non_positive_dimensions_are_2(self, obj, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        assert_parse_error(main(["classify", str(path)]), capsys)
+
     def test_unwritable_out_is_2(self, h0_file, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "c.json"
         assert_parse_error(main(["classify", h0_file, "--out", str(out)]), capsys)
@@ -127,6 +134,10 @@ class TestDilate:
         eta = write_matrix(tmp_path / "eta.json", 0.1 * gunther_eta(np.pi / 6))
         assert main(["dilate", h0_file, "--eta", eta]) == 4
 
+    @pytest.mark.parametrize("margin", ["nan", "inf", "0.5", "-1", "1.0"])
+    def test_bad_margin_is_2(self, margin, h0_file, capsys):
+        assert_parse_error(main(["dilate", h0_file, f"--margin={margin}"]), capsys)
+
 
 class TestSimulate:
     def make_config(self, tmp_path, **overrides):
@@ -159,6 +170,16 @@ class TestSimulate:
         assert rc == 0
         obj = json.loads(out.read_text())
         assert obj["sampling"]["samples"] == 1000
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
+    def test_bad_seed_is_2(self, seed, tmp_path, capsys):
+        rc = main(["simulate", self.make_config(tmp_path, seed=seed), "--samples", "10"])
+        assert_parse_error(rc, capsys)
+
+    def test_custom_rho_of_the_wrong_shape_is_3(self, tmp_path, capsys):
+        cfgp = self.make_config(tmp_path, scheme="custom", rho=io.matrix_to_obj(np.eye(3)),
+                                rho_prime=io.matrix_to_obj(np.eye(2)))
+        assert main(["simulate", cfgp]) == 3
 
     def test_negative_samples_is_2(self, tmp_path, capsys):
         rc = main(["simulate", self.make_config(tmp_path), "--samples", "-5"])

@@ -41,6 +41,11 @@ class TestBuildDilation:
         w = np.linalg.eigvalsh(d.eta)
         assert w.min() == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), 0.5, -1.0, 1.0, "1.5"])
+    def test_bad_margin_is_a_parse_error(self, margin):
+        with pytest.raises(errors.ParseError):
+            build_dilation(gunther_system(0.7), margin=margin)
+
     def test_eta_not_greater_than_identity(self):
         sys = gunther_system(np.pi / 6)
         small = 0.1 * gunther_eta(np.pi / 6)

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from ptsim import io
+from ptsim import errors, io
 
 # Doubles whose text a lossy float format would change: a signed zero, the
 # smallest subnormal, a sum with a 17th significant digit, an integer beyond
@@ -49,6 +50,14 @@ def test_matrix_round_trip_is_bit_exact():
     assert back.tobytes() == EDGE.tobytes()  # keeps the sign of each zero
     v = io.vector_from_obj(json.loads(io.dumps(EDGE[0])))
     assert v.tobytes() == EDGE[0].tobytes()
+
+
+@pytest.mark.parametrize("obj", [{"rows": -1, "cols": -1, "data": [[1, 0]]},
+                                 {"rows": 0, "cols": 0, "data": []},
+                                 {"rows": 0, "cols": 2, "data": []}])
+def test_non_positive_dimensions_are_rejected(obj):
+    with pytest.raises(errors.ParseError):
+        io.matrix_from_obj(obj)
 
 
 def test_dumps_numpy_scalars():

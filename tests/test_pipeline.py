@@ -288,6 +288,13 @@ class TestStageSequence:
         assert abs(p_prepare - q_prepare) <= 1e-13
         assert abs(p_post - q1 * q2) <= 1e-13
 
+    @pytest.mark.parametrize("shapes", [((3, 3), (2, 2)), ((2, 2), (2, 3))])
+    def test_custom_factors_of_the_wrong_shape(self, shapes):
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        rho, rho_prime = (np.eye(*shape) for shape in shapes)
+        with pytest.raises(errors.DimensionMismatchError):
+            scheme_stages(d, "custom", rho=rho, rho_prime=rho_prime)
+
     def test_vanished_branch_raises(self):
         # rho kills psi, so the preparation branch has probability 0
         d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
