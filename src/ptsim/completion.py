@@ -15,7 +15,6 @@ from .linalg import (
     Tolerances,
     fro,
     orthonormal_extension,
-    principal_sqrt_psd,
 )
 
 __all__ = [
@@ -74,38 +73,39 @@ def _frame(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
     return orthonormal_extension(list(basis.T), basis.shape[0], tol)
 
 
-def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray, scale: float,
-                tol: Tolerances) -> CompletionResult:
-    """U = [images | completion] [M | M-perp]^dag for C = A/||A|| or C = 0.
+def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray,
+                scale: float) -> CompletionResult:
+    """U = [N | N-perp] W [M | M-perp]^dag for C = A/||A|| or C = 0.
 
-    full_m = [M | M-perp] and full_n = [N | N-perp] are unitary frames of the
-    ambient space whose leading k columns are the bases of M and N. The
-    images N C + N-perp D, with D the principal PSD root of I - C^dag C, are
-    orthonormal; with C = 0 they are N-perp itself, so P_N U vanishes on M.
-    One complete QR (``orthonormal_extension``) extends them to a unitary,
-    so U costs O(n^3) given the frames; its action off M does not affect
-    P_N U on M.
+    full_m = [M | M-perp] and full_n = [N | N-perp] are unitary frames whose
+    leading k columns are the bases of M and N. W is Halmos's unitary dilation
+    of the contraction C (Summa Brasil. Math. 2, 125 (1950)): with one SVD
+    C = X S Y^dag and R = (I - S^2)^{1/2}, W = [[C, X R X^dag], [Y R Y^dag,
+    -C^dag]]. U maps M onto the images N C + N-perp (I - C^dag C)^{1/2}, so
+    P_N U = scale N A on M; with C = 0, U maps M onto N-perp.
     """
+    x, s, yh = np.linalg.svd(c)
+    r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
     k = c.shape[0]
-    d = principal_sqrt_psd(np.eye(k) - c.conj().T @ c, tol)
-    images = full_n[:, :k] @ c + full_n[:, k:] @ d
-    full_v = orthonormal_extension(list(images.T), full_n.shape[0], tol)
-    u = full_v @ full_m.conj().T
+    w = np.empty((2 * k, 2 * k), dtype=complex)
+    w[:k, :k], w[:k, k:] = c, (x * r) @ x.conj().T
+    w[k:, :k], w[k:, k:] = yh.conj().T @ (r[:, None] * yh), -c.conj().T
+    u = full_n @ w @ full_m.conj().T
     p_n = full_n[:, :k] @ full_n[:, :k].conj().T
     return CompletionResult(u, p_n, scale)
 
 
-def frame_completion(full_m: np.ndarray, full_n: np.ndarray, action,
-                     tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+def frame_completion(full_m: np.ndarray, full_n: np.ndarray, action) -> CompletionResult:
     """``unitary_completion`` for a caller that holds the unitary frames
     [M | M-perp] and [N | N-perp], with A the k x k action in their leading
-    columns, so neither frame is rebuilt by QR.
+    columns. No frame is rebuilt and nothing is orthonormalized: the
+    completion costs one SVD of A/||A||_F and two products.
     """
     action = np.asarray(action, dtype=complex)
     a_norm = fro(action)
     if a_norm == 0.0:
         raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
-    return _completion(full_m, full_n, action / a_norm, 1.0 / a_norm, tol)
+    return _completion(full_m, full_n, action / a_norm, 1.0 / a_norm)
 
 
 def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
@@ -114,14 +114,14 @@ def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> Complet
     Columns of A, scaled to unit total energy, give the N-components of the
     images; the deficit goes into N-perp.
     """
-    return frame_completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, tol)
+    return frame_completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action)
 
 
 def zero_map_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
     """U sending M onto N-perp, so P_N U vanishes on M."""
     if fro(m.action) != 0.0:
         raise errors.DimensionMismatchError("zero_map_completion: action is nonzero")
-    return _completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, 0.0, tol)
+    return _completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, 0.0)
 
 
 def post_select(state, p, tol: Tolerances = DEFAULT_TOL):

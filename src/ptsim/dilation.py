@@ -44,11 +44,12 @@ __all__ = [
 class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
-    eta - I = V diag(w) V^dag is factored once into (``eta_minus_i_w``,
-    ``eta_minus_i_v``), and Hhat once into ``hhat_eigh`` = (w, V), which
-    gives every e^{-itHhat}. ``ytau_q`` is the complete Q of [I; tau]: its
-    first n columns (``ytau_frame``) are an orthonormal basis of Y_tau, the
-    rest one of Y_tau-perp.
+    eta - I = V diag(w) V^dag is kept as (``eta_minus_i_w``, ``eta_minus_i_v``):
+    the canonical metric's SVD factors, shifted, or one eigh of a supplied
+    eta - I. Hhat is factored once into ``hhat_eigh`` = (w, V), which gives
+    every e^{-itHhat}. ``ytau_q`` is the complete Q of [I; tau]: its first n
+    columns (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one
+    of Y_tau-perp.
     """
 
     H: np.ndarray
@@ -120,7 +121,8 @@ def build_dilation(
 
     if eta is None:
         base = positive_metric(sys, tol, c)
-        eta = (margin / base.min_eigenvalue) * base.eta
+        scale = margin / base.min_eigenvalue
+        eta, w, v = scale * base.eta, scale * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array(eta, dtype=complex)
         lam_min = verify_metric(h, eta, tol).min_eigenvalue
@@ -130,8 +132,8 @@ def build_dilation(
                     f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1"
                 )
             eta = (margin / lam_min) * eta
+        w, v = psd_eigh(eta - np.eye(n), tol)
 
-    w, v = psd_eigh(eta - np.eye(n), tol)
     if np.sqrt(w[0]) <= tol.psd_tol:
         raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")
     tau = eigen_power(w, v, 0.5)
@@ -145,6 +147,8 @@ def build_dilation(
         h1m = tau @ h @ tau @ eta_inv + h @ eta_inv
         h1m = 0.5 * (h1m + h1m.conj().T)
     elif h1_choice == "supplied":
+        if h1 is None:
+            raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
         h1m = np.array(h1, dtype=complex)
         if h1m.shape != (n, n) or not is_hermitian(h1m, tol):
             raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")

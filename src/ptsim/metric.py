@@ -12,6 +12,7 @@ from . import errors
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
+    eigen_power,
     fro,
     is_hermitian,
     rel_scale,
@@ -39,9 +40,13 @@ H3 = np.array([[1, 1, 1], [0, 2, 1], [0, 0, 3]], dtype=complex)
 
 @dataclass(frozen=True)
 class MetricOperator:
+    """``eigh`` is (w, V), eta = V diag(w) V^dag with w ascending, when the
+    constructor factored eta (``positive_metric``), else None."""
+
     eta: np.ndarray
     positive_definite: bool
     min_eigenvalue: float
+    eigh: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,16 @@ def positive_metric(sys: PTSystem, tol: Tolerances = DEFAULT_TOL,
     Psi is the eigenframe with unit-norm columns; the output is one
     representative of the multi-dimensional metric family. A caller that
     has already classified sys passes that result, so H is factored once.
+    One SVD Psi = X S Y^dag gives eta = X S^{-2} X^dag, kept as ``eigh``, and
+    lambda_min = s_max^{-2}, which keeps its digits near an exceptional point.
     """
     c = classify(sys.H, sys.pt, tol) if classification is None else classification
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"positive_metric: classification is {c.kind.value}")
     psi = c.eigenframe / np.linalg.norm(c.eigenframe, axis=0, keepdims=True)
-    eta = np.linalg.inv(psi @ psi.conj().T)
-    eta = 0.5 * (eta + eta.conj().T)
-    w = np.linalg.eigvalsh(eta)
-    return MetricOperator(eta, bool(w.min() > tol.psd_tol), float(w.min()))
+    x, s, _ = np.linalg.svd(psi)  # s descending, so s^{-2} ascending
+    w = s**-2.0
+    return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > tol.psd_tol), float(w[0]), (w, x))
 
 
 def verify_metric(h, eta, tol: Tolerances = DEFAULT_TOL) -> MetricOperator:

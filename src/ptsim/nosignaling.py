@@ -13,7 +13,7 @@ import numpy as np
 from . import errors
 from .dilation import Dilation, build_dilation
 from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, eigen_evolve, matrix_exp
-from .pipeline import gunther_eta, gunther_system, resolve_rho, scheme_stages
+from .pipeline import gunther_eta, gunther_system, preparation_completion, resolve_rho, scheme_stages
 
 __all__ = [
     "ExperimentConfig",
@@ -125,7 +125,7 @@ def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_
     """
     psi = bell_plus_x_state().reshape(2, 2)
     d = _paper_dilation(cfg, tol)
-    prep = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime, tol).preparation
+    prep = preparation_completion(d, resolve_rho(cfg.scheme, d, cfg.rho, cfg.rho_prime, tol)[0])
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):

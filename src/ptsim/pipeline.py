@@ -129,8 +129,8 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
     if key in d.stage_cache:
         return d.stage_cache[key]
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime, tol)
-    st = SchemeStages(r, r_prime, preparation_completion(d, r, tol),
-                      extraction_completion(d, r_prime, tol), d.hhat_eigh)
+    st = SchemeStages(r, r_prime, preparation_completion(d, r),
+                      extraction_completion(d, r_prime), d.hhat_eigh)
     if scheme != "custom":
         _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
@@ -170,22 +170,22 @@ class SimulationTrace:
         return {k: vector_to_obj(v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
 
 
-def preparation_completion(d: Dilation, rho, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+def preparation_completion(d: Dilation, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
 
     Its frames are the coordinate frame [X1 | X1-perp] = I and the
     dilation's complete Q of [I; tau].
     """
     action = d.ytau_frame.conj().T @ np.vstack([rho, d.tau @ rho])
-    return frame_completion(np.eye(2 * d.dim, dtype=complex), d.ytau_q, action, tol)
+    return frame_completion(np.eye(2 * d.dim, dtype=complex), d.ytau_q, action)
 
 
-def extraction_completion(d: Dilation, rho_prime, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
     """Completion for the induced map (phi; tau phi) -> (rho' phi; 0),
     on the frames of ``preparation_completion`` in reverse.
     """
     action = rho_prime @ d.ytau_frame[:d.dim, :]
-    return frame_completion(d.ytau_q, np.eye(2 * d.dim, dtype=complex), action, tol)
+    return frame_completion(d.ytau_q, np.eye(2 * d.dim, dtype=complex), action)
 
 
 def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> SimulationTrace:
@@ -284,7 +284,7 @@ def reproduce_gunther_example(
     chi_i = (1.0 / ca) * np.array([1.0, 1j * sa], dtype=complex)
     psi_hat = np.concatenate([psi_i, chi_i])
 
-    prep = preparation_completion(d, np.eye(2, dtype=complex), tol)
+    prep = preparation_completion(d, np.eye(2, dtype=complex))
     w = prep.P_N @ prep.U @ np.concatenate([psi_i, np.zeros(2)])
     amp = (psi_hat.conj() @ w) / (psi_hat.conj() @ psi_hat)
     amp_residual = abs(amp - ca / 2.0) + np.linalg.norm(w - amp * psi_hat)

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,6 +207,17 @@ class TestSimulate:
     def test_unknown_choice_is_2(self, field, tmp_path, capsys):
         cfgp = self.make_config(tmp_path, **{field: "bogus"})
         assert_parse_error(main(["simulate", cfgp]), capsys)
+
+    def test_supplied_h1_without_a_matrix_is_2(self, tmp_path):
+        # the config format has no H1 field, so "supplied" names a missing input
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "ptsim.cli", "simulate",
+                               self.make_config(tmp_path, h1="supplied")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def hamiltonian_config(self, tmp_path, **pt):
         h = gunther_hamiltonian(np.pi / 6)

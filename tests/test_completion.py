@@ -101,6 +101,31 @@ class TestUnitaryCompletion:
         with pytest.raises(errors.ZeroMapError):
             unitary_completion(sm)
 
+    @pytest.mark.parametrize("k", [1, 2, 16, 64])
+    def test_unitary_and_realizes_the_map_at_size(self, k):
+        sm = random_subspace_map(np.random.default_rng(40 + k), k)
+        res = unitary_completion(sm)
+        bound = 1e-12 * max(1.0, 2 * k)
+        assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(2 * k)) <= bound
+        realized = res.P_N @ res.U @ sm.m_basis
+        assert np.linalg.norm(realized - res.scale * (sm.n_basis @ sm.action)) <= bound
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_rank_one_action(self, k):
+        # A/||A||_F has spectral norm 1, so (I - C^dag C)^{1/2} is singular and
+        # the top right singular direction of A lands wholly in N
+        rng = np.random.default_rng(50 + k)
+        sm = random_subspace_map(rng, k)
+        x, y = (rng.normal(size=k) + 1j * rng.normal(size=k) for _ in range(2))
+        sm = SubspaceMap(sm.m_basis, sm.n_basis, np.outer(x, y.conj()))
+        res = unitary_completion(sm)
+        bound = 1e-12 * max(1.0, 2 * k)
+        assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(2 * k)) <= bound
+        realized = res.P_N @ res.U @ sm.m_basis
+        assert np.linalg.norm(realized - res.scale * (sm.n_basis @ sm.action)) <= bound
+        v = sm.m_basis @ (y / np.linalg.norm(y))
+        assert np.linalg.norm(res.P_N @ res.U @ v) == pytest.approx(1.0, abs=bound)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_scale_maximality(self, seed):
@@ -116,13 +141,14 @@ class TestUnitaryCompletion:
 class TestZeroMapCompletion:
     def test_kills_the_subspace(self):
         rng = np.random.default_rng(34)
-        sm = random_subspace_map(rng, 3, zero=True)
-        res = zero_map_completion(sm)
-        assert res.scale == 0.0
-        assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(6)) <= 1e-12
-        c = rng.normal(size=3) + 1j * rng.normal(size=3)
-        v = sm.m_basis @ c
-        assert np.linalg.norm(res.P_N @ res.U @ v) <= 1e-12 * np.linalg.norm(v)
+        for k in (3, 1, 16):
+            sm = random_subspace_map(rng, k, zero=True)
+            res = zero_map_completion(sm)
+            assert res.scale == 0.0
+            assert np.linalg.norm(res.U.conj().T @ res.U - np.eye(2 * k)) <= 1e-12
+            c = rng.normal(size=k) + 1j * rng.normal(size=k)
+            v = sm.m_basis @ c
+            assert np.linalg.norm(res.P_N @ res.U @ v) <= 1e-12 * np.linalg.norm(v)
 
     def test_rejects_nonzero_action(self):
         m, nb = canonical_map(2)

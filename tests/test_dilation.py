@@ -62,6 +62,10 @@ class TestBuildDilation:
         assert_clean(d)
         assert d.H1 == pytest.approx(h1)
 
+    def test_supplied_h1_missing_is_parse_error(self):
+        with pytest.raises(errors.ParseError):
+            build_dilation(gunther_system(np.pi / 6), h1_choice="supplied")
+
     def test_supplied_h1_must_be_hermitian(self):
         sys = gunther_system(np.pi / 6)
         with pytest.raises(errors.SuppliedH1NotHermitianError):

@@ -3,6 +3,7 @@ import pytest
 
 from ptsim import (
     PTSystem,
+    classify,
     errors,
     gunther_eta,
     gunther_system,
@@ -18,7 +19,7 @@ from ptsim import (
 from ptsim.linalg import SIGMA_Z
 from ptsim.metric import H3, Q3
 
-from corpus import broken_corpus, defective_corpus, unbroken_corpus
+from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
 
 
 def intertwining(h, eta):
@@ -68,6 +69,25 @@ class TestPositiveMetric:
         for sys in broken_corpus() + defective_corpus():
             with pytest.raises(errors.NotUnbrokenError):
                 positive_metric(sys)
+
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_svd_metric_matches_inverse_gram(self, n):
+        # eta = X S^-2 X^dag from the SVD of the unit-column frame, against
+        # (Psi Psi^dag)^{-1}; both carry errors of order eps kappa(Psi)^2
+        sys = random_unbroken(np.random.default_rng(70 + n), n)
+        m = positive_metric(sys)
+        frame = classify(sys.H, sys.pt).eigenframe
+        psi = frame / np.linalg.norm(frame, axis=0, keepdims=True)
+        ref = np.linalg.inv(psi @ psi.conj().T)
+        ref = 0.5 * (ref + ref.conj().T)
+        bound = 1e-12 * np.linalg.cond(psi) ** 2
+        assert np.linalg.norm(m.eta - ref) <= bound * np.linalg.norm(ref)
+        lam_min = np.linalg.eigvalsh(ref)[0]
+        assert abs(m.min_eigenvalue - lam_min) <= bound * lam_min
+        w, v = m.eigh
+        assert np.all(np.diff(w) >= 0) and w[0] == m.min_eigenvalue
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12 * n
+        assert np.linalg.norm((v * w) @ v.conj().T - m.eta) <= 1e-12 * np.linalg.norm(m.eta)
 
     def test_broken_has_no_positive_sylvester_element(self):
         # cross-check the criterion against the raw solution space

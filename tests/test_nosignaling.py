@@ -5,6 +5,7 @@ from ptsim import (
     ExperimentConfig,
     bell_plus_x_state,
     errors,
+    pipeline,
     run_experiment,
     sweep_delta_s,
     whole_system_bob_marginals,
@@ -16,6 +17,22 @@ from oracle import brute_nosignaling_delta_s
 # Taylor exponential), identity scheme, s = 1, t = 1.
 DELTA_S_PI6 = 0.557885238580255
 DELTA_S_PI4 = 0.647309884671583
+
+# whole_system_bob_marginals as computed when each completion extended its
+# images to a unitary by QR; keyed by (alpha, t, scheme), rows are branches k.
+FROZEN_MARGINALS = {
+    (0.3, 0.5, "identity"): [[0.4999999999999998, 0.4999999999999995],
+                             [0.49999999999999944, 0.4999999999999998]],
+    (0.3, 0.5, "metric_sandwich"): [[0.4999999999999998, 0.49999999999999944],
+                                    [0.49999999999999944, 0.4999999999999998]],
+    (np.pi / 6, 1.0, "identity"): [[0.5000000000000001, 0.5], [0.5, 0.5000000000000001]],
+    (np.pi / 6, 1.0, "metric_sandwich"): [[0.4999999999999997, 0.4999999999999997],
+                                          [0.4999999999999997, 0.4999999999999997]],
+    (1.2, 2.0, "identity"): [[0.4999999999999995, 0.4999999999999995],
+                             [0.49999999999999944, 0.49999999999999944]],
+    (1.2, 2.0, "metric_sandwich"): [[0.49999999999999944, 0.49999999999999967],
+                                    [0.4999999999999996, 0.4999999999999995]],
+}
 
 
 class TestConfig:
@@ -107,6 +124,22 @@ class TestWholeSystem:
             marg = whole_system_bob_marginals(cfg)
             assert np.linalg.norm(marg[0] - marg[1]) <= 1e-10
             assert marg[0].sum() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("key", list(FROZEN_MARGINALS))
+    def test_marginals_match_frozen_values(self, key):
+        alpha, t, scheme = key
+        marg = whole_system_bob_marginals(ExperimentConfig(alpha=alpha, t=t, scheme=scheme))
+        assert np.abs(marg - FROZEN_MARGINALS[key]).max() <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_builds_no_extraction_completion(self, scheme, monkeypatch):
+        # only the preparation completion acts before the un-post-selected evolution
+        calls = []
+        build = pipeline.extraction_completion
+        monkeypatch.setattr(pipeline, "extraction_completion",
+                            lambda *args: calls.append(args) or build(*args))
+        whole_system_bob_marginals(ExperimentConfig(alpha=np.pi / 6, t=1.0, scheme=scheme))
+        assert len(calls) == 0
 
 
 class TestSweep:

@@ -189,13 +189,13 @@ class TestReuse:
         return counts
 
     def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh each of eta - I and Hhat plus one per completion's defect
-        # root, the eigvalsh of positive_metric, one complete QR of [I; tau]
-        # plus one complete QR per completion, of its images
+        # one eigh of Hhat, one complete QR of [I; tau], and one SVD each of
+        # the unit-column eigenframe (the canonical eta and its factors) and
+        # of each completion's contraction
         sys = random_unbroken(np.random.default_rng(56), 8)
-        counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr")
+        counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "svd")
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 4, "eigvalsh": 1, "qr": 3}
+        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 3}
 
     def test_t_sweep_adds_no_eigh(self, monkeypatch):
         # every t evolves on the dilation's kept eigh of Hhat
@@ -208,7 +208,7 @@ class TestReuse:
         for t in np.linspace(0.5, 2.0, 5):
             run_simulation(SimulationConfig(sys=sys, dilation=d, t=t, psi=psi,
                                             scheme="metric_sandwich"))
-        assert counts == {"eigh": 4}
+        assert counts == {"eigh": 1}
 
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_metric_sandwich_factors_match_psd_power(self, n):
