@@ -11,8 +11,7 @@ import numpy as np
 
 from . import errors
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
+    DEFAULT_TOL as TOL,
     fro,
     orthonormal_extension,
 )
@@ -68,9 +67,9 @@ class CompletionResult:
     scale: float
 
 
-def _frame(basis: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _frame(basis: np.ndarray) -> np.ndarray:
     """[B | B-perp]: the unitary whose leading columns are the orthonormal basis B."""
-    return orthonormal_extension(list(basis.T), basis.shape[0], tol)
+    return orthonormal_extension(list(basis.T), basis.shape[0])
 
 
 def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray,
@@ -108,23 +107,23 @@ def frame_completion(full_m: np.ndarray, full_n: np.ndarray, action) -> Completi
     return _completion(full_m, full_n, action / a_norm, 1.0 / a_norm)
 
 
-def unitary_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+def unitary_completion(m: SubspaceMap) -> CompletionResult:
     """Unitary U and projection P_N with P_N U v = scale * A v on M.
 
     Columns of A, scaled to unit total energy, give the N-components of the
     images; the deficit goes into N-perp.
     """
-    return frame_completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action)
+    return frame_completion(_frame(m.m_basis), _frame(m.n_basis), m.action)
 
 
-def zero_map_completion(m: SubspaceMap, tol: Tolerances = DEFAULT_TOL) -> CompletionResult:
+def zero_map_completion(m: SubspaceMap) -> CompletionResult:
     """U sending M onto N-perp, so P_N U vanishes on M."""
     if fro(m.action) != 0.0:
         raise errors.DimensionMismatchError("zero_map_completion: action is nonzero")
-    return _completion(_frame(m.m_basis, tol), _frame(m.n_basis, tol), m.action, 0.0)
+    return _completion(_frame(m.m_basis), _frame(m.n_basis), m.action, 0.0)
 
 
-def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
+def post_select(state, p):
     """Project, renormalize, and report the branch probability.
 
     P acts on the first axis of state. A (dim, m) block is a state of the
@@ -134,7 +133,7 @@ def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
     """
     state = np.asarray(state, dtype=complex)
     p = np.asarray(p, dtype=complex)
-    p_tol = tol.eq_tol * max(1.0, fro(p))
+    p_tol = TOL.eq_tol * max(1.0, fro(p))
     if fro(p @ p - p) > p_tol or fro(p - p.conj().T) > p_tol:
         raise errors.NotProjectionError("post_select: P is not an orthogonal projection")
     nrm = np.linalg.norm(state)
@@ -142,6 +141,6 @@ def post_select(state, p, tol: Tolerances = DEFAULT_TOL):
         raise errors.NotNormalizedError("post_select: state must be unit-norm")
     out = p @ state
     prob = float(np.linalg.norm(out) ** 2)
-    if prob <= tol.psd_tol:
+    if prob <= TOL.psd_tol:
         return np.zeros_like(state), 0.0
     return out / np.linalg.norm(out), prob

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import errors
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
+    DEFAULT_TOL as TOL,
     eigen_evolve,
     eigen_power,
     fro,
@@ -79,7 +78,7 @@ class Dilation:
 
     @cached_property
     def stage_cache(self) -> dict:
-        """Pipeline stages built on this dilation, keyed by (scheme, tol).
+        """Pipeline stages built on this dilation, keyed by scheme.
 
         Filled by ``pipeline.scheme_stages``. Entries stay valid because the
         arrays they are computed from cannot be written.
@@ -101,7 +100,6 @@ def build_dilation(
     h1_choice: str = "zero",
     h1=None,
     rescale_supplied: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> Dilation:
     """Assemble Hhat from (H, eta, H1).
 
@@ -113,28 +111,28 @@ def build_dilation(
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
         raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
-    c = classify(sys.H, sys.pt, tol)
+    c = classify(sys.H, sys.pt)
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"build_dilation: classification is {c.kind.value}")
     h = np.array(sys.H, dtype=complex)
     n = h.shape[0]
 
     if eta is None:
-        base = positive_metric(sys, tol, c)
+        base = positive_metric(sys, c)
         scale = margin / base.min_eigenvalue
         eta, w, v = scale * base.eta, scale * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array(eta, dtype=complex)
-        lam_min = verify_metric(h, eta, tol).min_eigenvalue
+        lam_min = verify_metric(h, eta).min_eigenvalue
         if lam_min <= 1.0:
             if not rescale_supplied:
                 raise errors.EtaNotGreaterThanIError(
                     f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1"
                 )
             eta = (margin / lam_min) * eta
-        w, v = psd_eigh(eta - np.eye(n), tol)
+        w, v = psd_eigh(eta - np.eye(n))
 
-    if np.sqrt(w[0]) <= tol.psd_tol:
+    if np.sqrt(w[0]) <= TOL.psd_tol:
         raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")
     tau = eigen_power(w, v, 0.5)
     tau_inv = np.linalg.inv(tau)
@@ -150,7 +148,7 @@ def build_dilation(
         if h1 is None:
             raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
         h1m = np.array(h1, dtype=complex)
-        if h1m.shape != (n, n) or not is_hermitian(h1m, tol):
+        if h1m.shape != (n, n) or not is_hermitian(h1m):
             raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")
     else:
         raise errors.ParseError(f"unknown h1_choice {h1_choice!r}")
@@ -173,17 +171,17 @@ def build_dilation(
     return Dilation(h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, tuple(hhat_eigh), residuals)
 
 
-def in_tau_subspace(x, tau, tol: Tolerances = DEFAULT_TOL) -> bool:
+def in_tau_subspace(x, tau) -> bool:
     x = np.asarray(x, dtype=complex).reshape(-1)
     n = tau.shape[0]
     if x.shape[0] != 2 * n:
         raise errors.DimensionMismatchError("in_tau_subspace: length mismatch")
-    return np.linalg.norm(x[n:] - tau @ x[:n]) <= tol.eq_tol * max(1.0, np.linalg.norm(x)) * max(
+    return np.linalg.norm(x[n:] - tau @ x[:n]) <= TOL.eq_tol * max(1.0, np.linalg.norm(x)) * max(
         1.0, fro(tau)
     )
 
 
-def embed_state(psi, d: Dilation, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def embed_state(psi, d: Dilation) -> np.ndarray:
     """(psi; tau psi) / sqrt(psi^dag eta psi), a unit vector in Y_tau."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if np.linalg.norm(psi) == 0.0:
@@ -191,14 +189,14 @@ def embed_state(psi, d: Dilation, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return np.concatenate([psi, d.tau @ psi]) / np.sqrt(np.vdot(psi, d.eta @ psi).real)
 
 
-def dilated_evolution(d: Dilation, t: float, xhat, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def dilated_evolution(d: Dilation, t: float, xhat) -> np.ndarray:
     xhat = np.asarray(xhat, dtype=complex).reshape(-1)
-    if not in_tau_subspace(xhat, d.tau, tol):
+    if not in_tau_subspace(xhat, d.tau):
         raise errors.NotInSubspaceError("dilated_evolution: input is not in Y_tau")
     return eigen_evolve(*d.hhat_eigh, t, xhat)
 
 
-def embedding_membership(hhat, h, x, tol: Tolerances = DEFAULT_TOL) -> bool:
+def embedding_membership(hhat, h, x) -> bool:
     """Power condition P1 Hhat^k x = H^k P1 x for k = 0..2n.
 
     By Cayley-Hamilton on the 2n-dimensional Hhat, powers beyond the
@@ -214,7 +212,7 @@ def embedding_membership(hhat, h, x, tol: Tolerances = DEFAULT_TOL) -> bool:
     z = x[:n].copy()
     for _ in range(2 * n + 1):
         scale = max(1.0, np.linalg.norm(y), np.linalg.norm(z))
-        if np.linalg.norm(y[:n] - z) > tol.eq_tol * scale:
+        if np.linalg.norm(y[:n] - z) > TOL.eq_tol * scale:
             return False
         y = hhat @ y
         z = h @ z

@@ -45,7 +45,8 @@ _EXPM_COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical policy knobs.
+    """The fixed table of numerical tolerances, read by every function as
+    ``DEFAULT_TOL``; no function takes one as an argument.
 
     eq_tol      residual tolerance for matrix equalities
     real_tol    relative tolerance for "this eigenvalue is real"
@@ -57,11 +58,6 @@ class Tolerances:
     real_tol: float = 1e-9
     defect_cond: float = 1e12
     psd_tol: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("eq_tol", "real_tol", "defect_cond", "psd_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -83,13 +79,13 @@ def _require_square(a, who: str) -> np.ndarray:
     return a
 
 
-def is_hermitian(a, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = np.asarray(a, dtype=complex)
-    return fro(a - a.conj().T) <= tol.eq_tol * rel_scale(a)
+    return fro(a - a.conj().T) <= DEFAULT_TOL.eq_tol * rel_scale(a)
 
 
-def is_real_eigenvalue(lam: complex, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return abs(lam.imag) <= tol.real_tol * max(1.0, abs(lam))
+def is_real_eigenvalue(lam: complex) -> bool:
+    return abs(lam.imag) <= DEFAULT_TOL.real_tol * max(1.0, abs(lam))
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ class EigenDecomposition:
     defective: bool
 
 
-def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
+def eig(a) -> EigenDecomposition:
     """Eigendecomposition with a defectiveness verdict.
 
     The defective flag is raised when the eigenvector matrix is too
@@ -118,20 +114,20 @@ def eig(a, tol: Tolerances = DEFAULT_TOL) -> EigenDecomposition:
         raise errors.NumericalFailureError("eig produced non-finite output")
 
     cond = float(np.linalg.cond(psi))
-    defective = bool(not np.isfinite(cond) or cond > tol.defect_cond)
+    defective = bool(not np.isfinite(cond) or cond > DEFAULT_TOL.defect_cond)
 
     if not defective:
-        defective = _has_clustered_rank_deficit(lam, psi, tol)
+        defective = _has_clustered_rank_deficit(lam, psi)
 
     return EigenDecomposition(lam, psi, cond, defective)
 
 
-def _has_clustered_rank_deficit(lam, psi, tol: Tolerances) -> bool:
+def _has_clustered_rank_deficit(lam, psi) -> bool:
     # A Jordan block perturbed at machine precision splits its eigenvalue by
     # ~sqrt(eps), so the cluster window must be much wider than real_tol.
     n = len(lam)
     scale = max(1.0, float(np.max(np.abs(lam))))
-    window = max(tol.real_tol, 1e-6) * scale
+    window = max(DEFAULT_TOL.real_tol, 1e-6) * scale
     close = np.abs(lam[:, None] - lam[None, :]) <= window
     if np.count_nonzero(close) == n:  # no pair is close: the common case
         return False
@@ -149,7 +145,7 @@ def _has_clustered_rank_deficit(lam, psi, tol: Tolerances) -> bool:
     return False
 
 
-def matrix_exp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def matrix_exp(a) -> np.ndarray:
     """e^{A}.
 
     Uses the eigendecomposition of A when that is well-conditioned and not
@@ -157,45 +153,45 @@ def matrix_exp(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     Hermitian K with kept eigh factors is ``eigen_evolve`` instead.
     """
     a = _require_square(a, "matrix_exp")
-    d = eig(a, tol)
+    d = eig(a)
     if not d.defective and d.condition_estimate <= _EXPM_COND_LIMIT:
         psi = d.eigenvector_matrix
         return psi @ np.diag(np.exp(d.eigenvalues)) @ np.linalg.inv(psi)
     return scipy.linalg.expm(a)
 
 
-def principal_sqrt_psd(a, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def principal_sqrt_psd(a) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below the
     window is rejected.
     """
-    return psd_power(a, 0.5, tol)
+    return psd_power(a, 0.5)
 
 
-def psd_power(a, p: float, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def psd_power(a, p: float) -> np.ndarray:
     """A^p for Hermitian PSD A via a single eigenframe.
 
     Using one eigh call per matrix keeps powers mutually consistent, e.g.
     psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding.
     """
-    w, v = psd_eigh(a, tol)
+    w, v = psd_eigh(a)
     if p < 0 and np.min(w) == 0.0:
         raise errors.NotPositiveDefiniteError("psd_power: negative power of a singular matrix")
     return eigen_power(w, v, p)
 
 
-def psd_eigh(a, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian PSD matrix.
 
     Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below the
     window is rejected.
     """
     a = _require_square(a, "psd_eigh")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise errors.NotHermitianError("psd_eigh: input is not Hermitian within eq_tol")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if np.min(w) < -tol.psd_tol:
+    if np.min(w) < -DEFAULT_TOL.psd_tol:
         raise errors.NotPSDError(f"psd_eigh: eigenvalue {np.min(w):.3e} below -psd_tol")
     return np.clip(w, 0.0, None), v
 
@@ -231,7 +227,7 @@ def _hermitian_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-def sylvester_hermitian_nullspace(h, tol: Tolerances = DEFAULT_TOL) -> list[np.ndarray]:
+def sylvester_hermitian_nullspace(h) -> list[np.ndarray]:
     """Real-linear basis of Hermitian X solving H^dag X = X H.
 
     The map X -> H^dag X - X H is linearized over the real n^2-dimensional
@@ -259,7 +255,7 @@ def sylvester_hermitian_nullspace(h, tol: Tolerances = DEFAULT_TOL) -> list[np.n
     return out
 
 
-def orthonormal_extension(vectors, dim: int, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_extension(vectors, dim: int) -> np.ndarray:
     """Complete the given independent vectors to an orthonormal basis.
 
     Returns a dim x dim unitary whose first k columns span span(vectors),

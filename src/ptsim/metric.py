@@ -10,8 +10,7 @@ import numpy as np
 
 from . import errors
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
+    DEFAULT_TOL as TOL,
     eigen_power,
     fro,
     is_hermitian,
@@ -59,8 +58,7 @@ def _intertwining_residual(h, eta) -> float:
     return fro(h.conj().T @ eta - eta @ h)
 
 
-def positive_metric(sys: PTSystem, tol: Tolerances = DEFAULT_TOL,
-                    classification: Classification | None = None) -> MetricOperator:
+def positive_metric(sys: PTSystem, classification: Classification | None = None) -> MetricOperator:
     """Canonical positive-definite metric eta = (Psi Psi^dag)^{-1}.
 
     Psi is the eigenframe with unit-norm columns; the output is one
@@ -69,37 +67,37 @@ def positive_metric(sys: PTSystem, tol: Tolerances = DEFAULT_TOL,
     One SVD Psi = X S Y^dag gives eta = X S^{-2} X^dag, kept as ``eigh``, and
     lambda_min = s_max^{-2}, which keeps its digits near an exceptional point.
     """
-    c = classify(sys.H, sys.pt, tol) if classification is None else classification
+    c = classify(sys.H, sys.pt) if classification is None else classification
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"positive_metric: classification is {c.kind.value}")
     psi = c.eigenframe / np.linalg.norm(c.eigenframe, axis=0, keepdims=True)
     x, s, _ = np.linalg.svd(psi)  # s descending, so s^{-2} ascending
     w = s**-2.0
-    return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > tol.psd_tol), float(w[0]), (w, x))
+    return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > TOL.psd_tol), float(w[0]), (w, x))
 
 
-def verify_metric(h, eta, tol: Tolerances = DEFAULT_TOL) -> MetricOperator:
+def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     if h.shape != eta.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise errors.DimensionMismatchError("verify_metric: order mismatch")
-    if not is_hermitian(eta, tol):
+    if not is_hermitian(eta):
         raise errors.NotHermitianError("verify_metric: eta is not Hermitian")
-    if _intertwining_residual(h, eta) > tol.eq_tol * rel_scale(h) * rel_scale(eta):
+    if _intertwining_residual(h, eta) > TOL.eq_tol * rel_scale(h) * rel_scale(eta):
         raise errors.NotIntertwiningError("verify_metric: H^dag eta != eta H")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-    return MetricOperator(eta, bool(w.min() > tol.psd_tol), float(w.min()))
+    return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 
 
-def metric_signature(sys: PTSystem, eta, tol: Tolerances = DEFAULT_TOL) -> SignatureReport:
+def metric_signature(sys: PTSystem, eta) -> SignatureReport:
     """Sign vector of the metric in the eigenframe (simple spectrum only)."""
-    c = classify(sys.H, sys.pt, tol)
+    c = classify(sys.H, sys.pt)
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError("metric_signature: system is not unbroken")
-    verify_metric(sys.H, eta, tol)
+    verify_metric(sys.H, eta)
     lam = c.spectrum
     scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.count_nonzero(np.abs(lam[:, None] - lam[None, :]) <= tol.real_tol * scale) > len(lam):
+    if np.count_nonzero(np.abs(lam[:, None] - lam[None, :]) <= TOL.real_tol * scale) > len(lam):
         raise errors.DegenerateSpectrumUnsupportedError(
             "metric_signature: repeated eigenvalues are refused")
     psi = c.eigenframe
@@ -113,33 +111,33 @@ def metric_signature(sys: PTSystem, eta, tol: Tolerances = DEFAULT_TOL) -> Signa
     return SignatureReport(eps, frame)
 
 
-def scalar_sum_metric_2d(sys: PTSystem, tol: Tolerances = DEFAULT_TOL):
+def scalar_sum_metric_2d(sys: PTSystem):
     """det-normalized metric of a 2x2 unbroken system, with eta + eta^{-1} = t I."""
     if sys.H.shape[0] != 2:
         raise errors.WrongDimensionError("scalar_sum_metric_2d: n must be 2")
-    base = positive_metric(sys, tol)
+    base = positive_metric(sys)
     det = np.linalg.det(base.eta).real
     eta = base.eta / np.sqrt(det)
     t = float(np.trace(eta).real)
     res = fro(eta + np.linalg.inv(eta) - t * np.eye(2))
-    if res > tol.eq_tol * max(1.0, t):
+    if res > TOL.eq_tol * max(1.0, t):
         raise errors.NumericalFailureError(f"scalar_sum_metric_2d: residual {res:.3e}")
     w = np.linalg.eigvalsh(eta)
     return MetricOperator(eta, True, float(w.min())), t
 
 
-def verify_scalar_sum(eta, tol: Tolerances = DEFAULT_TOL):
+def verify_scalar_sum(eta):
     """t such that eta + eta^{-1} = t I, or None if no such t exists."""
     eta = np.asarray(eta, dtype=complex)
-    if not is_hermitian(eta, tol):
+    if not is_hermitian(eta):
         raise errors.NotHermitianError("verify_scalar_sum: eta is not Hermitian")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-    if w.min() <= tol.psd_tol:
+    if w.min() <= TOL.psd_tol:
         raise errors.NotPositiveDefiniteError("verify_scalar_sum: eta is not positive-definite")
     n = eta.shape[0]
     m = eta + np.linalg.inv(eta)
     t = float(np.trace(m).real) / n
-    if fro(m - t * np.eye(n)) <= tol.eq_tol * max(1.0, abs(t)):
+    if fro(m - t * np.eye(n)) <= TOL.eq_tol * max(1.0, abs(t)):
         return t
     return None
 

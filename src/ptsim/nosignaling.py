@@ -12,7 +12,7 @@ import numpy as np
 
 from . import errors
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL, SIGMA_X, Tolerances, eigen_evolve, matrix_exp
+from .linalg import SIGMA_X, eigen_evolve, matrix_exp
 from .pipeline import gunther_eta, gunther_system, preparation_completion, resolve_rho, scheme_stages
 
 __all__ = [
@@ -72,12 +72,12 @@ def _measure_joint(state: np.ndarray) -> np.ndarray:
     return np.abs(_Y_BASIS.conj().T @ state @ _Y_BASIS.conj()) ** 2
 
 
-def _paper_dilation(cfg: ExperimentConfig, tol: Tolerances) -> Dilation:
-    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol)
-    return build_dilation(sys, eta=gunther_eta(cfg.alpha), h1_choice="paper", tol=tol)
+def _paper_dilation(cfg: ExperimentConfig) -> Dilation:
+    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0)
+    return build_dilation(sys, eta=gunther_eta(cfg.alpha), h1_choice="paper")
 
 
-def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> JointStats:
+def run_experiment(cfg: ExperimentConfig) -> JointStats:
     """Both Alice branches of the experiment, in direct or simulated mode.
 
     States are (Alice, Bob) blocks. Bob's trivial Hamiltonian contributes the
@@ -86,9 +86,9 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> Join
     psi = bell_plus_x_state().reshape(2, 2)
     bob_phase = np.exp(-1j * cfg.t)
     if cfg.mode == "direct_eq71":
-        h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0, tol).H
-        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha), cfg.rho, cfg.rho_prime, tol)
-        channel = bob_phase * (rho_prime @ matrix_exp(-1j * cfg.t * h0, tol) @ rho)
+        h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0).H
+        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha), cfg.rho, cfg.rho_prime)
+        channel = bob_phase * (rho_prime @ matrix_exp(-1j * cfg.t * h0) @ rho)
 
         def branch(state):
             final = channel @ state
@@ -97,10 +97,10 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> Join
                 raise errors.ZeroBranchError("direct branch: channel annihilated the state")
             return final / nrm, 1.0
     elif cfg.mode == "simulated_eq73":
-        st = scheme_stages(_paper_dilation(cfg, tol), cfg.scheme, cfg.rho, cfg.rho_prime, tol)
+        st = scheme_stages(_paper_dilation(cfg), cfg.scheme, cfg.rho, cfg.rho_prime)
 
         def branch(state):
-            *_, xi4, p_prepare, p_post = st.run(bob_phase * state, cfg.t, tol)
+            *_, xi4, p_prepare, p_post = st.run(bob_phase * state, cfg.t)
             return xi4[:2], p_prepare * p_post
     else:
         raise errors.ParseError(f"unknown mode {cfg.mode!r}")
@@ -116,7 +116,7 @@ def run_experiment(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> Join
     return JointStats(table, bob, delta_s, p_success)
 
 
-def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
     """Bob's {+y, -y} marginals from the un-post-selected evolution.
 
     The prepared (dilated Alice, Bob) block, before any projection, is
@@ -124,8 +124,8 @@ def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_
     4-dimensional dilated Alice factor.
     """
     psi = bell_plus_x_state().reshape(2, 2)
-    d = _paper_dilation(cfg, tol)
-    prep = preparation_completion(d, resolve_rho(cfg.scheme, d, cfg.rho, cfg.rho_prime, tol)[0])
+    d = _paper_dilation(cfg)
+    prep = preparation_completion(d, resolve_rho(cfg.scheme, d, cfg.rho, cfg.rho_prime)[0])
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):
@@ -137,12 +137,12 @@ def whole_system_bob_marginals(cfg: ExperimentConfig, tol: Tolerances = DEFAULT_
 
 
 def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73",
-                  s: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> list[dict]:
+                  s: float = 1.0) -> list[dict]:
     rows = []
     for alpha in alphas:
         for t in ts:
             cfg = ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode)
-            stats = run_experiment(cfg, tol)
+            stats = run_experiment(cfg)
             rows.append(
                 {
                     "alpha": float(alpha),

@@ -15,11 +15,9 @@ from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
 from .linalg import (
-    DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Tolerances,
     eigen_evolve,
     fro,
     matrix_exp,
@@ -43,7 +41,7 @@ __all__ = [
 ]
 
 
-def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DEFAULT_TOL):
+def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
     """(rho, rho') of a scheme: identity | metric_sandwich | custom.
 
     eta is a metric, or a Dilation, whose factors of eta - I give its powers.
@@ -51,7 +49,7 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None, tol: Tolerances = DE
     if isinstance(eta, Dilation):
         n, eta_power = eta.dim, eta.eta_power
     else:
-        n, eta_power = eta.shape[0], lambda p: psd_power(eta, p, tol)
+        n, eta_power = eta.shape[0], lambda p: psd_power(eta, p)
     if scheme == "identity":
         eye = np.eye(n, dtype=complex)
         return eye, eye
@@ -84,7 +82,7 @@ class SchemeStages:
     extraction: CompletionResult
     hhat_eigh: tuple
 
-    def run(self, psi, t: float, tol: Tolerances = DEFAULT_TOL):
+    def run(self, psi, t: float):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
 
         The m columns of a block are a spectator factor (Bob) that no stage
@@ -95,7 +93,7 @@ class SchemeStages:
 
         # stage 2: unitary + post-selection onto Y_tau
         prep = self.preparation
-        xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N, tol)
+        xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N)
         if p_prepare == 0.0:
             raise errors.ZeroFinalStateError("preparation branch vanished")
 
@@ -105,7 +103,7 @@ class SchemeStages:
         # stage 4: unitary + post-selection onto X1, which is the ancilla
         # measurement: extraction.P_N is the projector onto ancilla |0>
         extr = self.extraction
-        xi4, p_post = post_select(extr.U @ xi3, extr.P_N, tol)
+        xi4, p_post = post_select(extr.U @ xi3, extr.P_N)
         if p_post == 0.0:
             raise errors.ZeroFinalStateError("extraction branch vanished")
         return xi1, xi2, xi3, xi4, p_prepare, p_post
@@ -116,25 +114,23 @@ def _read_only(*arrays) -> None:
         a.setflags(write=False)
 
 
-def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None,
-                  tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
+def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeStages:
     """The stages of a scheme on d.
 
-    The built-in schemes are built once per (dilation, scheme, tol) and kept
-    on the dilation with read-only arrays, so every t and every state run on
-    one dilation shares (rho, rho') and both completions. A custom scheme is
+    The built-in schemes are built once per dilation and kept on it, keyed
+    by scheme, with read-only arrays, so every t and every state run on one
+    dilation shares (rho, rho') and both completions. A custom scheme is
     built per call, since its factors are caller-owned arrays.
     """
-    key = (scheme, tol)
-    if key in d.stage_cache:
-        return d.stage_cache[key]
-    r, r_prime = resolve_rho(scheme, d, rho, rho_prime, tol)
+    if scheme in d.stage_cache:
+        return d.stage_cache[scheme]
+    r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
     st = SchemeStages(r, r_prime, preparation_completion(d, r),
                       extraction_completion(d, r_prime), d.hhat_eigh)
     if scheme != "custom":
         _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
                    st.extraction.U, st.extraction.P_N)
-        d.stage_cache[key] = st
+        d.stage_cache[scheme] = st
     return st
 
 
@@ -148,8 +144,8 @@ class SimulationConfig:
     rho: np.ndarray | None = None
     rho_prime: np.ndarray | None = None
 
-    def stages(self, tol: Tolerances = DEFAULT_TOL) -> SchemeStages:
-        return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime, tol)
+    def stages(self) -> SchemeStages:
+        return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime)
 
 
 @dataclass(frozen=True)
@@ -188,10 +184,10 @@ def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
     return frame_completion(d.ytau_q, np.eye(2 * d.dim, dtype=complex), action)
 
 
-def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> SimulationTrace:
+def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     d = cfg.dilation
     n = d.dim
-    st = cfg.stages(tol)
+    st = cfg.stages()
     psi = np.asarray(cfg.psi, dtype=complex).reshape(-1)
     if psi.shape[0] != n:
         raise errors.DimensionMismatchError("run_simulation: psi has the wrong length")
@@ -200,12 +196,12 @@ def run_simulation(cfg: SimulationConfig, tol: Tolerances = DEFAULT_TOL) -> Simu
         raise errors.ZeroVectorError("run_simulation: zero input state")
     psi = psi / nrm
 
-    ut = matrix_exp(-1j * cfg.t * d.H, tol)
+    ut = matrix_exp(-1j * cfg.t * d.H)
     target = st.rho_prime @ ut @ st.rho @ psi
     if np.linalg.norm(target) <= 1e-12:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
-    xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t, tol)
+    xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t)
     xi5 = xi4[:n]
     final_formula_check = float(np.linalg.norm(xi5 - target / np.linalg.norm(target)))
     return SimulationTrace(
@@ -238,9 +234,8 @@ def gunther_eta(alpha: float) -> np.ndarray:
     )
 
 
-def gunther_system(alpha: float, s: float = 1.0, e0: float = 0.0,
-                   tol: Tolerances = DEFAULT_TOL) -> PTSystem:
-    pair = validate_pt_pair(SIGMA_X, np.eye(2, dtype=complex), tol)
+def gunther_system(alpha: float, s: float = 1.0, e0: float = 0.0) -> PTSystem:
+    pair = validate_pt_pair(SIGMA_X, np.eye(2, dtype=complex))
     return PTSystem(gunther_hamiltonian(alpha, s, e0), pair)
 
 
@@ -258,19 +253,16 @@ def gunther_projection(alpha: float) -> np.ndarray:
     )
 
 
-def reproduce_gunther_example(
-    alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0,
-    tol: Tolerances = DEFAULT_TOL,
-) -> dict:
+def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> dict:
     """Entrywise comparison of the construction against its closed forms.
 
     Returns residuals for tau, H1, H2, H4, the tensor form of Hhat, the
     Y_tau projection, the preparation amplitude cos(alpha)/2 along the
     embedded initial state, and the top-block evolution identity.
     """
-    sys = gunther_system(alpha, s, e0, tol)
+    sys = gunther_system(alpha, s, e0)
     eta = gunther_eta(alpha)
-    d = build_dilation(sys, eta=eta, h1_choice="paper", tol=tol)
+    d = build_dilation(sys, eta=eta, h1_choice="paper")
     sa, ca = np.sin(alpha), np.cos(alpha)
 
     tau_cf = (1.0 / ca) * np.array([[1.0, -1j * sa], [1j * sa, 1.0]], dtype=complex)
@@ -291,7 +283,7 @@ def reproduce_gunther_example(
 
     xhat = np.concatenate([psi_i, d.tau @ psi_i])
     evolved = eigen_evolve(*d.hhat_eigh, t, xhat)
-    top_target = matrix_exp(-1j * t * d.H, tol) @ psi_i
+    top_target = matrix_exp(-1j * t * d.H) @ psi_i
     evo_residual = float(
         np.linalg.norm(evolved[:2] - top_target)
         + np.linalg.norm(evolved[2:] - d.tau @ top_target)

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import errors
 from .linalg import (
-    DEFAULT_TOL,
-    Tolerances,
+    DEFAULT_TOL as TOL,
     eig,
     fro,
     is_real_eigenvalue,
@@ -53,23 +52,23 @@ class PTSystem:
     pt: PTPair
 
     @staticmethod
-    def from_hamiltonian(h, tol: Tolerances = DEFAULT_TOL) -> "PTSystem":
+    def from_hamiltonian(h) -> "PTSystem":
         """Build a PT pair for a diagonalizable H from its eigenframe.
 
         Takes P = I and T = Psi K conj(Psi^{-1}), which is a valid
         time-reversal matrix whenever the spectrum is closed under
         conjugation.
         """
-        c = classify(h, None, tol)
+        c = classify(h)
         if c.kind is Kind.DEFECTIVE:
             raise errors.DefectiveInputError("from_hamiltonian: H is defective")
         if c.kind is Kind.NOT_PT_SYMMETRIC:
             raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
-        pairs, reals = _pair_spectrum(c.spectrum, tol)
+        pairs, reals = _pair_spectrum(c.spectrum)
         order = [i for pair in pairs for i in pair] + reals
         k = _pair_swap(len(pairs), len(order))
-        ptm = construct_pt_from_eigenframe(c.eigenframe[:, order], k, tol)
-        pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm, tol)
+        ptm = construct_pt_from_eigenframe(c.eigenframe[:, order], k)
+        pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm)
         return PTSystem(np.asarray(h, dtype=complex), pair)
 
 
@@ -100,31 +99,31 @@ class CanonicalForm:
     K: np.ndarray
 
 
-def validate_pt_pair(p, t, tol: Tolerances = DEFAULT_TOL) -> PTPair:
+def validate_pt_pair(p, t) -> PTPair:
     p = np.asarray(p, dtype=complex)
     t = np.asarray(t, dtype=complex)
     if p.shape != t.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise errors.DimensionMismatchError("validate_pt_pair: P, T must be square of equal order")
     n = p.shape[0]
     eye = np.eye(n)
-    if fro(p @ p - eye) > tol.eq_tol * rel_scale(p @ p):
+    if fro(p @ p - eye) > TOL.eq_tol * rel_scale(p @ p):
         raise errors.NotInvolutoryPError("P^2 != I")
-    if fro(t @ t.conj() - eye) > tol.eq_tol * rel_scale(t @ t.conj()):
+    if fro(t @ t.conj() - eye) > TOL.eq_tol * rel_scale(t @ t.conj()):
         raise errors.NotInvolutoryTError("T conj(T) != I")
-    if fro(p @ t - t @ p.conj()) > tol.eq_tol * max(rel_scale(p), rel_scale(t)):
+    if fro(p @ t - t @ p.conj()) > TOL.eq_tol * max(rel_scale(p), rel_scale(t)):
         raise errors.NonCommutingError("PT != T conj(P)")
     return PTPair(p, t, p @ t)
 
 
-def is_pt_symmetric(h, pt: PTPair, tol: Tolerances = DEFAULT_TOL) -> bool:
+def is_pt_symmetric(h, pt: PTPair) -> bool:
     h = np.asarray(h, dtype=complex)
     if h.shape[0] != pt.dim or h.shape[0] != h.shape[1]:
         raise errors.DimensionMismatchError("is_pt_symmetric: order mismatch")
     m = pt.PT
-    return fro(h @ m - m @ h.conj()) <= tol.eq_tol * rel_scale(h)
+    return fro(h @ m - m @ h.conj()) <= TOL.eq_tol * rel_scale(h)
 
 
-def classify(h, pt: PTPair | None = None, tol: Tolerances = DEFAULT_TOL) -> Classification:
+def classify(h, pt: PTPair | None = None) -> Classification:
     """Unbroken/broken/defective verdict from the spectrum and eigenframe.
 
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
@@ -135,29 +134,29 @@ def classify(h, pt: PTPair | None = None, tol: Tolerances = DEFAULT_TOL) -> Clas
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise errors.NonSquareError("classify: H must be square")
-    symmetric = pt is None or is_pt_symmetric(h, pt, tol)
-    d = eig(h, tol)
+    symmetric = pt is None or is_pt_symmetric(h, pt)
+    d = eig(h)
     if not symmetric:
         return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
     if d.defective:
         return Classification(Kind.DEFECTIVE, d.eigenvalues, None)
-    if all(is_real_eigenvalue(lam, tol) for lam in d.eigenvalues):
+    if all(is_real_eigenvalue(lam) for lam in d.eigenvalues):
         return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix)
     try:
-        _pair_spectrum(d.eigenvalues, tol)
+        _pair_spectrum(d.eigenvalues)
     except errors.InconsistentSpectrumError:
         return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
     return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix)
 
 
-def _pair_spectrum(spectrum, tol: Tolerances):
+def _pair_spectrum(spectrum):
     """Indices of conjugate pairs (Im > 0 first) and of real eigenvalues."""
     pairs, reals = [], []
     used = [False] * len(spectrum)
     for i, lam in enumerate(spectrum):
         if used[i]:
             continue
-        if is_real_eigenvalue(lam, tol):
+        if is_real_eigenvalue(lam):
             reals.append(i)
             used[i] = True
             continue
@@ -165,7 +164,7 @@ def _pair_spectrum(spectrum, tol: Tolerances):
         for j in range(len(spectrum)):
             if j == i or used[j]:
                 continue
-            if abs(spectrum[j] - np.conj(lam)) <= tol.real_tol * max(1.0, abs(lam)):
+            if abs(spectrum[j] - np.conj(lam)) <= TOL.real_tol * max(1.0, abs(lam)):
                 match = j
                 break
         if match is None:
@@ -187,20 +186,20 @@ def _pair_swap(n_pairs: int, n: int) -> np.ndarray:
     return np.eye(n, dtype=complex)[perm]
 
 
-def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalForm:
+def canonical_form(sys: PTSystem) -> CanonicalForm:
     """Eigenframe gauge-fixed against PT: Psi^{-1} H Psi = J, Psi^{-1} PT conj(Psi) = K.
 
     For a conjugate eigenvalue pair the partner column is PT conj(first
     column); for a real eigenvalue the column is put in the self-conjugate
     gauge PT conj(psi) = psi.
     """
-    c = classify(sys.H, sys.pt, tol)
+    c = classify(sys.H, sys.pt)
     if c.kind is Kind.NOT_PT_SYMMETRIC:
         raise errors.NotPTSymmetricError("canonical_form: H is not PT-symmetric for this pair")
     if c.kind is Kind.DEFECTIVE:
         raise errors.DefectiveInputError("canonical_form: defective H is out of scope")
     ptm = sys.pt.PT
-    pairs, reals = _pair_spectrum(c.spectrum, tol)
+    pairs, reals = _pair_spectrum(c.spectrum)
 
     cols, lams = [], []
     for i, j in pairs:
@@ -217,18 +216,18 @@ def canonical_form(sys: PTSystem, tol: Tolerances = DEFAULT_TOL) -> CanonicalFor
         lams.append(complex(c.spectrum[i].real))
 
     psi = np.column_stack(cols)
-    if np.linalg.cond(psi) > tol.defect_cond:
+    if np.linalg.cond(psi) > TOL.defect_cond:
         raise errors.NumericalFailureError("canonical_form: gauge-fixed frame is singular")
     return CanonicalForm(np.diag(lams), psi, _pair_swap(len(pairs), len(lams)))
 
 
-def construct_pt_from_eigenframe(psi, k, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def construct_pt_from_eigenframe(psi, k) -> np.ndarray:
     """PT = Psi K conj(Psi^{-1}) for an invertible frame and a K block pattern."""
     psi = np.asarray(psi, dtype=complex)
     k = np.asarray(k, dtype=complex)
     if psi.shape != k.shape:
         raise errors.DimensionMismatchError("construct_pt_from_eigenframe: shape mismatch")
-    if np.linalg.cond(psi) > tol.defect_cond:
+    if np.linalg.cond(psi) > TOL.defect_cond:
         raise errors.SingularFrameError("construct_pt_from_eigenframe: frame not invertible")
     psi_inv = np.linalg.inv(psi)
     return psi @ k @ psi_inv.conj()

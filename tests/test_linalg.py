@@ -113,7 +113,7 @@ class TestClusterCheck:
         for h in mats:
             lam, psi = np.linalg.eig(np.asarray(h, dtype=complex))
             window = 1e-6 * max(1.0, float(np.max(np.abs(lam))))
-            assert _has_clustered_rank_deficit(lam, psi, DEFAULT_TOL) == greedy(lam, psi, window)
+            assert _has_clustered_rank_deficit(lam, psi) == greedy(lam, psi, window)
 
     def test_perturbed_jordan_block_is_defective(self, svd_calls):
         # 1e-14 splits the eigenvalue by 2e-7, inside the cluster window; the

@@ -18,7 +18,7 @@ from ptsim import (
     sample_successes,
 )
 from ptsim.completion import post_select
-from ptsim.linalg import DEFAULT_TOL, psd_power
+from ptsim.linalg import psd_power
 from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
 
 from corpus import random_unbroken, unbroken_corpus
@@ -159,7 +159,7 @@ class TestReuse:
             for a, b in ((swept.xi2, fresh.xi2), (swept.xi5, fresh.xi5)):
                 assert np.linalg.norm(a - b) <= 1e-13
             assert abs(swept.p_total - fresh.p_total) <= 1e-13
-        assert list(d.stage_cache) == [("metric_sandwich", DEFAULT_TOL)]
+        assert list(d.stage_cache) == ["metric_sandwich"]
 
     def test_dilation_and_cached_stages_are_read_only(self):
         cfg = make_cfg(scheme="metric_sandwich")
