@@ -133,6 +133,8 @@ def post_select(state, p):
     """
     state = np.asarray(state, dtype=complex)
     p = np.asarray(p, dtype=complex)
+    if p.shape != (state.shape[0],) * 2:
+        raise errors.DimensionMismatchError(f"post_select: P {p.shape} does not fit {state.shape[0]} rows")
     p_tol = TOL.eq_tol * max(1.0, fro(p))
     if fro(p @ p - p) > p_tol or fro(p - p.conj().T) > p_tol:
         raise errors.NotProjectionError("post_select: P is not an orthogonal projection")

@@ -184,6 +184,8 @@ def in_tau_subspace(x, tau) -> bool:
 def embed_state(psi, d: Dilation) -> np.ndarray:
     """(psi; tau psi) / sqrt(psi^dag eta psi), a unit vector in Y_tau."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
+    if psi.shape[0] != d.dim:
+        raise errors.DimensionMismatchError(f"embed_state: psi length {psi.shape[0]} != {d.dim}")
     if np.linalg.norm(psi) == 0.0:
         raise errors.ZeroVectorError("embed_state: zero input")
     return np.concatenate([psi, d.tau @ psi]) / np.sqrt(np.vdot(psi, d.eta @ psi).real)

@@ -11,6 +11,7 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_square,
     eigen_power,
     fro,
     is_hermitian,
@@ -128,7 +129,7 @@ def scalar_sum_metric_2d(sys: PTSystem):
 
 def verify_scalar_sum(eta):
     """t such that eta + eta^{-1} = t I, or None if no such t exists."""
-    eta = np.asarray(eta, dtype=complex)
+    eta = _require_square(eta, "verify_scalar_sum")
     if not is_hermitian(eta):
         raise errors.NotHermitianError("verify_scalar_sum: eta is not Hermitian")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))

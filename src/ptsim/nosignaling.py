@@ -6,6 +6,7 @@ signaling gap delta_S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,9 @@ class ExperimentConfig:
     rho_prime: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "s", "e0", "t"):
+            if not math.isfinite(getattr(self, name)):
+                raise errors.ParseError(f"ExperimentConfig: {name} = {getattr(self, name)} is not finite")
         if abs(self.alpha) >= np.pi / 2:
             raise errors.NotUnbrokenError("ExperimentConfig: |alpha| must be < pi/2")
 
@@ -136,8 +140,7 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
     return out
 
 
-def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73",
-                  s: float = 1.0) -> list[dict]:
+def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73", s: float = 1.0) -> list[dict]:
     rows = []
     for alpha in alphas:
         for t in ts:

@@ -212,6 +212,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
 
 def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
     """Binomial draw of pipeline successes at the analytic branch probability."""
+    if samples < 0:
+        raise errors.ParseError(f"sample_successes: samples must be >= 0, got {samples}")
     rng = np.random.default_rng(seed)
     successes = int(rng.binomial(samples, trace.p_total))
     return {"samples": samples, "successes": successes, "p_total": trace.p_total}

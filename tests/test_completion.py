@@ -185,6 +185,11 @@ class TestPostSelect:
         with pytest.raises(errors.NotNormalizedError):
             post_select(np.array([2.0, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
+    def test_rejects_projector_of_wrong_shape(self, shape):
+        with pytest.raises(errors.DimensionMismatchError):
+            post_select(np.array([[1.0], [0.0]]), np.zeros(shape))
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("rank", [0, 1, 3])
     def test_block_matches_kron_lift(self, m, rank):

@@ -205,6 +205,11 @@ class TestEmbedState:
         with pytest.raises(errors.ZeroVectorError):
             embed_state(np.zeros(2), d)
 
+    def test_wrong_length(self):
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        with pytest.raises(errors.DimensionMismatchError):
+            embed_state(np.ones(3), d)
+
 
 class TestEmbeddingMembership:
     def test_members_accepted(self):

@@ -1,3 +1,7 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +14,7 @@ from ptsim.linalg import (
     DEFAULT_TOL,
     SIGMA_X,
     SIGMA_Z,
+    Tolerances,
     _has_clustered_rank_deficit,
     eig,
     matrix_exp,
@@ -31,6 +36,24 @@ def h0_matrix(alpha, s=1.0):
 
 def random_complex(rng, n, scale=1.0):
     return scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(2 * n)
+
+
+def test_no_callable_takes_a_tol_argument():
+    # every function reads the one fixed table; none takes a Tolerances
+    hits = []
+    for info in pkgutil.iter_modules(ptsim.__path__):
+        mod = importlib.import_module(f"ptsim.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [(None, obj)]
+            for attr, member in members:
+                fn = getattr(member, "fget", None) or getattr(member, "func", None) or member
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn) and "tol" in inspect.signature(fn).parameters:
+                    hits.append(f"{mod.__name__}.{name}" + (f".{attr}" if attr else ""))
+    assert hits == []
+    assert DEFAULT_TOL == Tolerances(eq_tol=1e-10, real_tol=1e-9, defect_cond=1e12, psd_tol=1e-12)
 
 
 class TestEig:

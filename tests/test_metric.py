@@ -200,6 +200,10 @@ class TestVerifyScalarSum:
         with pytest.raises(errors.NotPositiveDefiniteError):
             verify_scalar_sum(np.diag([1.0, -1.0]))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(errors.NonSquareError):
+            verify_scalar_sum(np.ones((2, 3)))
+
 
 class TestObstructionDemo:
     def test_report(self):

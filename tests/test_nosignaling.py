@@ -42,6 +42,15 @@ class TestConfig:
         with pytest.raises(errors.NotUnbrokenError):
             ExperimentConfig(alpha=-1.6)
 
+    @pytest.mark.parametrize("field", ["alpha", "s", "e0", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_is_parse_error(self, field, value):
+        with pytest.raises(errors.ParseError):
+            ExperimentConfig(**{"alpha": 0.3, field: value})
+        if field == "alpha":
+            with pytest.raises(errors.ParseError):
+                sweep_delta_s([value], [1.0], scheme="identity")
+
     def test_bell_state(self):
         v = bell_plus_x_state()
         assert np.linalg.norm(v) == pytest.approx(1.0)

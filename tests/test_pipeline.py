@@ -312,6 +312,10 @@ class TestSampling:
         assert a["samples"] == 10000
         assert 0 <= a["successes"] <= 10000
 
+    def test_negative_samples_is_parse_error(self):
+        with pytest.raises(errors.ParseError):
+            sample_successes(run_simulation(make_cfg()), -5, seed=0)
+
     def test_rate_tracks_probability(self):
         trace = run_simulation(make_cfg())
         out = sample_successes(trace, 200000, seed=11)
