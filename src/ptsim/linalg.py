@@ -45,8 +45,8 @@ _EXPM_COND_LIMIT = 1e8
 
 @dataclass(frozen=True)
 class Tolerances:
-    """The fixed table of numerical tolerances, read by every function as
-    ``DEFAULT_TOL``; no function takes one as an argument.
+    """The fixed table of numerical tolerances, ``DEFAULT_TOL``. Functions
+    read it directly; none takes a tolerance as an argument.
 
     eq_tol      residual tolerance for matrix equalities
     real_tol    relative tolerance for "this eigenvalue is real"

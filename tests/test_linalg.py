@@ -39,7 +39,7 @@ def random_complex(rng, n, scale=1.0):
 
 
 def test_no_callable_takes_a_tol_argument():
-    # every function reads the one fixed table; none takes a Tolerances
+    # no callable takes a tolerance: checks read the fixed table DEFAULT_TOL
     hits = []
     for info in pkgutil.iter_modules(ptsim.__path__):
         mod = importlib.import_module(f"ptsim.{info.name}")
