@@ -62,6 +62,7 @@ from .pipeline import (
     gunther_eta,
     gunther_hamiltonian,
     gunther_projection,
+    gunther_propagator,
     gunther_system,
     reproduce_gunther_example,
     run_simulation,

@@ -72,12 +72,14 @@ def _frame(basis: np.ndarray) -> np.ndarray:
     return orthonormal_extension(list(basis.T), basis.shape[0])
 
 
-def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray,
+def _completion(full_m: np.ndarray | None, full_n: np.ndarray | None, c: np.ndarray,
                 scale: float) -> CompletionResult:
     """U = [N | N-perp] W [M | M-perp]^dag for C = A/||A|| or C = 0.
 
     full_m = [M | M-perp] and full_n = [N | N-perp] are unitary frames whose
-    leading k columns are the bases of M and N. W is Halmos's unitary dilation
+    leading k columns are the bases of M and N; None stands for the
+    coordinate frame I, which is then neither formed nor multiplied by, and
+    gives P_N = diag(1, ..., 1, 0, ..., 0). W is Halmos's unitary dilation
     of the contraction C (Summa Brasil. Math. 2, 125 (1950)): with one SVD
     C = X S Y^dag and R = (I - S^2)^{1/2}, W = [[C, X R X^dag], [Y R Y^dag,
     -C^dag]]. U maps M onto the images N C + N-perp (I - C^dag C)^{1/2}, so
@@ -89,16 +91,21 @@ def _completion(full_m: np.ndarray, full_n: np.ndarray, c: np.ndarray,
     w = np.empty((2 * k, 2 * k), dtype=complex)
     w[:k, :k], w[:k, k:] = c, (x * r) @ x.conj().T
     w[k:, :k], w[k:, k:] = yh.conj().T @ (r[:, None] * yh), -c.conj().T
-    u = full_n @ w @ full_m.conj().T
-    p_n = full_n[:, :k] @ full_n[:, :k].conj().T
+    if full_n is None:
+        u, p_n = w, np.diag(np.repeat([1.0 + 0j, 0j], k))
+    else:
+        u, p_n = full_n @ w, full_n[:, :k] @ full_n[:, :k].conj().T
+    if full_m is not None:
+        u = u @ full_m.conj().T
     return CompletionResult(u, p_n, scale)
 
 
-def frame_completion(full_m: np.ndarray, full_n: np.ndarray, action) -> CompletionResult:
+def frame_completion(full_m: np.ndarray | None, full_n: np.ndarray | None, action) -> CompletionResult:
     """``unitary_completion`` for a caller that holds the unitary frames
     [M | M-perp] and [N | N-perp], with A the k x k action in their leading
-    columns. No frame is rebuilt and nothing is orthonormalized: the
-    completion costs one SVD of A/||A||_F and two products.
+    columns; None stands for the coordinate frame I. No frame is rebuilt and
+    nothing is orthonormalized: the completion costs one SVD of A/||A||_F
+    and at most two products.
     """
     action = np.asarray(action, dtype=complex)
     a_norm = fro(action)

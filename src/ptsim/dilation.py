@@ -19,6 +19,7 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_square,
     eigen_evolve,
     eigen_power,
     fro,
@@ -173,6 +174,7 @@ def build_dilation(
 
 def in_tau_subspace(x, tau) -> bool:
     x = np.asarray(x, dtype=complex).reshape(-1)
+    tau = _require_square(tau, "in_tau_subspace")
     n = tau.shape[0]
     if x.shape[0] != 2 * n:
         raise errors.DimensionMismatchError("in_tau_subspace: length mismatch")

@@ -36,6 +36,8 @@ __all__ = [
 # the form eta + eta^{-1} = t I exists.
 Q3 = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=complex)
 H3 = np.array([[1, 1, 1], [0, 2, 1], [0, 0, 3]], dtype=complex)
+# exact inverse of the unit upper-triangular Q3
+_Q3_INV = np.array([[1, -1, 0], [0, 1, -1], [0, 0, 1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -151,21 +153,31 @@ def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
     reports the best-case residual at the optimal t per sample, and verifies
     the exact obstruction: entry (1,3) of A Q^{-1} Q^{-dag} A + Q^dag Q is
     constantly 1, while (t A)_{13} = 0 for any diagonal A.
+
+    No matrix is inverted: for A = diag(a), eta + eta^{-1} is the closed form
+    p_1(a_1) + p_2(a_2) + p_3(a_3), with p_l(a) = a G_l + F_l / a,
+    G_l = Q^{-dag} e_l e_l^dag Q^{-1} and F_l = Q e_l e_l^dag Q^dag.
     """
-    qinv = np.linalg.inv(Q3)
+    qinv = _Q3_INV
     gram_inv = qinv @ qinv.conj().T  # Q^{-1} Q^{-dag}
     gram = Q3.conj().T @ Q3
     axis = np.geomspace(0.1, 10.0, grid_points)
-    a = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    # (A Q^{-1} Q^{-dag} A + Q^dag Q)_{13} for every diagonal A on the grid
-    entry13 = np.abs(a[:, 0] * gram_inv[0, 2] * a[:, 2] + gram[0, 2])
-    # the metrics Q^{-dag} A Q^{-1} go in one batch per value of a1, which
-    # bounds the stacked temporaries to grid_points^2 matrices
+    # (A Q^{-1} Q^{-dag} A + Q^dag Q)_{13} depends on a1 and a3 only
+    entry13 = np.abs(axis[:, None] * gram_inv[0, 2] * axis[None, :] + gram[0, 2])
+    # g[l] = G_l and f[l] = F_l, and p(l) holds p_l at every grid value
+    g = qinv.conj()[:, :, None] * qinv[:, None, :]
+    f = Q3.T[:, :, None] * Q3.T.conj()[:, None, :]
+
+    def p(l):
+        return axis[:, None, None] * g[l] + f[l] / axis[:, None, None]
+
+    # the grid^2 sums p_2 + p_3 are formed once; p_1 is added per value of a1,
+    # which bounds the stacked temporaries to grid_points^2 matrices
+    p23 = (p(1)[:, None] + p(2)[None, :]).reshape(-1, 3, 3)
     min_residual = np.inf
-    for chunk in np.split(a, grid_points):
-        etas = qinv.conj().T @ (chunk[:, :, None] * qinv)
-        m = etas + np.linalg.inv(etas)
+    for p1 in p(0):
+        m = p1 + p23
         t = np.trace(m, axis1=1, axis2=2).real / 3.0
         residuals = np.linalg.norm(m - t[:, None, None] * np.eye(3), axis=(1, 2))
         min_residual = min(min_residual, float(residuals.min()))
@@ -175,5 +187,5 @@ def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
         # A-independent, so reported at A = I
         "obstruction_entry_13": complex((gram_inv + gram)[0, 2]),
         "obstruction_entry_13_spread": float(entry13.max() - entry13.min()),
-        "samples": len(a),
+        "samples": grid_points**3,
     }

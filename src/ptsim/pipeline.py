@@ -7,7 +7,9 @@ binomial sampling is layered on top for realism.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "gunther_eta",
     "gunther_system",
     "gunther_projection",
+    "gunther_propagator",
     "reproduce_gunther_example",
 ]
 
@@ -88,6 +91,10 @@ class SchemeStages:
         The m columns of a block are a spectator factor (Bob) that no stage
         acts on. Returns (xi1, xi2, xi3, xi4, p_prepare, p_post).
         """
+        psi = np.asarray(psi)
+        if psi.ndim not in (1, 2) or psi.shape[0] != self.rho.shape[1]:
+            raise errors.DimensionMismatchError(
+                f"SchemeStages.run: psi of shape {psi.shape} does not fit n = {self.rho.shape[1]}")
         # stage 1: couple the ancilla in |0>
         xi1 = np.concatenate([psi, np.zeros_like(psi)])
 
@@ -169,11 +176,11 @@ class SimulationTrace:
 def preparation_completion(d: Dilation, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
 
-    Its frames are the coordinate frame [X1 | X1-perp] = I and the
-    dilation's complete Q of [I; tau].
+    Its frames are the coordinate frame [X1 | X1-perp] = I, passed as None so
+    that it is never formed, and the dilation's complete Q of [I; tau].
     """
     action = d.ytau_frame.conj().T @ np.vstack([rho, d.tau @ rho])
-    return frame_completion(np.eye(2 * d.dim, dtype=complex), d.ytau_q, action)
+    return frame_completion(None, d.ytau_q, action)
 
 
 def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
@@ -181,10 +188,12 @@ def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
     on the frames of ``preparation_completion`` in reverse.
     """
     action = rho_prime @ d.ytau_frame[:d.dim, :]
-    return frame_completion(d.ytau_q, np.eye(2 * d.dim, dtype=complex), action)
+    return frame_completion(d.ytau_q, None, action)
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
+    if not math.isfinite(cfg.t):
+        raise errors.ParseError(f"run_simulation: t = {cfg.t} is not finite")
     d = cfg.dilation
     n = d.dim
     st = cfg.stages()
@@ -212,8 +221,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
 
 def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
     """Binomial draw of pipeline successes at the analytic branch probability."""
-    if samples < 0:
-        raise errors.ParseError(f"sample_successes: samples must be >= 0, got {samples}")
+    for name, value in (("samples", samples), ("seed", seed)):
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
+            raise errors.ParseError(f"sample_successes: {name} must be an integer >= 0, got {value!r}")
     rng = np.random.default_rng(seed)
     successes = int(rng.binomial(samples, trace.p_total))
     return {"samples": samples, "successes": successes, "p_total": trace.p_total}
@@ -255,13 +265,30 @@ def gunther_projection(alpha: float) -> np.ndarray:
     )
 
 
+def gunther_propagator(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> np.ndarray:
+    """Closed-form e^{-itH} for the two-level family.
+
+    H - e0 I squares to w^2 I with w = s cos(alpha), so
+    e^{-itH} = e^{-it e0} [cos(wt) I - i t sinc(wt) (H - e0 I)], where
+    sinc(x) = sin(x)/x and sinc(0) = 1.
+    """
+    wt = s * np.cos(alpha) * t
+    sinc = np.sin(wt) / wt if wt != 0.0 else 1.0
+    k = gunther_hamiltonian(alpha, s, 0.0)  # H - e0 I
+    return np.exp(-1j * t * e0) * (np.cos(wt) * np.eye(2) - 1j * t * sinc * k)
+
+
 def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> dict:
     """Entrywise comparison of the construction against its closed forms.
 
     Returns residuals for tau, H1, H2, H4, the tensor form of Hhat, the
     Y_tau projection, the preparation amplitude cos(alpha)/2 along the
-    embedded initial state, and the top-block evolution identity.
+    embedded initial state, and the top-block evolution identity against
+    ``gunther_propagator``.
     """
+    for name, value in (("alpha", alpha), ("s", s), ("e0", e0), ("t", t)):
+        if not math.isfinite(value):
+            raise errors.ParseError(f"reproduce_gunther_example: {name} = {value} is not finite")
     sys = gunther_system(alpha, s, e0)
     eta = gunther_eta(alpha)
     d = build_dilation(sys, eta=eta, h1_choice="paper")
@@ -285,7 +312,7 @@ def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: 
 
     xhat = np.concatenate([psi_i, d.tau @ psi_i])
     evolved = eigen_evolve(*d.hhat_eigh, t, xhat)
-    top_target = matrix_exp(-1j * t * d.H) @ psi_i
+    top_target = gunther_propagator(alpha, s, e0, t) @ psi_i
     evo_residual = float(
         np.linalg.norm(evolved[:2] - top_target)
         + np.linalg.norm(evolved[2:] - d.tau @ top_target)

@@ -158,6 +158,10 @@ class TestEvolution:
         with pytest.raises(errors.NotInSubspaceError):
             dilated_evolution(d, 1.0, bad)
 
+    def test_non_square_tau(self):
+        with pytest.raises(errors.NonSquareError):
+            in_tau_subspace(np.ones(4), np.ones((2, 3)))
+
 
 class TestEmbedState:
     def test_unit_norm_and_membership(self):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,21 @@ class TestObstructionDemo:
         assert demo["obstruction_entry_13_spread"] == 0.0
         assert demo["min_residual"] > 0.1
         assert demo["samples"] == 21**3
+
+    def test_default_grid_minimum(self):
+        # the value of the earlier scan, which inverted every metric
+        assert scalar_sum_obstruction_demo()["min_residual"] == pytest.approx(0.245330011402608, rel=1e-15)
+
+    def test_peak_memory_stays_chunked(self):
+        # one stacked batch of all 21^3 samples peaks at about 3 MiB
+        scalar_sum_obstruction_demo()
+        tracemalloc.start()
+        try:
+            scalar_sum_obstruction_demo()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_matches_per_sample_loop(self):
         # reference: the scan one diagonal A at a time

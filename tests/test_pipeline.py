@@ -1,8 +1,10 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ptsim import (
     SimulationConfig,
@@ -11,14 +13,17 @@ from ptsim import (
     gunther_eta,
     gunther_hamiltonian,
     gunther_projection,
+    gunther_propagator,
     gunther_system,
     matrix_exp,
     reproduce_gunther_example,
     run_simulation,
     sample_successes,
 )
-from ptsim.completion import post_select
+from ptsim import cli, linalg
+from ptsim.completion import frame_completion, post_select
 from ptsim.linalg import psd_power
+from ptsim.metric import scalar_sum_obstruction_demo
 from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
 
 from corpus import random_unbroken, unbroken_corpus
@@ -66,8 +71,59 @@ class TestWorkedExample:
             trace = run_simulation(cfg)
             assert trace.p_prepare == pytest.approx(0.5, abs=1e-12)
 
+    def test_propagator_matches_expm(self):
+        rng = np.random.default_rng(100)
+        params = [(rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-3.0, 3.0),
+                   rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0)) for _ in range(50)]
+        # towards the exceptional point, where H - e0 I is nearly nilpotent
+        params += [(np.pi / 2 - 10.0**-k, s, e0, t)
+                   for k in (1, 2, 3) for s, e0, t in ((1.0, 0.0, 1.0), (2.0, 1.0, 3.0), (0.5, -1.0, -2.0))]
+        for alpha, s, e0, t in params:
+            expected = scipy.linalg.expm(-1j * t * gunther_hamiltonian(alpha, s, e0))
+            got = gunther_propagator(alpha, s, e0, t)
+            assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), (alpha, s, e0, t)
+
+    def test_propagator_at_zero_frequency(self):
+        # s = 0 leaves H = e0 I, and t = 0 gives the identity
+        assert np.array_equal(gunther_propagator(0.3, 0.0, 1.0, 2.0), np.exp(-2j) * np.eye(2))
+        assert np.array_equal(gunther_propagator(0.3, 1.0, 1.0, 0.0), np.eye(2))
+
+    @pytest.mark.parametrize("name", ["alpha", "s", "e0", "t"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_is_parse_error(self, name, value):
+        kwargs = {"alpha": np.pi / 6, "s": 1.0, "e0": 0.0, "t": 1.0, name: value}
+        with pytest.raises(errors.ParseError):
+            reproduce_gunther_example(**kwargs)
+
+
+class TestPaperChecks:
+    def test_closed_forms_only(self, monkeypatch, tmp_path):
+        # the worked examples factor each H once (classify) and exponentiate
+        # nothing; the obstruction demo inverts no matrix
+        calls = {"matrix_exp": 0}
+
+        def counted(*args, _fn=linalg.matrix_exp, **kwargs):
+            calls["matrix_exp"] += 1
+            return _fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "ptsim" and hasattr(mod, "matrix_exp"):
+                monkeypatch.setattr(mod, "matrix_exp", counted)
+        counts = TestReuse.count_linalg(monkeypatch, "eig", "inv")
+        assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
+        assert calls["matrix_exp"] == 0
+        assert counts["eig"] == 12
+        counts["inv"] = 0
+        scalar_sum_obstruction_demo()
+        assert counts["inv"] == 0
+
 
 class TestRunSimulation:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_t_is_parse_error(self, t):
+        with pytest.raises(errors.ParseError):
+            run_simulation(make_cfg(t=t))
+
     def test_identity_scheme_formula(self):
         cfg = make_cfg()
         trace = run_simulation(cfg)
@@ -217,6 +273,19 @@ class TestReuse:
         assert np.linalg.norm(st.rho - psd_power(d.eta, -0.5)) <= 1e-12
         assert np.linalg.norm(st.rho_prime - psd_power(d.eta, 0.5)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 5, 16, 32])
+    def test_coordinate_frame_is_never_formed(self, n):
+        # the completions skip the identity frame, bit for bit
+        d = build_dilation(random_unbroken(np.random.default_rng(59), n))
+        st = scheme_stages(d, "metric_sandwich")
+        eye = np.eye(2 * n, dtype=complex)
+        prep = frame_completion(eye, d.ytau_q, d.ytau_frame.conj().T @ np.vstack([st.rho, d.tau @ st.rho]))
+        extr = frame_completion(d.ytau_q, eye, st.rho_prime @ d.ytau_frame[:n, :])
+        for got, expected in ((st.preparation, prep), (st.extraction, extr)):
+            assert np.array_equal(got.U, expected.U)
+            assert np.array_equal(got.P_N, expected.P_N)
+            assert got.scale == expected.scale
+
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_stage_completions_realize_their_maps(self, n):
         # P_N U M = scale N A for each completion, with U unitary
@@ -288,6 +357,13 @@ class TestStageSequence:
         assert abs(p_prepare - q_prepare) <= 1e-13
         assert abs(p_post - q1 * q2) <= 1e-13
 
+    def test_psi_of_the_wrong_length(self):
+        st = scheme_stages(build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6)),
+                           "identity")
+        for psi in (np.ones(3) / np.sqrt(3), np.ones((3, 2)) / np.sqrt(6), np.array(1.0)):
+            with pytest.raises(errors.DimensionMismatchError):
+                st.run(psi, 1.0)
+
     @pytest.mark.parametrize("shapes", [((3, 3), (2, 2)), ((2, 2), (2, 3))])
     def test_custom_factors_of_the_wrong_shape(self, shapes):
         d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
@@ -315,6 +391,15 @@ class TestSampling:
     def test_negative_samples_is_parse_error(self):
         with pytest.raises(errors.ParseError):
             sample_successes(run_simulation(make_cfg()), -5, seed=0)
+
+    @pytest.mark.parametrize("samples, seed", [(2.5, 0), (10, -1), (10, 1.5), (True, 0)])
+    def test_non_integer_or_negative_count_is_parse_error(self, samples, seed):
+        with pytest.raises(errors.ParseError):
+            sample_successes(run_simulation(make_cfg()), samples, seed=seed)
+
+    def test_numpy_integers_are_accepted(self):
+        out = sample_successes(run_simulation(make_cfg()), np.int64(10), seed=np.int64(3))
+        assert out == sample_successes(run_simulation(make_cfg()), 10, seed=3)
 
     def test_rate_tracks_probability(self):
         trace = run_simulation(make_cfg())
