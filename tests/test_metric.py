@@ -216,7 +216,7 @@ class TestObstructionDemo:
         assert demo["samples"] == 21**3
 
     def test_default_grid_minimum(self):
-        # the value of the earlier scan, which inverted every metric
+        # the value a scan that inverts each sampled metric gives
         assert scalar_sum_obstruction_demo()["min_residual"] == pytest.approx(0.245330011402608, rel=1e-15)
 
     def test_peak_memory_stays_chunked(self):
