@@ -32,7 +32,6 @@ from .linalg import (
     eig,
     matrix_exp,
     orthonormal_extension,
-    principal_sqrt_psd,
     psd_power,
     sylvester_hermitian_nullspace,
 )

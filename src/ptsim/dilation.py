@@ -100,14 +100,13 @@ def build_dilation(
     margin: float = 1.05,
     h1_choice: str = "zero",
     h1=None,
-    rescale_supplied: bool = False,
 ) -> Dilation:
     """Assemble Hhat from (H, eta, H1).
 
     eta=None constructs the canonical positive metric and rescales it so its
     smallest eigenvalue equals ``margin`` (> 1 keeps tau invertible). A
-    supplied eta must already satisfy lambda_min > 1 unless
-    ``rescale_supplied`` is set. h1_choice is one of "zero", "paper"
+    supplied eta must already satisfy lambda_min > 1; a caller who wants it
+    rescaled passes c * eta. h1_choice is one of "zero", "paper"
     (H1 = tau H tau eta^{-1} + H eta^{-1}) or "supplied".
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
@@ -126,11 +125,7 @@ def build_dilation(
         eta = np.array(eta, dtype=complex)
         lam_min = verify_metric(h, eta).min_eigenvalue
         if lam_min <= 1.0:
-            if not rescale_supplied:
-                raise errors.EtaNotGreaterThanIError(
-                    f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1"
-                )
-            eta = (margin / lam_min) * eta
+            raise errors.EtaNotGreaterThanIError(f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1")
         w, v = psd_eigh(eta - np.eye(n))
 
     if np.sqrt(w[0]) <= TOL.psd_tol:

@@ -19,7 +19,6 @@ __all__ = [
     "EigenDecomposition",
     "eig",
     "matrix_exp",
-    "principal_sqrt_psd",
     "psd_power",
     "psd_eigh",
     "eigen_power",
@@ -158,15 +157,6 @@ def matrix_exp(a) -> np.ndarray:
         psi = d.eigenvector_matrix
         return psi @ np.diag(np.exp(d.eigenvalues)) @ np.linalg.inv(psi)
     return scipy.linalg.expm(a)
-
-
-def principal_sqrt_psd(a) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below the
-    window is rejected.
-    """
-    return psd_power(a, 0.5)
 
 
 def psd_power(a, p: float) -> np.ndarray:

@@ -38,6 +38,7 @@ Q3 = np.array([[1, 1, 1], [0, 1, 1], [0, 0, 1]], dtype=complex)
 H3 = np.array([[1, 1, 1], [0, 2, 1], [0, 0, 3]], dtype=complex)
 # exact inverse of the unit upper-triangular Q3
 _Q3_INV = np.array([[1, -1, 0], [0, 1, -1], [0, 0, 1]], dtype=complex)
+_GRID_POINTS = 21  # per axis of the obstruction demo's grid of diagonal A
 
 
 @dataclass(frozen=True)
@@ -145,14 +146,15 @@ def verify_scalar_sum(eta):
     return None
 
 
-def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
+def scalar_sum_obstruction_demo() -> dict:
     """Lemma-4 witness for H3: no positive metric achieves eta + eta^{-1} = t I.
 
     Every positive metric of H3 has the form Q^{-dag} A Q^{-1} with diagonal
-    A > 0. The demo scans A over a deterministic log grid on [0.1, 10]^3,
-    reports the best-case residual at the optimal t per sample, and verifies
-    the exact obstruction: entry (1,3) of A Q^{-1} Q^{-dag} A + Q^dag Q is
-    constantly 1, while (t A)_{13} = 0 for any diagonal A.
+    A > 0. The demo scans A over a log grid on [0.1, 10]^3 with
+    ``_GRID_POINTS`` per axis, reports the best-case residual at the optimal t
+    per sample, and verifies the exact obstruction: entry (1,3) of
+    A Q^{-1} Q^{-dag} A + Q^dag Q is constantly 1, while (t A)_{13} = 0 for
+    any diagonal A.
 
     No matrix is inverted: for A = diag(a), eta + eta^{-1} is the closed form
     p_1(a_1) + p_2(a_2) + p_3(a_3), with p_l(a) = a G_l + F_l / a,
@@ -161,7 +163,7 @@ def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
     qinv = _Q3_INV
     gram_inv = qinv @ qinv.conj().T  # Q^{-1} Q^{-dag}
     gram = Q3.conj().T @ Q3
-    axis = np.geomspace(0.1, 10.0, grid_points)
+    axis = np.geomspace(0.1, 10.0, _GRID_POINTS)
 
     # (A Q^{-1} Q^{-dag} A + Q^dag Q)_{13} depends on a1 and a3 only
     entry13 = np.abs(axis[:, None] * gram_inv[0, 2] * axis[None, :] + gram[0, 2])
@@ -173,7 +175,7 @@ def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
         return axis[:, None, None] * g[l] + f[l] / axis[:, None, None]
 
     # the grid^2 sums p_2 + p_3 are formed once; p_1 is added per value of a1,
-    # which bounds the stacked temporaries to grid_points^2 matrices
+    # which bounds the stacked temporaries to _GRID_POINTS^2 matrices
     p23 = (p(1)[:, None] + p(2)[None, :]).reshape(-1, 3, 3)
     min_residual = np.inf
     for p1 in p(0):
@@ -187,5 +189,5 @@ def scalar_sum_obstruction_demo(grid_points: int = 21) -> dict:
         # A-independent, so reported at A = I
         "obstruction_entry_13": complex((gram_inv + gram)[0, 2]),
         "obstruction_entry_13_spread": float(entry13.max() - entry13.min()),
-        "samples": grid_points**3,
+        "samples": _GRID_POINTS**3,
     }

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import errors
 from .dilation import Dilation, build_dilation
-from .linalg import SIGMA_X, eigen_evolve, matrix_exp
-from .pipeline import gunther_eta, gunther_system, preparation_completion, resolve_rho, scheme_stages
+from .linalg import SIGMA_X, eigen_evolve
+from .pipeline import (gunther_eta, gunther_propagator, gunther_system, preparation_completion,
+                       resolve_rho, scheme_stages)
 
 __all__ = [
     "ExperimentConfig",
@@ -33,15 +34,12 @@ _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
 class ExperimentConfig:
     alpha: float
     s: float = 1.0
-    e0: float = 0.0
     t: float = 1.0
-    scheme: str = "identity"  # identity | metric_sandwich | custom
+    scheme: str = "identity"  # identity | metric_sandwich
     mode: str = "direct_eq71"  # direct_eq71 | simulated_eq73
-    rho: np.ndarray | None = None
-    rho_prime: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "s", "e0", "t"):
+        for name in ("alpha", "s", "t"):
             if not math.isfinite(getattr(self, name)):
                 raise errors.ParseError(f"ExperimentConfig: {name} = {getattr(self, name)} is not finite")
         if abs(self.alpha) >= np.pi / 2:
@@ -77,22 +75,19 @@ def _measure_joint(state: np.ndarray) -> np.ndarray:
 
 
 def _paper_dilation(cfg: ExperimentConfig) -> Dilation:
-    sys = gunther_system(cfg.alpha, cfg.s, cfg.e0)
-    return build_dilation(sys, eta=gunther_eta(cfg.alpha), h1_choice="paper")
+    return build_dilation(gunther_system(cfg.alpha, cfg.s), eta=gunther_eta(cfg.alpha), h1_choice="paper")
 
 
 def run_experiment(cfg: ExperimentConfig) -> JointStats:
     """Both Alice branches of the experiment, in direct or simulated mode.
 
-    States are (Alice, Bob) blocks. Bob's trivial Hamiltonian contributes the
-    global phase e^{-it}, applied as a scalar.
+    States are (Alice, Bob) blocks. The energy offset E0 and Bob's trivial
+    evolution are global phases, which no outcome probability depends on.
     """
     psi = bell_plus_x_state().reshape(2, 2)
-    bob_phase = np.exp(-1j * cfg.t)
     if cfg.mode == "direct_eq71":
-        h0 = gunther_system(cfg.alpha, cfg.s, cfg.e0).H
-        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha), cfg.rho, cfg.rho_prime)
-        channel = bob_phase * (rho_prime @ matrix_exp(-1j * cfg.t * h0) @ rho)
+        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
+        channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
 
         def branch(state):
             final = channel @ state
@@ -101,10 +96,10 @@ def run_experiment(cfg: ExperimentConfig) -> JointStats:
                 raise errors.ZeroBranchError("direct branch: channel annihilated the state")
             return final / nrm, 1.0
     elif cfg.mode == "simulated_eq73":
-        st = scheme_stages(_paper_dilation(cfg), cfg.scheme, cfg.rho, cfg.rho_prime)
+        st = scheme_stages(_paper_dilation(cfg), cfg.scheme)
 
         def branch(state):
-            *_, xi4, p_prepare, p_post = st.run(bob_phase * state, cfg.t)
+            *_, xi4, p_prepare, p_post = st.run(state, cfg.t)
             return xi4[:2], p_prepare * p_post
     else:
         raise errors.ParseError(f"unknown mode {cfg.mode!r}")
@@ -129,7 +124,7 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
     """
     psi = bell_plus_x_state().reshape(2, 2)
     d = _paper_dilation(cfg)
-    prep = preparation_completion(d, resolve_rho(cfg.scheme, d, cfg.rho, cfg.rho_prime)[0])
+    prep = preparation_completion(d, resolve_rho(cfg.scheme, d)[0])
 
     out = np.zeros((2, 2))
     for k, u_a in enumerate(_ALICE_UNITARIES):

@@ -206,7 +206,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     psi = psi / nrm
 
     ut = matrix_exp(-1j * cfg.t * d.H)
-    target = st.rho_prime @ ut @ st.rho @ psi
+    target = st.rho_prime @ (ut @ (st.rho @ psi))
     if np.linalg.norm(target) <= 1e-12:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 

@@ -51,9 +51,6 @@ class TestBuildDilation:
         small = 0.1 * gunther_eta(np.pi / 6)
         with pytest.raises(errors.EtaNotGreaterThanIError):
             build_dilation(sys, eta=small)
-        # rescue via rescaling
-        d = build_dilation(sys, eta=small, rescale_supplied=True)
-        assert_clean(d)
 
     def test_supplied_h1(self):
         sys = gunther_system(np.pi / 6)

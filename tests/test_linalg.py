@@ -19,7 +19,7 @@ from ptsim.linalg import (
     eig,
     matrix_exp,
     orthonormal_extension,
-    principal_sqrt_psd,
+    psd_power,
     sylvester_hermitian_nullspace,
 )
 from ptsim.metric import H3
@@ -194,17 +194,17 @@ class TestMatrixExp:
 
 class TestPrincipalSqrt:
     def test_identity(self):
-        assert principal_sqrt_psd(np.eye(4)) == pytest.approx(np.eye(4))
+        assert psd_power(np.eye(4), 0.5) == pytest.approx(np.eye(4))
 
     def test_diag(self):
-        assert principal_sqrt_psd(np.diag([4.0, 9.0]).astype(complex)) == pytest.approx(
+        assert psd_power(np.diag([4.0, 9.0]).astype(complex), 0.5) == pytest.approx(
             np.diag([2.0, 3.0])
         )
 
     def test_tau_closed_form(self):
         alpha = np.pi / 6
         eta = ptsim.gunther_eta(alpha)
-        tau = principal_sqrt_psd(eta - np.eye(2))
+        tau = psd_power(eta - np.eye(2), 0.5)
         expected = (1 / np.cos(alpha)) * np.array(
             [[1, -1j * np.sin(alpha)], [1j * np.sin(alpha), 1]], dtype=complex
         )
@@ -213,11 +213,11 @@ class TestPrincipalSqrt:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(errors.NotHermitianError):
-            principal_sqrt_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+            psd_power(np.array([[0, 1], [0, 0]], dtype=complex), 0.5)
 
     def test_rejects_indefinite(self):
         with pytest.raises(errors.NotPSDError):
-            principal_sqrt_psd(np.diag([1.0, -1.0]).astype(complex))
+            psd_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -226,7 +226,7 @@ class TestPrincipalSqrt:
         n = int(rng.integers(2, 5))
         b = random_complex(rng, n)
         a = b @ b.conj().T  # Hermitian PSD
-        s = principal_sqrt_psd(a)
+        s = psd_power(a, 0.5)
         assert np.linalg.norm(s @ s - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(s - s.conj().T) <= 1e-12
         assert np.linalg.eigvalsh(s).min() >= -1e-12

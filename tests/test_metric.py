@@ -233,7 +233,7 @@ class TestObstructionDemo:
     def test_matches_per_sample_loop(self):
         # reference: the scan one diagonal A at a time
         qinv = np.linalg.inv(Q3)
-        axis = np.geomspace(0.1, 10.0, 6)
+        axis = np.geomspace(0.1, 10.0, 21)
         best = np.inf
         for a1 in axis:
             for a2 in axis:
@@ -241,8 +241,8 @@ class TestObstructionDemo:
                     eta = qinv.conj().T @ np.diag([a1, a2, a3]) @ qinv
                     m = eta + np.linalg.inv(eta)
                     best = min(best, np.linalg.norm(m - np.trace(m).real / 3.0 * np.eye(3)))
-        demo = scalar_sum_obstruction_demo(grid_points=6)
-        assert demo["samples"] == 6**3
+        demo = scalar_sum_obstruction_demo()
+        assert demo["samples"] == 21**3
         assert demo["min_residual"] == pytest.approx(best, rel=1e-12)
 
     def test_identity_sample(self):

@@ -42,7 +42,7 @@ class TestConfig:
         with pytest.raises(errors.NotUnbrokenError):
             ExperimentConfig(alpha=-1.6)
 
-    @pytest.mark.parametrize("field", ["alpha", "s", "e0", "t"])
+    @pytest.mark.parametrize("field", ["alpha", "s", "t"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_is_parse_error(self, field, value):
         with pytest.raises(errors.ParseError):
@@ -92,6 +92,18 @@ class TestDirectMode:
             assert (stats.table[k] >= -1e-15).all()
         assert stats.bob_marginals == pytest.approx(stats.table.sum(axis=1))
         assert (stats.p_success == 1.0).all()
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_closed_form_propagator_only(self, scheme, monkeypatch):
+        # the channel is built from gunther_propagator: no eig and no inverse
+        counts = dict.fromkeys(("eig", "inv"), 0)
+        for name in counts:
+            def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_experiment(ExperimentConfig(alpha=np.pi / 6, t=1.0, scheme=scheme, mode="direct_eq71"))
+        assert counts == {"eig": 0, "inv": 0}
 
 
 class TestSimulatedMode:

@@ -83,6 +83,17 @@ class TestWorkedExample:
             got = gunther_propagator(alpha, s, e0, t)
             assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), (alpha, s, e0, t)
 
+    def test_offset_is_a_global_phase(self):
+        # e0 multiplies e^{-itH} by e^{-it e0}, which no outcome probability
+        # sees: the no-signaling experiment takes e0 = 0
+        rng = np.random.default_rng(101)
+        for _ in range(50):
+            alpha, s, e0, t = (rng.uniform(-np.pi / 2, np.pi / 2), rng.uniform(-3.0, 3.0),
+                               rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+            shifted = gunther_propagator(alpha, s, e0, t)
+            expected = np.exp(-1j * t * e0) * gunther_propagator(alpha, s, 0.0, t)
+            assert np.linalg.norm(shifted - expected) <= 1e-14 * np.linalg.norm(expected)
+
     def test_propagator_at_zero_frequency(self):
         # s = 0 leaves H = e0 I, and t = 0 gives the identity
         assert np.array_equal(gunther_propagator(0.3, 0.0, 1.0, 2.0), np.exp(-2j) * np.eye(2))
