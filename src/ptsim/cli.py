@@ -216,9 +216,17 @@ def cmd_paper(args) -> int:
     return EXIT_OK if all_pass else EXIT_NUMERICAL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a bad choice, a missing argument) are ParseErrors, so
+    they print one "error: " line and exit 2 like every other bad input."""
+
+    def error(self, message):
+        raise errors.ParseError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="ptsim", description="PT-symmetric quantum mechanics toolkit")
+    p = _Parser(prog="ptsim", description="PT-symmetric quantum mechanics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("classify", help="classify a Hamiltonian")
@@ -258,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--s", type=float, default=1.0)
     n.add_argument("--t", type=float, default=1.0)
     n.add_argument("--t-grid", dest="t_grid")
-    n.add_argument("--scheme", default="identity")
+    n.add_argument("--scheme", default="identity", choices=["identity", "metric", "metric_sandwich"])
     n.add_argument("--mode", default="simulated_eq73",
                    choices=["direct_eq71", "simulated_eq73"])
     n.add_argument("--sweep", help="write a CSV sweep to this path")
@@ -272,8 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except errors.PTSimError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -24,10 +24,9 @@ from .linalg import (
     eigen_power,
     fro,
     is_hermitian,
-    psd_eigh,
     rel_scale,
 )
-from .metric import positive_metric, verify_metric
+from .metric import _check_metric_equations, positive_metric
 from .ptcore import Kind, PTSystem, classify
 
 __all__ = [
@@ -123,10 +122,12 @@ def build_dilation(
         eta, w, v = scale * base.eta, scale * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array(eta, dtype=complex)
-        lam_min = verify_metric(h, eta).min_eigenvalue
-        if lam_min <= 1.0:
-            raise errors.EtaNotGreaterThanIError(f"build_dilation: lambda_min(eta) = {lam_min:.6g} <= 1")
-        w, v = psd_eigh(eta - np.eye(n))
+        _check_metric_equations(h, eta)
+        # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
+        shifted = eta - np.eye(n)
+        w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().T))
+        if w[0] <= 0.0:
+            raise errors.EtaNotGreaterThanIError(f"build_dilation: lambda_min(eta) = {1.0 + w[0]:.6g} <= 1")
 
     if np.sqrt(w[0]) <= TOL.psd_tol:
         raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")

@@ -80,15 +80,25 @@ def positive_metric(sys: PTSystem, classification: Classification | None = None)
     return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > TOL.psd_tol), float(w[0]), (w, x))
 
 
-def verify_metric(h, eta) -> MetricOperator:
-    h = np.asarray(h, dtype=complex)
-    eta = np.asarray(eta, dtype=complex)
+def _check_metric_equations(h, eta) -> None:
+    """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H.
+
+    Positivity is left to the caller, which factors eta once in the form it
+    needs: ``verify_metric`` takes its eigenvalues, ``build_dilation`` the
+    eigh of eta - I.
+    """
     if h.shape != eta.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise errors.DimensionMismatchError("verify_metric: order mismatch")
     if not is_hermitian(eta):
         raise errors.NotHermitianError("verify_metric: eta is not Hermitian")
     if _intertwining_residual(h, eta) > TOL.eq_tol * rel_scale(h) * rel_scale(eta):
         raise errors.NotIntertwiningError("verify_metric: H^dag eta != eta H")
+
+
+def verify_metric(h, eta) -> MetricOperator:
+    h = np.asarray(h, dtype=complex)
+    eta = np.asarray(eta, dtype=complex)
+    _check_metric_equations(h, eta)
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

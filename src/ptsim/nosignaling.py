@@ -13,7 +13,7 @@ import numpy as np
 
 from . import errors
 from .dilation import Dilation, build_dilation
-from .linalg import SIGMA_X, eigen_evolve
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, eigen_evolve
 from .pipeline import (gunther_eta, gunther_propagator, gunther_system, preparation_completion,
                        resolve_rho, scheme_stages)
 
@@ -30,7 +30,7 @@ _Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # co
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     alpha: float
     s: float = 1.0
@@ -44,6 +44,11 @@ class ExperimentConfig:
                 raise errors.ParseError(f"ExperimentConfig: {name} = {getattr(self, name)} is not finite")
         if abs(self.alpha) >= np.pi / 2:
             raise errors.NotUnbrokenError("ExperimentConfig: |alpha| must be < pi/2")
+        for name, allowed in (("scheme", ("identity", "metric_sandwich")),
+                              ("mode", ("direct_eq71", "simulated_eq73"))):
+            if getattr(self, name) not in allowed:
+                raise errors.ParseError(f"ExperimentConfig: unknown {name} {getattr(self, name)!r}; "
+                                        f"use one of {', '.join(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -81,34 +86,29 @@ def _paper_dilation(cfg: ExperimentConfig) -> Dilation:
 def run_experiment(cfg: ExperimentConfig) -> JointStats:
     """Both Alice branches of the experiment, in direct or simulated mode.
 
-    States are (Alice, Bob) blocks. The energy offset E0 and Bob's trivial
-    evolution are global phases, which no outcome probability depends on.
+    Each mode acts on Alice's side of an (Alice, Bob) block as op x I_Bob:
+    rho' e^{-itH} rho, or the dilated pipeline's Kraus operator K(t), whose
+    squared norm is the branch's success probability. The energy offset E0 and
+    Bob's trivial evolution are global phases, which no outcome depends on.
     """
     psi = bell_plus_x_state().reshape(2, 2)
     if cfg.mode == "direct_eq71":
         rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
-
-        def branch(state):
-            final = channel @ state
-            nrm = np.linalg.norm(final)
-            if nrm <= 1e-14:
-                raise errors.ZeroBranchError("direct branch: channel annihilated the state")
-            return final / nrm, 1.0
-    elif cfg.mode == "simulated_eq73":
-        st = scheme_stages(_paper_dilation(cfg), cfg.scheme)
-
-        def branch(state):
-            *_, xi4, p_prepare, p_post = st.run(state, cfg.t)
-            return xi4[:2], p_prepare * p_post
+        vanished = errors.ZeroBranchError
     else:
-        raise errors.ParseError(f"unknown mode {cfg.mode!r}")
-
+        channel = scheme_stages(_paper_dilation(cfg), cfg.scheme).kraus(cfg.t)
+        vanished = errors.ZeroFinalStateError
     table = np.zeros((2, 2, 2))
-    p_success = np.ones(2)
+    p_success = np.ones(2)  # stays 1 in direct mode
     for k, u_a in enumerate(_ALICE_UNITARIES):
-        final, p_success[k] = branch(u_a @ psi)
-        table[k] = _measure_joint(final)
+        final = channel @ (u_a @ psi)
+        nrm = np.linalg.norm(final)
+        if cfg.mode == "simulated_eq73":
+            p_success[k] = nrm**2
+        if nrm <= 1e-14 or p_success[k] <= TOL.psd_tol:
+            raise vanished(f"run_experiment: {cfg.mode} branch {k} vanished")
+        table[k] = _measure_joint(final / nrm)
 
     bob = table.sum(axis=1)  # [k, b]
     delta_s = float(abs(bob[0, 0] - bob[1, 0]))

@@ -17,6 +17,7 @@ from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
 from .linalg import (
+    DEFAULT_TOL as TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -74,9 +75,15 @@ class SchemeStages:
     """The stage operators of a scheme on one dilation.
 
     They are the scheme's (rho, rho'), the two completions these induce and
-    the dilation's eigh factors of Hhat, which evolve every t. It holds no
-    reference to the dilation, so a dilation that keeps its stages forms no
-    reference cycle and is freed as soon as it is dropped.
+    the dilation's eigh factors (w, V) of Hhat, which evolve every t. It
+    holds no reference to the dilation, so a dilation that keeps its stages
+    forms no reference cycle and is freed as soon as it is dropped.
+
+    A successful run is one Kraus operator of a quantum instrument (Nielsen
+    & Chuang, ch. 8), K(t) = L diag(e^{-itw}) R, whose factors
+    ``kraus_right`` R = V^dag P_prep U_prep[:, :n] (2n x n) and
+    ``kraus_left`` L = U_extr[:n, :] V (n x 2n) are formed once with the
+    stages. K(t) psi = sqrt(p_total) xi4[:n].
     """
 
     rho: np.ndarray
@@ -84,6 +91,8 @@ class SchemeStages:
     preparation: CompletionResult
     extraction: CompletionResult
     hhat_eigh: tuple
+    kraus_left: np.ndarray
+    kraus_right: np.ndarray
 
     def run(self, psi, t: float):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
@@ -115,6 +124,20 @@ class SchemeStages:
             raise errors.ZeroFinalStateError("extraction branch vanished")
         return xi1, xi2, xi3, xi4, p_prepare, p_post
 
+    def kraus(self, t: float) -> np.ndarray:
+        """K(t), the n x n Kraus operator of a successful run at time t."""
+        return (self.kraus_left * np.exp(-1j * t * self.hhat_eigh[0])) @ self.kraus_right
+
+    def kraus_apply(self, t: float, psi) -> np.ndarray:
+        """K(t) psi for psi of shape (n,) or (n, m), in O(n 2n m) work.
+
+        The m columns of a block are a spectator factor (Bob), so this is
+        K(t) x I_m on its ravel; the squared (Frobenius) norm of the result
+        is the success probability of a unit psi.
+        """
+        phase = np.exp(-1j * t * self.hhat_eigh[0])
+        return self.kraus_left @ (phase * (self.kraus_right @ psi).T).T
+
 
 def _read_only(*arrays) -> None:
     for a in arrays:
@@ -126,17 +149,27 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
 
     The built-in schemes are built once per dilation and kept on it, keyed
     by scheme, with read-only arrays, so every t and every state run on one
-    dilation shares (rho, rho') and both completions. A custom scheme is
-    built per call, since its factors are caller-owned arrays.
+    dilation shares (rho, rho'), both completions and the Kraus factors. A
+    custom scheme is built per call, since its factors are caller-owned
+    arrays.
+
+    P_prep = Q1 Q1^dag, with Q1 = ``d.ytau_frame``, is an orthogonal
+    projection exactly when Q1 has orthonormal columns; that is checked here,
+    once, so the Kraus factors need no per-call projector test.
     """
     if scheme in d.stage_cache:
         return d.stage_cache[scheme]
+    n, q1 = d.dim, d.ytau_frame
+    if fro(q1.conj().T @ q1 - np.eye(n)) > TOL.eq_tol * max(1.0, np.sqrt(n)):
+        raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
-    st = SchemeStages(r, r_prime, preparation_completion(d, r),
-                      extraction_completion(d, r_prime), d.hhat_eigh)
+    prep, extr = preparation_completion(d, r), extraction_completion(d, r_prime)
+    v = d.hhat_eigh[1]
+    kraus_right = v.conj().T @ (q1 @ (q1.conj().T @ prep.U[:, :n]))
+    kraus_left = extr.U[:n, :] @ v
+    st = SchemeStages(r, r_prime, prep, extr, d.hhat_eigh, kraus_left, kraus_right)
     if scheme != "custom":
-        _read_only(r, r_prime, st.preparation.U, st.preparation.P_N,
-                   st.extraction.U, st.extraction.P_N)
+        _read_only(r, r_prime, prep.U, prep.P_N, extr.U, extr.P_N, kraus_left, kraus_right)
         d.stage_cache[scheme] = st
     return st
 
@@ -166,6 +199,7 @@ class SimulationTrace:
     p_post: float
     p_total: float
     final_formula_check: float
+    probability_check: float
 
     def to_obj(self) -> dict:
         from .io import vector_to_obj
@@ -213,9 +247,12 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t)
     xi5 = xi4[:n]
     final_formula_check = float(np.linalg.norm(xi5 - target / np.linalg.norm(target)))
+    p_total = float(p_prepare * p_post)
+    # the stage route against the instrument: p_total = ||K(t) psi||^2
+    probability_check = abs(p_total - float(np.linalg.norm(st.kraus_apply(cfg.t, psi)) ** 2)) / p_total
     return SimulationTrace(
-        xi1, xi2, xi3, xi4, xi5, float(p_prepare), float(p_post), float(p_prepare * p_post),
-        final_formula_check,
+        xi1, xi2, xi3, xi4, xi5, float(p_prepare), float(p_post), p_total,
+        final_formula_check, probability_check,
     )
 
 
@@ -246,9 +283,13 @@ def gunther_eta(alpha: float) -> np.ndarray:
     )
 
 
+# the family's PT pair (sigma_x, I), validated once and shared read-only
+_GUNTHER_PT = validate_pt_pair(SIGMA_X.copy(), np.eye(2, dtype=complex))
+_read_only(_GUNTHER_PT.P, _GUNTHER_PT.T, _GUNTHER_PT.PT)
+
+
 def gunther_system(alpha: float, s: float = 1.0, e0: float = 0.0) -> PTSystem:
-    pair = validate_pt_pair(SIGMA_X, np.eye(2, dtype=complex))
-    return PTSystem(gunther_hamiltonian(alpha, s, e0), pair)
+    return PTSystem(gunther_hamiltonian(alpha, s, e0), _GUNTHER_PT)
 
 
 def gunther_projection(alpha: float) -> np.ndarray:

@@ -278,6 +278,19 @@ class TestNosignal:
     def test_unknown_scheme_is_2(self, capsys):
         assert_parse_error(main(["nosignal", "--alpha", "0.5", "--scheme", "bogus"]), capsys)
 
+    @pytest.mark.parametrize("mode", ["direct_eq71", "simulated_eq73"])
+    def test_custom_scheme_is_refused_by_name(self, mode, capsys):
+        # argparse choices name the value and the schemes on offer, not
+        # matrices the experiment cannot take
+        assert main(["nosignal", "--alpha", "0.5", "--scheme", "custom", "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ptsim nosignal: argument --scheme: invalid choice: 'custom'")
+        assert "metric_sandwich" in err and "rho" not in err
+
+    def test_usage_errors_are_one_error_line(self, capsys):
+        assert_parse_error(main(["nosignal", "--alpha", "0.5", "--mode", "eq72"]), capsys)
+        assert_parse_error(main(["classify"]), capsys)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("flag", ["--alpha", "--alpha-deg", "--t", "--s"])
     def test_non_finite_input_is_2(self, flag, value, capsys):

@@ -1,15 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ptsim import (
     ExperimentConfig,
     bell_plus_x_state,
+    completion,
     errors,
     pipeline,
     run_experiment,
     sweep_delta_s,
     whole_system_bob_marginals,
 )
+from ptsim.nosignaling import _ALICE_UNITARIES, _measure_joint, _paper_dilation
 
 from oracle import brute_nosignaling_delta_s
 
@@ -50,6 +54,24 @@ class TestConfig:
         if field == "alpha":
             with pytest.raises(errors.ParseError):
                 sweep_delta_s([value], [1.0], scheme="identity")
+
+    @pytest.mark.parametrize("mode", ["direct_eq71", "simulated_eq73"])
+    @pytest.mark.parametrize("scheme", ["custom", "metric", "bogus"])
+    def test_unsupported_scheme_is_parse_error(self, mode, scheme):
+        # the experiment takes no (rho, rho') of its own, so "custom" is refused
+        # by name rather than for missing matrices
+        with pytest.raises(errors.ParseError, match=f"unknown scheme '{scheme}'"):
+            ExperimentConfig(alpha=0.3, scheme=scheme, mode=mode)
+
+    def test_unknown_mode_is_parse_error(self):
+        with pytest.raises(errors.ParseError, match="unknown mode 'eq72'"):
+            ExperimentConfig(alpha=0.3, mode="eq72")
+
+    def test_checked_fields_cannot_be_changed(self):
+        # run_experiment relies on the checks of __post_init__
+        cfg = ExperimentConfig(alpha=0.3, mode="direct_eq71")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.mode = "eq72"
 
     def test_bell_state(self):
         v = bell_plus_x_state()
@@ -134,6 +156,38 @@ class TestSimulatedMode:
         )
         assert (sim.p_success > 0.0).all()
         assert sim.delta_s == pytest.approx(DELTA_S_PI4, abs=1e-10)
+
+
+    def test_kraus_route_matches_stage_route_on_grid(self):
+        # K(t) x I_Bob on each branch block against the full stage sequence,
+        # on the benchmark's 15 alpha x 3 t x 2 scheme grid
+        for alpha in np.linspace(0.0, 1.4, 15):
+            for t in (0.5, 1.0, 2.0):
+                for scheme in ("identity", "metric_sandwich"):
+                    cfg = ExperimentConfig(alpha=alpha, t=t, scheme=scheme, mode="simulated_eq73")
+                    stats = run_experiment(cfg)
+                    st = pipeline.scheme_stages(_paper_dilation(cfg), scheme)
+                    for k, u_a in enumerate(_ALICE_UNITARIES):
+                        *_, xi4, p_prepare, p_post = st.run(u_a @ bell_plus_x_state().reshape(2, 2), t)
+                        assert np.abs(stats.table[k] - _measure_joint(xi4[:2])).max() <= 1e-14
+                        assert abs(stats.p_success[k] - p_prepare * p_post) <= 1e-14
+
+    def test_runs_no_stage_sequence(self, monkeypatch):
+        # one Kraus operator per experiment: no post-selection, no stage run
+        calls = {"post_select": 0, "run": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for mod in (completion, pipeline):
+            monkeypatch.setattr(mod, "post_select", counting("post_select", completion.post_select))
+        monkeypatch.setattr(pipeline.SchemeStages, "run", counting("run", pipeline.SchemeStages.run))
+        for scheme in ("identity", "metric_sandwich"):
+            run_experiment(ExperimentConfig(alpha=np.pi / 6, t=1.0, scheme=scheme, mode="simulated_eq73"))
+        assert calls == {"post_select": 0, "run": 0}
 
 
 class TestWholeSystem:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -20,9 +22,9 @@ from ptsim import (
     run_simulation,
     sample_successes,
 )
-from ptsim import cli, linalg
+from ptsim import cli, linalg, pipeline
 from ptsim.completion import frame_completion, post_select
-from ptsim.linalg import psd_power
+from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
 from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
 
@@ -277,6 +279,27 @@ class TestReuse:
                                             scheme="metric_sandwich"))
         assert counts == {"eigh": 1}
 
+    def test_supplied_eta_is_factored_once(self, monkeypatch):
+        # one eigh of eta - I tests lambda_min > 1 and gives tau; the other is
+        # Hhat's. The Hermitian and intertwining checks factor nothing.
+        sys8 = random_unbroken(np.random.default_rng(60), 8)
+        cases = [(gunther_system(np.pi / 6), gunther_eta(np.pi / 6)), (sys8, build_dilation(sys8).eta)]
+        for system, eta in cases:
+            counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh")
+            build_dilation(system, eta=eta)
+            assert counts == {"eigh": 2, "eigvalsh": 0}
+
+    def test_gunther_system_shares_one_validated_pair(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "validate_pt_pair", lambda *args: calls.append(args))
+        a, b = gunther_system(0.3), gunther_system(1.0, s=2.0)
+        assert calls == []
+        assert a.pt is b.pt
+        for m in (a.pt.P, a.pt.T, a.pt.PT):
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+        assert np.array_equal(a.pt.P, linalg.SIGMA_X) and linalg.SIGMA_X.flags.writeable
+
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_metric_sandwich_factors_match_psd_power(self, n):
         d = build_dilation(random_unbroken(np.random.default_rng(57), n))
@@ -388,6 +411,85 @@ class TestStageSequence:
         st = scheme_stages(d, "custom", rho=np.diag([0.0, 1.0]), rho_prime=np.eye(2))
         with pytest.raises(errors.ZeroFinalStateError):
             st.run(np.array([1.0, 0.0], dtype=complex), 1.0)
+
+
+@functools.cache
+def _instrument_case(n):
+    """An unbroken system of order n, its canonical dilation and a unit state."""
+    rng = np.random.default_rng(700 + n)
+    sys_ = random_unbroken(rng, n)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return sys_, build_dilation(sys_), psi / np.linalg.norm(psi)
+
+
+class TestInstrument:
+    """A successful run is the Kraus operator K(t) of one quantum instrument."""
+
+    NS = [2, 4, 8, 16, 64]
+    TS = [0.0, 0.5, 1.0, 2.0]
+    SCHEMES = ["identity", "metric_sandwich"]
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_completeness(self, n, scheme):
+        # K^dag K plus the failed preparation and the failed extraction is I
+        _, d, _ = _instrument_case(n)
+        st = scheme_stages(d, scheme)
+        prep, extr = st.preparation, st.extraction
+        prepared = prep.P_N @ prep.U[:, :n]
+        k_f1 = prep.U[:, :n] - prepared
+        for t in self.TS:
+            k = st.kraus(t)
+            k_f2 = (extr.U @ eigen_evolve(*d.hhat_eigh, t, prepared))[n:]
+            total = k.conj().T @ k + k_f1.conj().T @ k_f1 + k_f2.conj().T @ k_f2
+            assert np.linalg.norm(total - np.eye(n)) <= 1e-12, t
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_contraction(self, n, scheme):
+        # ||K(t)||_2 <= 1, and 1/n exactly under metric_sandwich, whose two
+        # actions are isometries scaled by 1/||.||_F = 1/sqrt(n)
+        st = scheme_stages(_instrument_case(n)[1], scheme)
+        for t in self.TS:
+            norm = np.linalg.norm(st.kraus(t), 2)
+            assert norm <= 1.0 + 1e-12
+            if scheme == "metric_sandwich":
+                assert abs(norm - 1.0 / n) <= 1e-12
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kraus_apply_matches_stage_run(self, n, scheme):
+        _, d, psi = _instrument_case(n)
+        st = scheme_stages(d, scheme)
+        block = np.outer(psi, [0.6, 0.8j])  # a unit (n, 2) block with a spectator factor
+        for t in self.TS:
+            for state in (psi, block):
+                *_, xi4, p_prepare, p_post = st.run(state, t)
+                expected = np.sqrt(p_prepare * p_post) * xi4[:n]
+                assert np.linalg.norm(st.kraus_apply(t, state) - expected) <= 1e-12
+                assert np.linalg.norm(st.kraus(t) @ state - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_probability_check(self, n, scheme):
+        sys_, d, psi = _instrument_case(n)
+        for t in self.TS:
+            trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme=scheme))
+            assert trace.probability_check <= 1e-12, t
+
+    def test_kraus_factors_are_read_only(self):
+        st = scheme_stages(_instrument_case(4)[1], "identity")
+        for a in (st.kraus_left, st.kraus_right):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_non_orthonormal_frame_is_refused_at_stage_build(self):
+        # Q1 Q1^dag is a projection only for orthonormal Q1; the Kraus route
+        # relies on the check made here, once
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        bad = dataclasses.replace(d, ytau_q=1.001 * d.ytau_q)
+        with pytest.raises(errors.NotProjectionError):
+            scheme_stages(bad, "identity")
 
 
 class TestSampling:

@@ -43,3 +43,12 @@ def test_sweep_no_signaling(monkeypatch, capsys, tmp_path):
         if r["scheme"] == "metric_sandwich":
             assert float(r["delta_s"]) <= 1e-10
     assert f"wrote 8 rows to {out}" in capsys.readouterr().out
+
+
+def test_ep_probe(monkeypatch, capsys):
+    run_script("ep_probe", monkeypatch, "--k-max", "3")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3
+    worst = [float(line.split("worst residual")[1]) for line in lines[1:]]
+    # the residual grows towards the exceptional point but stays bounded
+    assert worst[0] <= 1e-12 and worst[1] <= 1e-9 and worst[2] <= 1e-6
