@@ -120,9 +120,10 @@ def build_dilation(
         base = positive_metric(sys, c)
         scale = margin / base.min_eigenvalue
         eta, w, v = scale * base.eta, scale * base.eigh[0] - 1.0, base.eigh[1]
+        h_scale, eta_scale, shifted = rel_scale(h), rel_scale(eta), eta - np.eye(n)
     else:
         eta = np.array(eta, dtype=complex)
-        _check_metric_equations(h, eta)
+        h_scale, eta_scale = _check_metric_equations(h, eta, "build_dilation")
         # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
         shifted = eta - np.eye(n)
         w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().T))
@@ -152,14 +153,14 @@ def build_dilation(
 
     h2 = (h - h1m) @ tau_inv
     h4 = (tau @ h - h2.conj().T) @ tau_inv
-    hhat = np.block([[h1m, h2], [h2.conj().T, h4]])
+    hhat = np.empty((2 * n, 2 * n), dtype=complex)
+    hhat[:n, :n], hhat[:n, n:], hhat[n:, :n], hhat[n:, n:] = h1m, h2, h2.conj().T, h4
 
-    scale = rel_scale(h)
     residuals = {
-        "hermiticity": fro(hhat - hhat.conj().T) / scale,
-        "eq_h1h2": fro(h1m + h2 @ tau - h) / scale,
-        "eq_h2h4": fro(h2.conj().T + h4 @ tau - tau @ h) / scale,
-        "tau_sq": fro(tau @ tau - (eta - np.eye(n))) / rel_scale(eta),
+        "hermiticity": fro(hhat - hhat.conj().T) / h_scale,
+        "eq_h1h2": fro(h1m + h2 @ tau - h) / h_scale,
+        "eq_h2h4": fro(h2.conj().T + h4 @ tau - tau @ h) / h_scale,
+        "tau_sq": fro(tau @ tau - shifted) / eta_scale,
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
     hhat_eigh = np.linalg.eigh(hhat)

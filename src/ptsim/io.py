@@ -75,12 +75,12 @@ def load_matrix(path) -> np.ndarray:
 
 
 def _normalize(obj):
+    if obj is None or type(obj) in (float, int, str, bool):  # exact: np.float64 subclasses float
+        return obj
     if isinstance(obj, np.generic):
         obj = obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (int, float, str, bool)) or obj is None:
-        return obj
     if isinstance(obj, np.ndarray):
         if obj.ndim == 1:
             return vector_to_obj(obj)

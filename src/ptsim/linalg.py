@@ -188,7 +188,7 @@ def psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
 
 def eigen_power(w, v, p: float) -> np.ndarray:
     """V diag(w^p) V^dag, Hermitian-symmetrized, from the eigh factors (w, V)."""
-    s = v @ np.diag(w**p) @ v.conj().T
+    s = (v * w**p) @ v.conj().T  # column scaling: each entry of V diag(d) has one term
     return 0.5 * (s + s.conj().T)
 
 

@@ -4,6 +4,7 @@ scalar-sum (eta + eta^{-1} = t I) analysis with its 3x3 obstruction witness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,6 @@ class SignatureReport:
     frame: np.ndarray
 
 
-def _intertwining_residual(h, eta) -> float:
-    return fro(h.conj().T @ eta - eta @ h)
-
-
 def positive_metric(sys: PTSystem, classification: Classification | None = None) -> MetricOperator:
     """Canonical positive-definite metric eta = (Psi Psi^dag)^{-1}.
 
@@ -80,25 +77,28 @@ def positive_metric(sys: PTSystem, classification: Classification | None = None)
     return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > TOL.psd_tol), float(w[0]), (w, x))
 
 
-def _check_metric_equations(h, eta) -> None:
-    """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H.
+def _check_metric_equations(h, eta, who: str) -> tuple[float, float]:
+    """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
+    naming the caller ``who``; return (rel_scale(H), rel_scale(eta)).
 
     Positivity is left to the caller, which factors eta once in the form it
     needs: ``verify_metric`` takes its eigenvalues, ``build_dilation`` the
     eigh of eta - I.
     """
     if h.shape != eta.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise errors.DimensionMismatchError("verify_metric: order mismatch")
-    if not is_hermitian(eta):
-        raise errors.NotHermitianError("verify_metric: eta is not Hermitian")
-    if _intertwining_residual(h, eta) > TOL.eq_tol * rel_scale(h) * rel_scale(eta):
-        raise errors.NotIntertwiningError("verify_metric: H^dag eta != eta H")
+        raise errors.DimensionMismatchError(f"{who}: order mismatch")
+    h_scale, eta_scale = rel_scale(h), rel_scale(eta)
+    if not fro(eta - eta.conj().T) <= TOL.eq_tol * eta_scale:
+        raise errors.NotHermitianError(f"{who}: eta is not Hermitian")
+    if fro(h.conj().T @ eta - eta @ h) > TOL.eq_tol * h_scale * eta_scale:
+        raise errors.NotIntertwiningError(f"{who}: H^dag eta != eta H")
+    return h_scale, eta_scale
 
 
 def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
-    _check_metric_equations(h, eta)
+    _check_metric_equations(h, eta, "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 
@@ -181,18 +181,26 @@ def scalar_sum_obstruction_demo() -> dict:
     g = qinv.conj()[:, :, None] * qinv[:, None, :]
     f = Q3.T[:, :, None] * Q3.T.conj()[:, None, :]
 
+    # p_l is Hermitian, so it is kept as its real diagonal d and its upper
+    # off-diagonal entries u, each as 3 rows over the grid:
+    # ||m - t I||_F^2 = sum (d_i - t)^2 + 2 sum |u_ij|^2
     def p(l):
-        return axis[:, None, None] * g[l] + f[l] / axis[:, None, None]
+        m = axis[:, None, None] * g[l] + f[l] / axis[:, None, None]
+        return np.diagonal(m, axis1=1, axis2=2).real.T, m[:, [0, 0, 1], [1, 2, 2]].T
 
     # the grid^2 sums p_2 + p_3 are formed once; p_1 is added per value of a1,
-    # which bounds the stacked temporaries to _GRID_POINTS^2 matrices
-    p23 = (p(1)[:, None] + p(2)[None, :]).reshape(-1, 3, 3)
-    min_residual = np.inf
-    for p1 in p(0):
-        m = p1 + p23
-        t = np.trace(m, axis1=1, axis2=2).real / 3.0
-        residuals = np.linalg.norm(m - t[:, None, None] * np.eye(3), axis=(1, 2))
-        min_residual = min(min_residual, float(residuals.min()))
+    # which bounds the temporaries to _GRID_POINTS^2 samples
+    (d1, u1), (d2, u2), (d3, u3) = p(0), p(1), p(2)
+    d23 = (d2[:, :, None] + d3[:, None, :]).reshape(3, -1)
+    u23 = (u2[:, :, None] + u3[:, None, :]).reshape(3, -1)
+    min_sq = np.inf
+    for k in range(_GRID_POINTS):
+        d, u = d1[:, k, None] + d23, u1[:, k, None] + u23
+        dev = d - (d[0] + d[1] + d[2]) / 3.0
+        usq = u.real**2 + u.imag**2
+        sq = dev[0] ** 2 + dev[1] ** 2 + dev[2] ** 2 + 2.0 * (usq[0] + usq[1] + usq[2])
+        min_sq = min(min_sq, float(sq.min()))
+    min_residual = math.sqrt(min_sq)
 
     return {
         "min_residual": min_residual,

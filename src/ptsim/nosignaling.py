@@ -91,20 +91,26 @@ def run_experiment(cfg: ExperimentConfig) -> JointStats:
     squared norm is the branch's success probability. The energy offset E0 and
     Bob's trivial evolution are global phases, which no outcome depends on.
     """
+    stages = scheme_stages(_paper_dilation(cfg), cfg.scheme) if cfg.mode == "simulated_eq73" else None
+    return _experiment_stats(cfg, stages)
+
+
+def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
+    """``run_experiment`` on cfg's stages, built once per alpha; None in direct mode."""
     psi = bell_plus_x_state().reshape(2, 2)
-    if cfg.mode == "direct_eq71":
+    if stages is None:
         rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
         vanished = errors.ZeroBranchError
     else:
-        channel = scheme_stages(_paper_dilation(cfg), cfg.scheme).kraus(cfg.t)
+        channel = stages.kraus(cfg.t)
         vanished = errors.ZeroFinalStateError
     table = np.zeros((2, 2, 2))
     p_success = np.ones(2)  # stays 1 in direct mode
     for k, u_a in enumerate(_ALICE_UNITARIES):
         final = channel @ (u_a @ psi)
         nrm = np.linalg.norm(final)
-        if cfg.mode == "simulated_eq73":
+        if stages is not None:
             p_success[k] = nrm**2
         if nrm <= 1e-14 or p_success[k] <= TOL.psd_tol:
             raise vanished(f"run_experiment: {cfg.mode} branch {k} vanished")
@@ -136,19 +142,17 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73", s: float = 1.0) -> list[dict]:
+    """One ``run_experiment`` row per (alpha, t); in simulated mode each alpha's
+    dilation and stages are built once and every t reads its K(t)."""
     rows = []
     for alpha in alphas:
+        stages = None
         for t in ts:
             cfg = ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode)
-            stats = run_experiment(cfg)
-            rows.append(
-                {
-                    "alpha": float(alpha),
-                    "t": float(t),
-                    "scheme": scheme,
-                    "delta_s": stats.delta_s,
-                    "p_success_1": float(stats.p_success[0]),
-                    "p_success_2": float(stats.p_success[1]),
-                }
-            )
+            if stages is None and mode == "simulated_eq73":
+                stages = scheme_stages(_paper_dilation(cfg), scheme)
+            stats = _experiment_stats(cfg, stages)
+            rows.append({"alpha": float(alpha), "t": float(t), "scheme": scheme,
+                         "delta_s": stats.delta_s, "p_success_1": float(stats.p_success[0]),
+                         "p_success_2": float(stats.p_success[1])})
     return rows

@@ -16,16 +16,7 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
-from .linalg import (
-    DEFAULT_TOL as TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    eigen_evolve,
-    fro,
-    matrix_exp,
-    psd_power,
-)
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, eigen_evolve, fro, matrix_exp, psd_power
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -319,6 +310,14 @@ def gunther_propagator(alpha: float, s: float = 1.0, e0: float = 0.0, t: float =
     return np.exp(-1j * t * e0) * (np.cos(wt) * np.eye(2) - 1j * t * sinc * k)
 
 
+def _gunther_hhat(alpha: float, s: float, e0: float) -> np.ndarray:
+    """Closed-form Hhat = I x (e0 I + b sigma_x) - c sigma_y x sigma_z, entry by
+    entry, with b = s cos^2(alpha) and c = s sin(alpha) cos(alpha)."""
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    b, ic = s * ca**2, 1j * (s * ca * sa)
+    return np.array([[e0, b, ic, 0], [b, e0, 0, -ic], [-ic, 0, e0, b], [0, ic, b, e0]], dtype=complex)
+
+
 def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> dict:
     """Entrywise comparison of the construction against its closed forms.
 
@@ -338,9 +337,7 @@ def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: 
     tau_cf = (1.0 / ca) * np.array([[1.0, -1j * sa], [1j * sa, 1.0]], dtype=complex)
     h1_cf = np.array([[e0, s * ca**2], [s * ca**2, e0]], dtype=complex)
     h2_cf = np.diag([1j * s * sa * ca, -1j * s * sa * ca]).astype(complex)
-    hhat_cf = np.kron(np.eye(2), e0 * np.eye(2) + s * ca**2 * SIGMA_X) - s * ca * sa * np.kron(
-        SIGMA_Y, SIGMA_Z
-    )
+    hhat_cf = _gunther_hhat(alpha, s, e0)
 
     psi_i = np.array([1.0, 0.0], dtype=complex)
     chi_i = (1.0 / ca) * np.array([1.0, 1j * sa], dtype=complex)

@@ -114,6 +114,11 @@ class TestMetric:
         eta = write_matrix(tmp_path / "eta.json", np.diag([1.0, -1.0]))
         assert main(["metric", h0_file, "--eta", eta]) == 4
 
+    def test_verify_names_verify_metric(self, h0_file, tmp_path, capsys):
+        eta = write_matrix(tmp_path / "eta.json", [[3, 1], [0, 3]])
+        assert main(["metric", h0_file, "--eta", eta]) == 4
+        assert capsys.readouterr().err == "error: verify_metric: eta is not Hermitian\n"
+
 
 class TestDilate:
     def test_default(self, h0_file, tmp_path):
@@ -137,6 +142,15 @@ class TestDilate:
     def test_eta_below_threshold_is_4(self, h0_file, tmp_path, capsys):
         eta = write_matrix(tmp_path / "eta.json", 0.1 * gunther_eta(np.pi / 6))
         assert main(["dilate", h0_file, "--eta", eta]) == 4
+
+    @pytest.mark.parametrize("eta, message", [
+        ([[3, 1], [0, 3]], "error: build_dilation: eta is not Hermitian"),
+        ([[3, 0], [0, 4]], "error: build_dilation: H^dag eta != eta H"),
+    ], ids=["not_hermitian", "not_intertwining"])
+    def test_refused_eta_names_build_dilation(self, eta, message, h0_file, tmp_path, capsys):
+        path = write_matrix(tmp_path / "eta.json", eta)
+        assert main(["dilate", h0_file, "--eta", path]) == 4
+        assert capsys.readouterr().err == message + "\n"
 
     @pytest.mark.parametrize("margin", ["nan", "inf", "0.5", "-1", "1.0"])
     def test_bad_margin_is_2(self, margin, h0_file, capsys):

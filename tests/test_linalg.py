@@ -17,6 +17,7 @@ from ptsim.linalg import (
     Tolerances,
     _has_clustered_rank_deficit,
     eig,
+    eigen_power,
     matrix_exp,
     orthonormal_extension,
     psd_power,
@@ -230,6 +231,18 @@ class TestPrincipalSqrt:
         assert np.linalg.norm(s @ s - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
         assert np.linalg.norm(s - s.conj().T) <= 1e-12
         assert np.linalg.eigvalsh(s).min() >= -1e-12
+
+
+class TestEigenPower:
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    @pytest.mark.parametrize("p", [0.5, -0.5, 1.0, -1.0])
+    def test_column_scaling_equals_the_diag_product(self, n, p):
+        # every entry of V diag(d) has one nonzero term, so scaling V's
+        # columns gives the same bits as multiplying by diag(d)
+        b = random_complex(np.random.default_rng(n), n)
+        w, v = np.linalg.eigh(b @ b.conj().T + np.eye(n))
+        s = v @ np.diag(w**p) @ v.conj().T
+        assert np.array_equal(eigen_power(w, v, p), 0.5 * (s + s.conj().T))
 
 
 class TestSylvesterNullspace:

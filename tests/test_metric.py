@@ -18,6 +18,7 @@ from ptsim import (
     verify_metric,
     verify_scalar_sum,
 )
+from ptsim import metric
 from ptsim.linalg import SIGMA_Z
 from ptsim.metric import H3, Q3
 
@@ -229,6 +230,21 @@ class TestObstructionDemo:
         finally:
             tracemalloc.stop()
         assert peak <= 2**20
+
+    def test_real_form_equals_the_complex_matrix_scan(self):
+        # the same chunked scan on the complex 3x3 sums m = p_1 + p_2 + p_3,
+        # with numpy's Frobenius norm: the minimum is the same double
+        qinv, axis = metric._Q3_INV, np.geomspace(0.1, 10.0, metric._GRID_POINTS)
+        g = qinv.conj()[:, :, None] * qinv[:, None, :]
+        f = Q3.T[:, :, None] * Q3.T.conj()[:, None, :]
+        p = [axis[:, None, None] * g[l] + f[l] / axis[:, None, None] for l in range(3)]
+        p23 = (p[1][:, None] + p[2][None, :]).reshape(-1, 3, 3)
+        best = np.inf
+        for p1 in p[0]:
+            m = p1 + p23
+            t = np.trace(m, axis1=1, axis2=2).real / 3.0
+            best = min(best, float(np.linalg.norm(m - t[:, None, None] * np.eye(3), axis=(1, 2)).min()))
+        assert scalar_sum_obstruction_demo()["min_residual"] == best
 
     def test_matches_per_sample_loop(self):
         # reference: the scan one diagonal A at a time

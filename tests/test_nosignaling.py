@@ -8,6 +8,7 @@ from ptsim import (
     bell_plus_x_state,
     completion,
     errors,
+    nosignaling,
     pipeline,
     run_experiment,
     sweep_delta_s,
@@ -225,3 +226,19 @@ class TestSweep:
             assert set(row) == {"alpha", "t", "scheme", "delta_s", "p_success_1", "p_success_2"}
             assert row["scheme"] == "metric_sandwich"
             assert row["delta_s"] <= 1e-10
+
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_one_dilation_per_alpha(self, mode, scheme, monkeypatch):
+        # each alpha's stages serve every t; rows equal one run_experiment per point
+        alphas, ts = [0.0, np.pi / 6, 1.2], [0.5, 1.0, 2.0]
+        expected = [run_experiment(ExperimentConfig(alpha=a, t=t, scheme=scheme, mode=mode))
+                    for a in alphas for t in ts]
+        calls = []
+        build = nosignaling.build_dilation
+        monkeypatch.setattr(nosignaling, "build_dilation",
+                            lambda *args, **kw: calls.append(args) or build(*args, **kw))
+        rows = sweep_delta_s(alphas, ts, scheme, mode=mode)
+        assert len(calls) == (len(alphas) if mode == "simulated_eq73" else 0)
+        assert [(r["delta_s"], r["p_success_1"], r["p_success_2"]) for r in rows] == [
+            (e.delta_s, float(e.p_success[0]), float(e.p_success[1])) for e in expected]

@@ -101,6 +101,16 @@ class TestWorkedExample:
         assert np.array_equal(gunther_propagator(0.3, 0.0, 1.0, 2.0), np.exp(-2j) * np.eye(2))
         assert np.array_equal(gunther_propagator(0.3, 1.0, 1.0, 0.0), np.eye(2))
 
+    @pytest.mark.parametrize("alpha", [np.pi / 6, np.pi / 4, 1.0])
+    @pytest.mark.parametrize("s", [1.0, 2.0])
+    @pytest.mark.parametrize("e0", [0.0, 1.0])
+    def test_hhat_closed_form_is_the_kron_expression(self, alpha, s, e0):
+        # the entrywise closed form on the parameter sets of `ptsim paper`
+        sa, ca = np.sin(alpha), np.cos(alpha)
+        expected = np.kron(np.eye(2), e0 * np.eye(2) + s * ca**2 * linalg.SIGMA_X) - s * ca * sa * np.kron(
+            linalg.SIGMA_Y, linalg.SIGMA_Z)
+        assert np.array_equal(pipeline._gunther_hhat(alpha, s, e0), expected)
+
     @pytest.mark.parametrize("name", ["alpha", "s", "e0", "t"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_is_parse_error(self, name, value):
@@ -288,6 +298,13 @@ class TestReuse:
             counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh")
             build_dilation(system, eta=eta)
             assert counts == {"eigh": 2, "eigvalsh": 0}
+
+    def test_supplied_eta_factorizations_at_n2(self, monkeypatch):
+        # the worked example's build: classify's eig, the eigh of eta - I and
+        # of Hhat, tau's inverse and the complete QR of [I; tau]
+        counts = self.count_linalg(monkeypatch, "eig", "eigh", "inv", "qr", "svd")
+        build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6), h1_choice="paper")
+        assert counts == {"eig": 1, "eigh": 2, "inv": 1, "qr": 1, "svd": 0}
 
     def test_gunther_system_shares_one_validated_pair(self, monkeypatch):
         calls = []
