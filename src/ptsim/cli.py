@@ -18,6 +18,7 @@ import numpy as np
 
 from . import errors, io
 from .dilation import build_dilation
+from .linalg import _require_finite
 from .metric import positive_metric, scalar_sum_obstruction_demo, verify_metric
 from .nosignaling import ExperimentConfig, run_experiment, sweep_delta_s
 from .pipeline import (
@@ -63,13 +64,6 @@ def _system(h, p, t) -> PTSystem:
     return PTSystem.from_hamiltonian(h) if pair is None else PTSystem(h, pair)
 
 
-def _finite(name, x):
-    """x, or a ParseError (exit 2) if it is NaN or infinite."""
-    if x is not None and not np.isfinite(x):
-        raise errors.ParseError(f"{name} must be finite, got {x}")
-    return x
-
-
 def _pair_files(args):
     """The --P/--T matrices, each None unless both files are given."""
     if args.P and args.T:
@@ -83,7 +77,7 @@ def _load_system(args) -> PTSystem:
 
 def cmd_classify(args) -> int:
     c = classify(io.load_matrix(args.matrix), _pt_pair(*_pair_files(args)))
-    _emit(c.to_obj(), args.out)
+    _emit({"kind": c.kind.value, "spectrum": list(c.spectrum)}, args.out)
     return EXIT_OK
 
 
@@ -95,7 +89,7 @@ def cmd_metric(args) -> int:
         m = positive_metric(sys)
     _emit(
         {
-            "eta": io.matrix_to_obj(m.eta),
+            "eta": m.eta,
             "positive_definite": m.positive_definite,
             "min_eigenvalue": m.min_eigenvalue,
         },
@@ -112,7 +106,8 @@ def cmd_dilate(args) -> int:
         h1 = io.load_matrix(h1_choice)
         h1_choice = "supplied"
     d = build_dilation(sys, eta=eta, margin=args.margin, h1_choice=h1_choice, h1=h1)
-    _emit(d.to_obj(), args.out)
+    matrices = {k: getattr(d, k) for k in ("H", "eta", "tau", "H1", "H2", "H4", "Hhat")}
+    _emit({**matrices, "residuals": d.residuals}, args.out)
     return EXIT_OK
 
 
@@ -127,7 +122,9 @@ def cmd_simulate(args) -> int:
     try:
         if "alpha_params" in cfgobj and cfgobj["alpha_params"]:
             ap = {"s": 1.0, "E0": 0.0, **cfgobj["alpha_params"]}
-            sys = gunther_system(*(_finite(k, float(ap[k])) for k in ("alpha", "s", "E0")))
+            params = {k: float(ap[k]) for k in ("alpha", "s", "E0")}
+            _require_finite("simulate", **params)  # gunther_system takes them unchecked
+            sys = gunther_system(*params.values())
         else:
             h = io.matrix_from_obj(cfgobj["hamiltonian"])
             pt = [io.matrix_from_obj(cfgobj[k]) if cfgobj.get(k) else None for k in ("P", "T")]
@@ -135,7 +132,7 @@ def cmd_simulate(args) -> int:
         scheme = cfgobj.get("scheme", "identity")
         rho = io.matrix_from_obj(cfgobj["rho"]) if cfgobj.get("rho") else None
         rho_prime = io.matrix_from_obj(cfgobj["rho_prime"]) if cfgobj.get("rho_prime") else None
-        t = _finite("t", float(cfgobj["t"]))
+        t = float(cfgobj["t"])
         psi = io.vector_from_obj(cfgobj["psi"])
         seed = cfgobj.get("seed")
         if seed is not None and (type(seed) is not int or seed < 0):
@@ -148,7 +145,7 @@ def cmd_simulate(args) -> int:
     cfg = SimulationConfig(sys=sys, dilation=d, t=t, psi=psi, scheme=scheme, rho=rho,
                            rho_prime=rho_prime)
     trace = run_simulation(cfg)
-    out = trace.to_obj()
+    out = dict(vars(trace))
     if args.samples:
         out["sampling"] = sample_successes(trace, args.samples, seed if seed is not None else 0)
     _emit(out, args.out)
@@ -156,9 +153,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_nosignal(args) -> int:
-    for flag, value in (("--alpha", args.alpha), ("--alpha-deg", args.alpha_deg), ("--s", args.s),
-                        ("--t", args.t)):
-        _finite(flag, value)
     alpha = np.deg2rad(args.alpha_deg) if args.alpha_deg is not None else args.alpha
     if alpha is None:
         raise errors.ParseError("nosignal: --alpha or --alpha-deg is required")
@@ -166,8 +160,7 @@ def cmd_nosignal(args) -> int:
     if args.sweep:
         alphas = [alpha]
         try:
-            ts = ([_finite("--t-grid", float(x)) for x in args.t_grid.split(",")]
-                  if args.t_grid else [args.t])
+            ts = [float(x) for x in args.t_grid.split(",")] if args.t_grid else [args.t]
         except ValueError as exc:
             raise errors.ParseError(f"nosignal: malformed --t-grid: {exc}") from exc
         rows = sweep_delta_s(alphas, ts, scheme, mode=args.mode, s=args.s)
@@ -181,7 +174,8 @@ def cmd_nosignal(args) -> int:
         return EXIT_OK
     cfg = ExperimentConfig(alpha=alpha, s=args.s, t=args.t, scheme=scheme, mode=args.mode)
     stats = run_experiment(cfg)
-    _emit(stats.to_obj(), args.out)
+    _emit({"table": stats.table.tolist(), "bob_marginals": stats.bob_marginals.tolist(),
+           "delta_s": stats.delta_s, "p_success": stats.p_success.tolist()}, args.out)
     return EXIT_OK
 
 

@@ -146,7 +146,7 @@ def post_select(state, p):
     if fro(p @ p - p) > p_tol or fro(p - p.conj().T) > p_tol:
         raise errors.NotProjectionError("post_select: P is not an orthogonal projection")
     nrm = np.linalg.norm(state)
-    if abs(nrm - 1.0) > 1e-8:
+    if not abs(nrm - 1.0) <= 1e-8:  # written so that a NaN norm fails it
         raise errors.NotNormalizedError("post_select: state must be unit-norm")
     out = p @ state
     prob = float(np.linalg.norm(out) ** 2)

@@ -19,6 +19,7 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_finite,
     _require_square,
     eigen_evolve,
     eigen_power,
@@ -85,13 +86,6 @@ class Dilation:
         """
         return {}
 
-    def to_obj(self) -> dict:
-        from .io import matrix_to_obj
-
-        out = {k: matrix_to_obj(getattr(self, k)) for k in ("H", "eta", "tau", "H1", "H2", "H4", "Hhat")}
-        out["residuals"] = {k: float(v) for k, v in self.residuals.items()}
-        return out
-
 
 def build_dilation(
     sys: PTSystem,
@@ -146,6 +140,7 @@ def build_dilation(
         if h1 is None:
             raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
         h1m = np.array(h1, dtype=complex)
+        _require_finite("build_dilation", H1=h1m)
         if h1m.shape != (n, n) or not is_hermitian(h1m):
             raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")
     else:

@@ -1,4 +1,8 @@
-"""JSON matrix/vector envelopes shared by the library and the CLI.
+"""JSON matrix/vector envelopes, and ``dumps``, the JSON text of a result.
+
+Only the CLI imports this module. It picks the fields of each library
+record, and ``dumps`` turns arrays into envelopes and complex numbers into
+``[re, im]``.
 
 Matrix format (bit-exact contract):
     {"rows": n, "cols": m, "data": [[re, im], ...]}   row-major IEEE doubles
@@ -9,10 +13,12 @@ Vector format:
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from . import errors
+from .linalg import _require_finite
 
 __all__ = [
     "matrix_to_obj",
@@ -24,45 +30,48 @@ __all__ = [
 ]
 
 
+def _pairs(a: np.ndarray) -> list:
+    return np.stack([a.real.ravel(), a.imag.ravel()], -1).tolist()
+
+
+def _parse(obj, who: str, *size_keys: str) -> tuple[list[int], np.ndarray]:
+    """The sizes and the flat complex entries of a matrix or vector object.
+
+    A ParseError (exit 2) if it is malformed, a size is below 1, the data
+    length is not the product of the sizes, or an entry is not finite.
+    """
+    try:
+        sizes = [int(obj[k]) for k in size_keys]
+        flat = np.array([complex(re, im) for re, im in obj["data"]], dtype=complex)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise errors.ParseError(f"{who}: malformed object: {exc}") from exc
+    if min(sizes) < 1:
+        raise errors.ParseError(f"{who}: {' and '.join(size_keys)} must be >= 1, got {sizes}")
+    if flat.size != math.prod(sizes):
+        raise errors.ParseError(f"{who}: data length {flat.size} != {'*'.join(size_keys)}")
+    _require_finite(who, data=flat)
+    return sizes, flat
+
+
 def matrix_to_obj(a) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise errors.DimensionMismatchError("matrix_to_obj: expected a 2-d array")
-    data = np.stack([a.real.ravel(), a.imag.ravel()], -1).tolist()
-    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": data}
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "data": _pairs(a)}
 
 
 def matrix_from_obj(obj) -> np.ndarray:
-    try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise errors.ParseError(f"malformed matrix object: {exc}") from exc
-    if rows < 1 or cols < 1:
-        raise errors.ParseError(f"matrix rows and cols must be >= 1, got {rows}x{cols}")
-    if flat.size != rows * cols:
-        raise errors.ParseError("matrix data length != rows*cols")
-    if not np.all(np.isfinite(flat)):
-        raise errors.ParseError("matrix entries must be finite")
+    (rows, cols), flat = _parse(obj, "matrix_from_obj", "rows", "cols")
     return flat.reshape(rows, cols)
 
 
 def vector_to_obj(v) -> dict:
     v = np.asarray(v, dtype=complex).reshape(-1)
-    return {"dim": int(v.shape[0]), "data": np.stack([v.real, v.imag], -1).tolist()}
+    return {"dim": int(v.shape[0]), "data": _pairs(v)}
 
 
 def vector_from_obj(obj) -> np.ndarray:
-    try:
-        dim, data = int(obj["dim"]), obj["data"]
-        v = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise errors.ParseError(f"malformed vector object: {exc}") from exc
-    if v.size != dim:
-        raise errors.ParseError("vector data length != dim")
-    if not np.all(np.isfinite(v)):
-        raise errors.ParseError("vector entries must be finite")
-    return v
+    return _parse(obj, "vector_from_obj", "dim")[1]
 
 
 def load_matrix(path) -> np.ndarray:

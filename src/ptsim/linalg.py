@@ -6,6 +6,7 @@ may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,21 @@ def rel_scale(a) -> float:
     return max(1.0, fro(a))
 
 
+def _require_finite(who: str, **values) -> None:
+    """A ParseError (exit 2) naming the first of values, each a number or an
+    array, that is or holds a NaN or an infinity."""
+    for name, value in values.items():
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise errors.ParseError(f"{who}: {name} must be finite")
+
+
 def _require_square(a, who: str) -> np.ndarray:
+    """a as a complex array; a NonSquareError unless it is a square matrix, and
+    a ParseError if it holds a NaN or an infinity, which LAPACK cannot take."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise errors.NonSquareError(f"{who}: expected a square matrix, got shape {a.shape}")
+    _require_finite(who, matrix=a)
     return a
 
 

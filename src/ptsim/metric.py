@@ -12,6 +12,7 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_finite,
     _require_square,
     eigen_power,
     fro,
@@ -87,6 +88,7 @@ def _check_metric_equations(h, eta, who: str) -> tuple[float, float]:
     """
     if h.shape != eta.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
+    _require_finite(who, eta=eta)  # H is the caller's to check (build_dilation: in classify)
     h_scale, eta_scale = rel_scale(h), rel_scale(eta)
     if not fro(eta - eta.conj().T) <= TOL.eq_tol * eta_scale:
         raise errors.NotHermitianError(f"{who}: eta is not Hermitian")
@@ -98,6 +100,7 @@ def _check_metric_equations(h, eta, who: str) -> tuple[float, float]:
 def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
+    _require_finite("verify_metric", H=h)
     _check_metric_equations(h, eta, "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))

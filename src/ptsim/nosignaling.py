@@ -6,14 +6,13 @@ signaling gap delta_S.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import errors
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, eigen_evolve
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve
 from .pipeline import (gunther_eta, gunther_propagator, gunther_system, preparation_completion,
                        resolve_rho, scheme_stages)
 
@@ -39,9 +38,7 @@ class ExperimentConfig:
     mode: str = "direct_eq71"  # direct_eq71 | simulated_eq73
 
     def __post_init__(self):
-        for name in ("alpha", "s", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise errors.ParseError(f"ExperimentConfig: {name} = {getattr(self, name)} is not finite")
+        _require_finite("ExperimentConfig", alpha=self.alpha, s=self.s, t=self.t)
         if abs(self.alpha) >= np.pi / 2:
             raise errors.NotUnbrokenError("ExperimentConfig: |alpha| must be < pi/2")
         for name, allowed in (("scheme", ("identity", "metric_sandwich")),
@@ -57,14 +54,6 @@ class JointStats:
     bob_marginals: np.ndarray  # [k, b]
     delta_s: float
     p_success: np.ndarray  # per-branch success probability (1.0 in direct mode)
-
-    def to_obj(self) -> dict:
-        return {
-            "table": [[[float(x) for x in row] for row in block] for block in self.table],
-            "bob_marginals": [[float(x) for x in row] for row in self.bob_marginals],
-            "delta_s": float(self.delta_s),
-            "p_success": [float(x) for x in self.p_success],
-        }
 
 
 def bell_plus_x_state() -> np.ndarray:

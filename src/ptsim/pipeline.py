@@ -7,7 +7,6 @@ binomial sampling is layered on top for realism.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -16,7 +15,7 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, eigen_evolve, fro, matrix_exp, psd_power
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve, fro, matrix_exp, psd_power
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -54,6 +53,7 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
         if rho is None or rho_prime is None:
             raise errors.ParseError("custom scheme requires rho and rho_prime")
         rho, rho_prime = np.asarray(rho, dtype=complex), np.asarray(rho_prime, dtype=complex)
+        _require_finite("custom scheme", rho=rho, rho_prime=rho_prime)
         if rho.shape != (n, n) or rho_prime.shape != (n, n):
             raise errors.DimensionMismatchError(
                 f"custom scheme: rho {rho.shape} and rho_prime {rho_prime.shape} must be {n}x{n}")
@@ -192,11 +192,6 @@ class SimulationTrace:
     final_formula_check: float
     probability_check: float
 
-    def to_obj(self) -> dict:
-        from .io import vector_to_obj
-
-        return {k: vector_to_obj(v) if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
-
 
 def preparation_completion(d: Dilation, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
@@ -217,12 +212,11 @@ def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
-    if not math.isfinite(cfg.t):
-        raise errors.ParseError(f"run_simulation: t = {cfg.t} is not finite")
+    psi = np.asarray(cfg.psi, dtype=complex).reshape(-1)
+    _require_finite("run_simulation", t=cfg.t, psi=psi)
     d = cfg.dilation
     n = d.dim
     st = cfg.stages()
-    psi = np.asarray(cfg.psi, dtype=complex).reshape(-1)
     if psi.shape[0] != n:
         raise errors.DimensionMismatchError("run_simulation: psi has the wrong length")
     nrm = np.linalg.norm(psi)
@@ -326,9 +320,7 @@ def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: 
     embedded initial state, and the top-block evolution identity against
     ``gunther_propagator``.
     """
-    for name, value in (("alpha", alpha), ("s", s), ("e0", e0), ("t", t)):
-        if not math.isfinite(value):
-            raise errors.ParseError(f"reproduce_gunther_example: {name} = {value} is not finite")
+    _require_finite("reproduce_gunther_example", alpha=alpha, s=s, e0=e0, t=t)
     sys = gunther_system(alpha, s, e0)
     eta = gunther_eta(alpha)
     d = build_dilation(sys, eta=eta, h1_choice="paper")

@@ -15,6 +15,8 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_finite,
+    _require_square,
     eig,
     fro,
     is_real_eigenvalue,
@@ -85,12 +87,6 @@ class Classification:
     spectrum: np.ndarray
     eigenframe: np.ndarray | None
 
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "spectrum": [[z.real, z.imag] for z in self.spectrum],
-        }
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -104,6 +100,7 @@ def validate_pt_pair(p, t) -> PTPair:
     t = np.asarray(t, dtype=complex)
     if p.shape != t.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise errors.DimensionMismatchError("validate_pt_pair: P, T must be square of equal order")
+    _require_finite("validate_pt_pair", P=p, T=t)
     n = p.shape[0]
     eye = np.eye(n)
     if fro(p @ p - eye) > TOL.eq_tol * rel_scale(p @ p):
@@ -131,9 +128,7 @@ def classify(h, pt: PTPair | None = None) -> Classification:
     conjugation the matrix cannot be PT-symmetric at all. This is the
     module's only eig of H; from_hamiltonian and canonical_form read it.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise errors.NonSquareError("classify: H must be square")
+    h = _require_square(h, "classify")
     symmetric = pt is None or is_pt_symmetric(h, pt)
     d = eig(h)
     if not symmetric:

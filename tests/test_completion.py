@@ -185,6 +185,12 @@ class TestPostSelect:
         with pytest.raises(errors.NotNormalizedError):
             post_select(np.array([2.0, 0.0]), np.eye(2))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, value):
+        # a NaN norm must fail the unit-norm test, not pass as (nan state, nan)
+        with pytest.raises(errors.NotNormalizedError):
+            post_select(np.array([value, 0.0]), np.eye(2))
+
     @pytest.mark.parametrize("shape", [(3, 3), (2, 3), (4,)])
     def test_rejects_projector_of_wrong_shape(self, shape):
         with pytest.raises(errors.DimensionMismatchError):

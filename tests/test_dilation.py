@@ -46,6 +46,19 @@ class TestBuildDilation:
         with pytest.raises(errors.ParseError):
             build_dilation(gunther_system(0.7), margin=margin)
 
+    @pytest.mark.parametrize("params", [{"alpha": np.nan}, {"alpha": 0.3, "e0": np.inf},
+                                        {"alpha": 0.3, "e0": -np.inf}])
+    def test_non_finite_hamiltonian_is_parse_error(self, params):
+        with pytest.raises(errors.ParseError):
+            build_dilation(gunther_system(**params))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_supplied_eta_is_parse_error(self, value):
+        eta = gunther_eta(np.pi / 6)
+        eta[1, 0] = value
+        with pytest.raises(errors.ParseError, match="build_dilation: eta must be finite"):
+            build_dilation(gunther_system(np.pi / 6), eta=eta)
+
     def test_eta_not_greater_than_identity(self):
         sys = gunther_system(np.pi / 6)
         small = 0.1 * gunther_eta(np.pi / 6)
@@ -62,6 +75,13 @@ class TestBuildDilation:
     def test_supplied_h1_missing_is_parse_error(self):
         with pytest.raises(errors.ParseError):
             build_dilation(gunther_system(np.pi / 6), h1_choice="supplied")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_supplied_h1_non_finite_is_parse_error(self, value):
+        h1 = np.array([[0.3, value], [value, -0.2]], dtype=complex)
+        with pytest.raises(errors.ParseError, match="build_dilation: H1 must be finite"):
+            build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6),
+                           h1_choice="supplied", h1=h1)
 
     def test_supplied_h1_must_be_hermitian(self):
         sys = gunther_system(np.pi / 6)

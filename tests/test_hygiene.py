@@ -1,6 +1,7 @@
 """Stale exports and imports: every public name resolves, and no module-level
 import of a ptsim module goes unused. Deleting code leaves both behind
-unnoticed, since neither makes an import fail."""
+unnoticed, since neither makes an import fail. Also the program's one output
+edge: only the CLI imports ``ptsim.io``, and no record serializes itself."""
 
 import ast
 import importlib
@@ -53,3 +54,29 @@ def test_no_unused_module_level_import(mod_name):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             exported = set(ast.literal_eval(node.value))
     assert sorted(bound - used - exported) == []
+
+
+def _imported_names(tree):
+    """The absolute dotted name of every module or name an import statement
+    anywhere in tree binds, function-local imports included."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["ptsim", node.module])) if node.level else node.module
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("mod_name", MODULES)
+def test_only_cli_imports_io(mod_name):
+    # the CLI chooses the fields of each record and passes them to io.dumps
+    tree = ast.parse((SRC / f"{mod_name}.py").read_text())
+    assert mod_name == "cli" or "ptsim.io" not in set(_imported_names(tree))
+
+
+@pytest.mark.parametrize("mod_name", MODULES)
+def test_no_to_obj_method(mod_name):
+    tree = ast.parse((SRC / f"{mod_name}.py").read_text())
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_obj"] == []

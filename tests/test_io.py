@@ -63,3 +63,39 @@ def test_non_positive_dimensions_are_rejected(obj):
 def test_dumps_numpy_scalars():
     obj = [np.int64(3), np.bool_(True), np.complex64(1 + 2j), np.float32(0.5)]
     assert json.loads(io.dumps(obj)) == [3, True, [1.0, 2.0], 0.5]
+
+
+MATRIX_1x2 = '{"rows": 1, "cols": 2, "data": [[1.0, 0.0], %s]}'
+VECTOR_2 = '{"dim": 2, "data": [[1.0, 0.0], %s]}'
+
+
+@pytest.mark.parametrize("reader, obj", [
+    # malformed objects
+    (io.matrix_from_obj, None),
+    (io.matrix_from_obj, [[1.0, 0.0]]),
+    (io.matrix_from_obj, {"rows": 1, "data": [[1.0, 0.0]]}),
+    (io.matrix_from_obj, {"rows": 1, "cols": 1, "data": [[1.0, 0.0, 2.0]]}),
+    (io.matrix_from_obj, {"rows": 1, "cols": 1, "data": [["x", 0.0]]}),
+    (io.matrix_from_obj, {"rows": "one", "cols": 1, "data": [[1.0, 0.0]]}),
+    (io.vector_from_obj, None),
+    (io.vector_from_obj, {"data": [[1.0, 0.0]]}),
+    (io.vector_from_obj, {"dim": 1, "data": [1.0]}),
+    # a size below 1
+    (io.vector_from_obj, {"dim": 0, "data": []}),
+    # a data length that does not match the declared size
+    (io.matrix_from_obj, {"rows": 2, "cols": 2, "data": [[1.0, 0.0]] * 3}),
+    (io.vector_from_obj, {"dim": 3, "data": [[1.0, 0.0]] * 2}),
+    # non-finite entries, as json.loads reads them
+    *[(io.matrix_from_obj, json.loads(MATRIX_1x2 % entry))
+      for entry in ("[NaN, 0.0]", "[0.0, Infinity]", "[-Infinity, 0.0]")],
+    *[(io.vector_from_obj, json.loads(VECTOR_2 % entry))
+      for entry in ("[NaN, 0.0]", "[0.0, Infinity]", "[-Infinity, 0.0]")],
+])
+def test_bad_envelope_is_parse_error(reader, obj):
+    with pytest.raises(errors.ParseError, match=f"^{reader.__name__}: "):
+        reader(obj)
+
+
+def test_matrix_to_obj_of_a_vector_is_dimension_error():
+    with pytest.raises(errors.DimensionMismatchError):
+        io.matrix_to_obj(np.ones(3))

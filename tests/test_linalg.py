@@ -82,6 +82,13 @@ class TestEig:
         with pytest.raises(errors.NonSquareError):
             eig(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("fn", [eig, matrix_exp])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_parse_error(self, fn, value):
+        # bad input (exit 2), not LAPACK's "did not converge" (exit 5)
+        with pytest.raises(errors.ParseError, match=f"{fn.__name__}: matrix must be finite"):
+            fn(np.array([[1.0, value], [0.0, 2.0]]))
+
     def test_jordan_block_flagged_defective(self):
         assert eig(np.array([[0, 1], [0, 0]], dtype=complex)).defective
 

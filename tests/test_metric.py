@@ -122,6 +122,16 @@ class TestVerifyMetric:
         with pytest.raises(errors.NotHermitianError):
             verify_metric(SIGMA_Z, np.array([[0, 1], [0, 0]], dtype=complex))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["H", "eta"])
+    def test_non_finite_input_is_parse_error(self, name, value):
+        # a NaN H once passed every residual test; a NaN eta read as not Hermitian
+        alpha = np.pi / 6
+        args = {"H": gunther_system(alpha).H.copy(), "eta": gunther_eta(alpha)}
+        args[name][0, 0] = value
+        with pytest.raises(errors.ParseError, match=f"verify_metric: {name} must be finite"):
+            verify_metric(args["H"], args["eta"])
+
 
 class TestMetricSignature:
     def test_identity_metric(self):

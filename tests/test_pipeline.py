@@ -147,6 +147,12 @@ class TestRunSimulation:
         with pytest.raises(errors.ParseError):
             run_simulation(make_cfg(t=t))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_psi_is_parse_error(self, value):
+        # not an all-NaN trace that sample_successes then fails on
+        with pytest.raises(errors.ParseError, match="run_simulation: psi must be finite"):
+            run_simulation(make_cfg(psi=np.array([1.0, value])))
+
     def test_identity_scheme_formula(self):
         cfg = make_cfg()
         trace = run_simulation(cfg)
@@ -217,6 +223,15 @@ class TestRunSimulation:
         )
         with pytest.raises(errors.ZeroFinalStateError):
             run_simulation(cfg)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["rho", "rho_prime"])
+    def test_custom_non_finite_factor_is_parse_error(self, name, value):
+        # it once escaped as numpy's LinAlgError from the completion's SVD
+        factors = {"rho": np.eye(2, dtype=complex), "rho_prime": np.eye(2, dtype=complex)}
+        factors[name][0, 0] = value
+        with pytest.raises(errors.ParseError, match=f"custom scheme: {name} must be finite"):
+            run_simulation(make_cfg(scheme="custom", **factors))
 
     def test_custom_requires_both_factors(self):
         cfg = make_cfg(scheme="custom", rho=np.eye(2))

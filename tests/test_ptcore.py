@@ -44,6 +44,16 @@ class TestValidatePTPair:
         with pytest.raises(errors.NotInvolutoryPError):
             validate_pt_pair(2 * EYE2, EYE2)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pair_is_parse_error(self, value):
+        # a NaN P once passed all three residual tests
+        bad = SIGMA_X.copy()
+        bad[1, 1] = value
+        with pytest.raises(errors.ParseError, match="validate_pt_pair: P must be finite"):
+            validate_pt_pair(bad, EYE2)
+        with pytest.raises(errors.ParseError, match="validate_pt_pair: T must be finite"):
+            validate_pt_pair(SIGMA_X, bad)
+
 
 class TestIsPTSymmetric:
     def test_real_symmetric_identity_pair(self):
@@ -63,6 +73,16 @@ class TestIsPTSymmetric:
 
 
 class TestClassify:
+    @pytest.mark.parametrize("with_pair", [False, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_parse_error(self, value, with_pair):
+        # refused before the PT-symmetry residual and before LAPACK
+        sys = gunther_system(np.pi / 6)
+        h = sys.H.copy()
+        h[0, 1] = value
+        with pytest.raises(errors.ParseError, match="classify: matrix must be finite"):
+            classify(h, sys.pt if with_pair else None)
+
     def test_h0_unbroken(self):
         sys = gunther_system(np.pi / 6)
         c = classify(sys.H, sys.pt)
