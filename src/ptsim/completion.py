@@ -12,6 +12,7 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _require_finite,
     fro,
     orthonormal_extension,
 )
@@ -39,6 +40,7 @@ class SubspaceMap:
         object.__setattr__(self, "m_basis", m)
         object.__setattr__(self, "n_basis", nb)
         object.__setattr__(self, "action", a)
+        _require_finite("SubspaceMap", m_basis=m, n_basis=nb, action=a)
         if m.shape != nb.shape or m.ndim != 2:
             raise errors.DimensionMismatchError("SubspaceMap: basis shapes differ")
         ambient, k = m.shape

@@ -19,16 +19,18 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
+    _EXPM_COND_LIMIT,
     _require_finite,
     _require_square,
     eigen_evolve,
     eigen_power,
     fro,
     is_hermitian,
+    matrix_exp,
     rel_scale,
 )
 from .metric import _check_metric_equations, positive_metric
-from .ptcore import Kind, PTSystem, classify
+from .ptcore import Classification, Kind, PTSystem, classify
 
 __all__ = [
     "Dilation",
@@ -44,15 +46,19 @@ __all__ = [
 class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
-    eta - I = V diag(w) V^dag is kept as (``eta_minus_i_w``, ``eta_minus_i_v``):
-    the canonical metric's SVD factors, shifted, or one eigh of a supplied
-    eta - I. Hhat is factored once into ``hhat_eigh`` = (w, V), which gives
-    every e^{-itHhat}. ``ytau_q`` is the complete Q of [I; tau]: its first n
-    columns (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one
-    of Y_tau-perp.
+    ``classification`` is the ``classify`` of H that the build ran: H's
+    spectrum Lambda, eigenframe Psi and kappa(Psi), which give every
+    e^{-itH} (``propagate``). eta - I = V diag(w) V^dag is kept as
+    (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
+    factors, shifted, or one eigh of a supplied eta - I. Hhat is factored
+    once into ``hhat_eigh`` = (w, V), which gives every e^{-itHhat}.
+    ``ytau_q`` is the complete Q of [I; tau]: its first n columns
+    (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one of
+    Y_tau-perp.
     """
 
     H: np.ndarray
+    classification: Classification
     eta: np.ndarray
     eta_minus_i_w: np.ndarray
     eta_minus_i_v: np.ndarray
@@ -76,6 +82,23 @@ class Dilation:
     def eta_power(self, p: float) -> np.ndarray:
         """eta^p = V diag((w + 1)^p) V^dag."""
         return eigen_power(self.eta_minus_i_w + 1.0, self.eta_minus_i_v, p)
+
+    @cached_property
+    def eigenframe_inverse(self) -> np.ndarray:
+        """Psi^{-1}, one inv formed on first use and kept read-only."""
+        inv = np.linalg.inv(self.classification.eigenframe)
+        inv.setflags(write=False)
+        return inv
+
+    def propagate(self, t: float, x) -> np.ndarray:
+        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for a vector x, in
+        O(n^2) work from H's kept eigenframe. A frame with kappa(Psi) above
+        ``matrix_exp``'s limit is not trusted: that x goes through
+        ``matrix_exp(-itH)``, which then takes its scaling-and-squaring route."""
+        c = self.classification
+        if c.condition_estimate > _EXPM_COND_LIMIT:
+            return matrix_exp(-1j * t * self.H) @ x
+        return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x))
 
     @cached_property
     def stage_cache(self) -> dict:
@@ -159,9 +182,9 @@ def build_dilation(
     }
     hhat = 0.5 * (hhat + hhat.conj().T)
     hhat_eigh = np.linalg.eigh(hhat)
-    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, *hhat_eigh):
+    for a in (h, c.spectrum, c.eigenframe, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, *hhat_eigh):
         a.setflags(write=False)
-    return Dilation(h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, tuple(hhat_eigh), residuals)
+    return Dilation(h, c, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, tuple(hhat_eigh), residuals)
 
 
 def in_tau_subspace(x, tau) -> bool:
@@ -178,6 +201,7 @@ def in_tau_subspace(x, tau) -> bool:
 def embed_state(psi, d: Dilation) -> np.ndarray:
     """(psi; tau psi) / sqrt(psi^dag eta psi), a unit vector in Y_tau."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
+    _require_finite("embed_state", psi=psi)
     if psi.shape[0] != d.dim:
         raise errors.DimensionMismatchError(f"embed_state: psi length {psi.shape[0]} != {d.dim}")
     if np.linalg.norm(psi) == 0.0:
@@ -187,6 +211,7 @@ def embed_state(psi, d: Dilation) -> np.ndarray:
 
 def dilated_evolution(d: Dilation, t: float, xhat) -> np.ndarray:
     xhat = np.asarray(xhat, dtype=complex).reshape(-1)
+    _require_finite("dilated_evolution", t=t, xhat=xhat)
     if not in_tau_subspace(xhat, d.tau):
         raise errors.NotInSubspaceError("dilated_evolution: input is not in Y_tau")
     return eigen_evolve(*d.hhat_eigh, t, xhat)

@@ -1,7 +1,9 @@
 """Dense complex linear-algebra primitives used by every other module.
 
 All matrices are numpy complex arrays. Operations are pure functions; values
-may be shared freely across threads.
+may be shared freely across threads. Everything runs on numpy; scipy is
+imported only by ``matrix_exp``'s scaling-and-squaring fallback, on the
+first input that needs it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import errors
 
@@ -168,6 +169,8 @@ def matrix_exp(a) -> np.ndarray:
     if not d.defective and d.condition_estimate <= _EXPM_COND_LIMIT:
         psi = d.eigenvector_matrix
         return psi @ np.diag(np.exp(d.eigenvalues)) @ np.linalg.inv(psi)
+    import scipy.linalg  # loaded here, so importing ptsim does not load it
+
     return scipy.linalg.expm(a)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve, fro, matrix_exp, psd_power
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve, fro, psd_power
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -224,8 +224,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
         raise errors.ZeroVectorError("run_simulation: zero input state")
     psi = psi / nrm
 
-    ut = matrix_exp(-1j * cfg.t * d.H)
-    target = st.rho_prime @ (ut @ (st.rho @ psi))
+    target = st.rho_prime @ d.propagate(cfg.t, st.rho @ psi)
     if np.linalg.norm(target) <= 1e-12:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
@@ -257,12 +256,14 @@ def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
 
 
 def gunther_hamiltonian(alpha: float, s: float = 1.0, e0: float = 0.0) -> np.ndarray:
+    _require_finite("gunther_hamiltonian", alpha=alpha, s=s, e0=e0)
     return np.array(
         [[e0 + 1j * s * np.sin(alpha), s], [s, e0 - 1j * s * np.sin(alpha)]], dtype=complex
     )
 
 
 def gunther_eta(alpha: float) -> np.ndarray:
+    _require_finite("gunther_eta", alpha=alpha)
     return (2.0 / np.cos(alpha) ** 2) * np.array(
         [[1.0, -1j * np.sin(alpha)], [1j * np.sin(alpha), 1.0]], dtype=complex
     )

@@ -83,9 +83,13 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class Classification:
+    """``condition_estimate`` is the 2-norm condition number of the eigenframe
+    that ``eig`` computed, kept whether or not the frame is."""
+
     kind: Kind
     spectrum: np.ndarray
     eigenframe: np.ndarray | None
+    condition_estimate: float
 
 
 @dataclass(frozen=True)
@@ -131,17 +135,18 @@ def classify(h, pt: PTPair | None = None) -> Classification:
     h = _require_square(h, "classify")
     symmetric = pt is None or is_pt_symmetric(h, pt)
     d = eig(h)
+    cond = d.condition_estimate
     if not symmetric:
-        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
+        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None, cond)
     if d.defective:
-        return Classification(Kind.DEFECTIVE, d.eigenvalues, None)
+        return Classification(Kind.DEFECTIVE, d.eigenvalues, None, cond)
     if all(is_real_eigenvalue(lam) for lam in d.eigenvalues):
-        return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix)
+        return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix, cond)
     try:
         _pair_spectrum(d.eigenvalues)
     except errors.InconsistentSpectrumError:
-        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None)
-    return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix)
+        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None, cond)
+    return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix, cond)
 
 
 def _pair_spectrum(spectrum):

@@ -4,7 +4,6 @@ Everything is generated from fixed seeds so test expectations are stable.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
 from ptsim import PTPair, PTSystem, validate_pt_pair
 
@@ -43,13 +42,10 @@ def random_broken(rng, n):
         a + 1j * b,
         a - 1j * b,
     ]
-    kblocks = [np.array([[0, 1], [1, 0]], dtype=complex)] + [
-        np.array([[1]], dtype=complex) for _ in range(n - 2)
-    ]
     psi = well_conditioned_frame(rng, n)
     psi_inv = np.linalg.inv(psi)
     h = psi @ np.diag(lams).astype(complex) @ psi_inv
-    k = sla.block_diag(*kblocks).astype(complex)
+    k = np.eye(n, dtype=complex)[[1, 0, *range(2, n)]]  # swaps the pair, fixes the reals
     ptm = psi @ k @ psi_inv.conj()
     pair = validate_pt_pair(np.eye(n, dtype=complex), ptm)
     return PTSystem(h, pair)

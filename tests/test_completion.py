@@ -54,6 +54,17 @@ class TestSubspaceMap:
         with pytest.raises(errors.DimensionMismatchError):
             SubspaceMap(m, nb, np.eye(3))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["m_basis", "n_basis", "action"])
+    def test_non_finite_entry_is_parse_error(self, name, value):
+        # a NaN basis once passed the orthonormality test, whose norm
+        # comparison is False for NaN
+        m, nb = canonical_map(2)
+        args = {"m_basis": m.copy(), "n_basis": nb.copy(), "action": np.eye(2, dtype=complex)}
+        args[name][1, 0] = value
+        with pytest.raises(errors.ParseError, match=f"SubspaceMap: {name} must be finite"):
+            SubspaceMap(**args)
+
 
 class TestUnitaryCompletion:
     def test_identity_action(self):

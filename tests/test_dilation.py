@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from ptsim import (
+    PTSystem,
     build_dilation,
     dilated_evolution,
     embed_state,
@@ -51,6 +52,15 @@ class TestBuildDilation:
     def test_non_finite_hamiltonian_is_parse_error(self, params):
         with pytest.raises(errors.ParseError):
             build_dilation(gunther_system(**params))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hamiltonian_matrix_is_parse_error(self, value):
+        # a matrix that no parameter check saw: classify refuses it
+        sys = gunther_system(0.3)
+        h = sys.H.copy()
+        h[0, 1] = value
+        with pytest.raises(errors.ParseError, match="classify: matrix must be finite"):
+            build_dilation(PTSystem(h, sys.pt))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_supplied_eta_is_parse_error(self, value):
@@ -179,6 +189,19 @@ class TestEvolution:
         with pytest.raises(errors.NonSquareError):
             in_tau_subspace(np.ones(4), np.ones((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_is_parse_error(self, value):
+        # a NaN entry once passed the Y_tau membership test, whose norm
+        # comparison is False for NaN, and evolved to a NaN vector
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        x = embed_state(np.array([1.0, 0.5j]), d)
+        with pytest.raises(errors.ParseError, match="dilated_evolution: t must be finite"):
+            dilated_evolution(d, value, x)
+        x = x.copy()
+        x[3] = value
+        with pytest.raises(errors.ParseError, match="dilated_evolution: xhat must be finite"):
+            dilated_evolution(d, 1.0, x)
+
 
 class TestEmbedState:
     def test_unit_norm_and_membership(self):
@@ -230,6 +253,12 @@ class TestEmbedState:
         d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
         with pytest.raises(errors.DimensionMismatchError):
             embed_state(np.ones(3), d)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_psi_is_parse_error(self, value):
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        with pytest.raises(errors.ParseError, match="embed_state: psi must be finite"):
+            embed_state(np.array([value, 0.0]), d)
 
 
 class TestEmbeddingMembership:

@@ -1,16 +1,25 @@
 """Stale exports and imports: every public name resolves, and no module-level
 import of a ptsim module goes unused. Deleting code leaves both behind
 unnoticed, since neither makes an import fail. Also the program's one output
-edge: only the CLI imports ``ptsim.io``, and no record serializes itself."""
+edge: only the CLI imports ``ptsim.io``, and no record serializes itself. And
+the import cost: importing ptsim, its CLI or the test corpus does not load
+``scipy.linalg``, which only ``matrix_exp``'s expm fallback needs."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
+import corpus
 import ptsim
+from ptsim import PTSystem, validate_pt_pair
 
 SRC = Path(ptsim.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ptsim.__path__))
@@ -80,3 +89,33 @@ def test_no_to_obj_method(mod_name):
     tree = ast.parse((SRC / f"{mod_name}.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_obj"] == []
+
+
+@pytest.mark.parametrize("modules", ["ptsim, ptsim.cli", "corpus"])
+def test_import_does_not_load_scipy_linalg(modules):
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(tests)]))
+    code = f"import sys\nimport {modules}\nassert 'scipy.linalg' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _random_broken_block_diag(rng, n):
+    """corpus.random_broken as it was written with scipy.linalg.block_diag."""
+    a = rng.uniform(-1.0, 1.0)
+    b = rng.uniform(0.3, 1.5)
+    lams = [a + 1j * b, a - 1j * b] + (list(corpus.separated_reals(rng, n - 2)) if n > 2 else [])
+    kblocks = [np.array([[0, 1], [1, 0]], dtype=complex)] + [np.array([[1]], dtype=complex)] * (n - 2)
+    psi = corpus.well_conditioned_frame(rng, n)
+    psi_inv = np.linalg.inv(psi)
+    h = psi @ np.diag(lams).astype(complex) @ psi_inv
+    ptm = psi @ scipy.linalg.block_diag(*kblocks).astype(complex) @ psi_inv.conj()
+    return PTSystem(h, validate_pt_pair(np.eye(n, dtype=complex), ptm))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 20240818])
+def test_random_broken_matches_the_block_diag_construction(n, seed):
+    got = corpus.random_broken(np.random.default_rng(seed), n)
+    expected = _random_broken_block_diag(np.random.default_rng(seed), n)
+    for a, b in ((got.H, expected.H), (got.pt.P, expected.pt.P), (got.pt.T, expected.pt.T)):
+        assert np.array_equal(a, b)

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from ptsim import (
+    PTSystem,
     SimulationConfig,
     build_dilation,
     errors,
@@ -21,6 +22,7 @@ from ptsim import (
     reproduce_gunther_example,
     run_simulation,
     sample_successes,
+    validate_pt_pair,
 )
 from ptsim import cli, linalg, pipeline
 from ptsim.completion import frame_completion, post_select
@@ -41,6 +43,27 @@ def make_cfg(alpha=np.pi / 6, t=1.0, scheme="identity", psi=None, **kw):
     if psi is None:
         psi = np.array([1.0, 0.0], dtype=complex)
     return SimulationConfig(sys=sys, dilation=d, t=t, psi=psi, scheme=scheme, **kw)
+
+
+def _count_matrix_exp(monkeypatch):
+    """A dict whose "matrix_exp" entry counts the calls made through any ptsim
+    module's name for linalg.matrix_exp."""
+    calls = {"matrix_exp": 0}
+
+    def counted(*args, _fn=linalg.matrix_exp, **kwargs):
+        calls["matrix_exp"] += 1
+        return _fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ptsim" and hasattr(mod, "matrix_exp"):
+            monkeypatch.setattr(mod, "matrix_exp", counted)
+    return calls
+
+
+def _upper_triangular_system(c):
+    """H = [[1, c], [0, 2]] with P = T = I: real, unbroken, and kappa(Psi) ~ 2c."""
+    eye = np.eye(2, dtype=complex)
+    return PTSystem(np.array([[1.0, c], [0.0, 2.0]], dtype=complex), validate_pt_pair(eye, eye))
 
 
 class TestWorkedExample:
@@ -118,20 +141,23 @@ class TestWorkedExample:
         with pytest.raises(errors.ParseError):
             reproduce_gunther_example(**kwargs)
 
+    @pytest.mark.parametrize("fn, name", [(gunther_hamiltonian, "alpha"), (gunther_hamiltonian, "s"),
+                                          (gunther_hamiltonian, "e0"), (gunther_system, "alpha"),
+                                          (gunther_system, "s"), (gunther_system, "e0"),
+                                          (gunther_eta, "alpha")])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_family_parameter_is_parse_error(self, fn, name, value):
+        # np.sin(inf) once warned and the family returned NaN matrices
+        kwargs = {"alpha": np.pi / 6, name: value}
+        with pytest.raises(errors.ParseError, match=f"{name} must be finite"):
+            fn(**kwargs)
+
 
 class TestPaperChecks:
     def test_closed_forms_only(self, monkeypatch, tmp_path):
         # the worked examples factor each H once (classify) and exponentiate
         # nothing; the obstruction demo inverts no matrix
-        calls = {"matrix_exp": 0}
-
-        def counted(*args, _fn=linalg.matrix_exp, **kwargs):
-            calls["matrix_exp"] += 1
-            return _fn(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "ptsim" and hasattr(mod, "matrix_exp"):
-                monkeypatch.setattr(mod, "matrix_exp", counted)
+        calls = _count_matrix_exp(monkeypatch)
         counts = TestReuse.count_linalg(monkeypatch, "eig", "inv")
         assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
         assert calls["matrix_exp"] == 0
@@ -390,6 +416,65 @@ class TestReuse:
         cfg = SimulationConfig(sys=sys, dilation=build_dilation(sys), t=1.3, psi=psi,
                                scheme="metric_sandwich")
         assert run_simulation(cfg).final_formula_check <= 1e-11
+
+
+class TestTarget:
+    """rho' e^{-itH} rho psi from H's eigenframe, kept on the dilation."""
+
+    @pytest.mark.parametrize("c, kappa, calls", [(1e3, (1e3, 1e4), 0), (1e8, (1e8, 1e12), 1)])
+    def test_route_follows_the_frame_condition(self, monkeypatch, c, kappa, calls):
+        # a frame beyond matrix_exp's limit keeps the matrix_exp(-itH) route
+        sys_ = _upper_triangular_system(c)
+        d = build_dilation(sys_)
+        assert kappa[0] < d.classification.condition_estimate <= kappa[1]
+        counts = _count_matrix_exp(monkeypatch)
+        x = np.array([0.3, 0.7j])
+        for t in (0.4, 1.3):
+            expected = scipy.linalg.expm(-1j * t * sys_.H) @ x
+            assert np.linalg.norm(d.propagate(t, x) - expected) <= 1e-12 * np.linalg.norm(expected)
+            before = counts["matrix_exp"]
+            run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=x))
+            assert counts["matrix_exp"] - before == calls
+
+    def test_well_conditioned_runs_exponentiate_nothing(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        sys_ = random_unbroken(rng, 16)
+        d = build_dilation(sys_)
+        counts = _count_matrix_exp(monkeypatch)
+        x = rng.normal(size=16) + 1j * rng.normal(size=16)
+        for t in (0.5, 1.7):
+            run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=x, scheme="metric_sandwich"))
+            expected = scipy.linalg.expm(-1j * t * sys_.H) @ x
+            assert np.linalg.norm(d.propagate(t, x) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert counts["matrix_exp"] == 0
+
+    def test_eigenframe_inverse_is_formed_once_and_read_only(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        sys_ = random_unbroken(rng, 8)
+        d = build_dilation(sys_)
+        scheme_stages(d, "metric_sandwich")
+        assert "eigenframe_inverse" not in vars(d)  # the stages never need it
+        counts = TestReuse.count_linalg(monkeypatch, "inv")
+        for t in (0.5, 1.0, 1.5):
+            psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+            run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme="metric_sandwich"))
+        assert counts == {"inv": 1}
+        c = d.classification
+        for a in (d.eigenframe_inverse, c.eigenframe, c.spectrum):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert np.linalg.norm(d.eigenframe_inverse @ c.eigenframe - np.eye(8)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_final_formula_check_at_large_n(self, n, scheme):
+        rng = np.random.default_rng(800 + n)
+        sys_ = random_unbroken(rng, n)
+        d = build_dilation(sys_)
+        for t in (0.5, 1.3):
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme=scheme))
+            assert trace.final_formula_check <= 1e-11
 
 
 class TestStageSequence:
