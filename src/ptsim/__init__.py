@@ -18,7 +18,6 @@ from .dilation import (
     Dilation,
     build_dilation,
     dilated_evolution,
-    embed_state,
     embedding_membership,
     in_tau_subspace,
 )
@@ -33,19 +32,15 @@ from .linalg import (
     matrix_exp,
     orthonormal_extension,
     psd_power,
-    sylvester_hermitian_nullspace,
 )
 from .metric import (
     H3,
     MetricOperator,
     Q3,
-    SignatureReport,
-    metric_signature,
     positive_metric,
     scalar_sum_metric_2d,
     scalar_sum_obstruction_demo,
     verify_metric,
-    verify_scalar_sum,
 )
 from .nosignaling import (
     ExperimentConfig,
@@ -68,12 +63,10 @@ from .pipeline import (
     sample_successes,
 )
 from .ptcore import (
-    CanonicalForm,
     Classification,
     Kind,
     PTPair,
     PTSystem,
-    canonical_form,
     classify,
     construct_pt_from_eigenframe,
     is_pt_symmetric,

@@ -123,7 +123,7 @@ def cmd_simulate(args) -> int:
         if "alpha_params" in cfgobj and cfgobj["alpha_params"]:
             ap = {"s": 1.0, "E0": 0.0, **cfgobj["alpha_params"]}
             params = {k: float(ap[k]) for k in ("alpha", "s", "E0")}
-            _require_finite("simulate", **params)  # gunther_system takes them unchecked
+            _require_finite("simulate", **params)  # named by their config keys
             sys = gunther_system(*params.values())
         else:
             h = io.matrix_from_obj(cfgobj["hamiltonian"])

@@ -35,7 +35,6 @@ from .ptcore import Classification, Kind, PTSystem, classify
 __all__ = [
     "Dilation",
     "build_dilation",
-    "embed_state",
     "dilated_evolution",
     "embedding_membership",
     "in_tau_subspace",
@@ -196,17 +195,6 @@ def in_tau_subspace(x, tau) -> bool:
     return np.linalg.norm(x[n:] - tau @ x[:n]) <= TOL.eq_tol * max(1.0, np.linalg.norm(x)) * max(
         1.0, fro(tau)
     )
-
-
-def embed_state(psi, d: Dilation) -> np.ndarray:
-    """(psi; tau psi) / sqrt(psi^dag eta psi), a unit vector in Y_tau."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    _require_finite("embed_state", psi=psi)
-    if psi.shape[0] != d.dim:
-        raise errors.DimensionMismatchError(f"embed_state: psi length {psi.shape[0]} != {d.dim}")
-    if np.linalg.norm(psi) == 0.0:
-        raise errors.ZeroVectorError("embed_state: zero input")
-    return np.concatenate([psi, d.tau @ psi]) / np.sqrt(np.vdot(psi, d.eta @ psi).real)
 
 
 def dilated_evolution(d: Dilation, t: float, xhat) -> np.ndarray:

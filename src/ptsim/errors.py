@@ -79,10 +79,6 @@ class NotIntertwiningError(PTSimError):
     pass
 
 
-class DegenerateSpectrumUnsupportedError(PTSimError):
-    pass
-
-
 class EtaNotGreaterThanIError(PTSimError):
     pass
 

@@ -25,7 +25,6 @@ __all__ = [
     "psd_eigh",
     "eigen_power",
     "eigen_evolve",
-    "sylvester_hermitian_nullspace",
     "orthonormal_extension",
     "SIGMA_X",
     "SIGMA_Y",
@@ -211,53 +210,6 @@ def eigen_evolve(w, v, t: float, x) -> np.ndarray:
     """e^{-itK} x = V (e^{-itw} . (V^dag x)) for x of shape (d,) or (d, m), from
     the eigh factors (w, V) of a Hermitian K (Higham, Functions of Matrices, ch. 10)."""
     return v @ (np.exp(-1j * t * w) * (v.conj().T @ x).T).T
-
-
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real-linear basis of the n^2-dimensional space of Hermitian matrices."""
-    basis = []
-    for k in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for k in range(n):
-        for l in range(k + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[k, l] = e[l, k] = 1.0
-            basis.append(e)
-            f = np.zeros((n, n), dtype=complex)
-            f[k, l] = 1j
-            f[l, k] = -1j
-            basis.append(f)
-    return basis
-
-
-def sylvester_hermitian_nullspace(h) -> list[np.ndarray]:
-    """Real-linear basis of Hermitian X solving H^dag X = X H.
-
-    The map X -> H^dag X - X H is linearized over the real n^2-dimensional
-    space of Hermitian matrices; its nullspace is read off an SVD.
-    """
-    h = _require_square(h, "sylvester_hermitian_nullspace")
-    n = h.shape[0]
-    basis = _hermitian_basis(n)
-    cols = []
-    for b in basis:
-        r = h.conj().T @ b - b @ h
-        cols.append(np.concatenate([r.real.ravel(), r.imag.ravel()]))
-    m = np.array(cols).T  # 2n^2 x n^2 real
-    u, s, vh = np.linalg.svd(m)
-    smax = s[0] if len(s) else 0.0
-    cutoff = 1e-9 * max(1.0, smax)
-    null_coords = [vh[i] for i in range(len(s)) if s[i] <= cutoff]
-    # columns beyond rank(m) (if m is wide) are exact nullspace directions
-    null_coords += [vh[i] for i in range(len(s), vh.shape[0])]
-    out = []
-    for c in null_coords:
-        x = sum(ci * bi for ci, bi in zip(c, basis))
-        x = 0.5 * (x + x.conj().T)
-        out.append(x / fro(x))
-    return out
 
 
 def orthonormal_extension(vectors, dim: int) -> np.ndarray:

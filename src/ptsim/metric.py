@@ -1,4 +1,4 @@
-"""Metric operators: construction, verification, signatures, and the
+"""Metric operators: construction, verification, and the
 scalar-sum (eta + eta^{-1} = t I) analysis with its 3x3 obstruction witness.
 """
 
@@ -13,22 +13,17 @@ from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
     _require_finite,
-    _require_square,
     eigen_power,
     fro,
-    is_hermitian,
     rel_scale,
 )
 from .ptcore import Classification, Kind, PTSystem, classify
 
 __all__ = [
     "MetricOperator",
-    "SignatureReport",
     "positive_metric",
     "verify_metric",
-    "metric_signature",
     "scalar_sum_metric_2d",
-    "verify_scalar_sum",
     "scalar_sum_obstruction_demo",
     "H3",
     "Q3",
@@ -52,12 +47,6 @@ class MetricOperator:
     positive_definite: bool
     min_eigenvalue: float
     eigh: tuple | None = None
-
-
-@dataclass(frozen=True)
-class SignatureReport:
-    epsilons: tuple
-    frame: np.ndarray
 
 
 def positive_metric(sys: PTSystem, classification: Classification | None = None) -> MetricOperator:
@@ -106,28 +95,6 @@ def verify_metric(h, eta) -> MetricOperator:
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 
 
-def metric_signature(sys: PTSystem, eta) -> SignatureReport:
-    """Sign vector of the metric in the eigenframe (simple spectrum only)."""
-    c = classify(sys.H, sys.pt)
-    if c.kind is not Kind.UNBROKEN:
-        raise errors.NotUnbrokenError("metric_signature: system is not unbroken")
-    verify_metric(sys.H, eta)
-    lam = c.spectrum
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if np.count_nonzero(np.abs(lam[:, None] - lam[None, :]) <= TOL.real_tol * scale) > len(lam):
-        raise errors.DegenerateSpectrumUnsupportedError(
-            "metric_signature: repeated eigenvalues are refused")
-    psi = c.eigenframe
-    gram = psi.conj().T @ np.asarray(eta, dtype=complex) @ psi
-    off = gram - np.diag(np.diag(gram))
-    if fro(off) > 1e-8 * rel_scale(gram):
-        raise errors.NumericalFailureError("metric_signature: Gram matrix is not diagonal")
-    diag = np.real(np.diag(gram))
-    eps = tuple(1 if v > 0 else -1 for v in diag)
-    frame = psi / np.sqrt(np.abs(diag))[None, :]
-    return SignatureReport(eps, frame)
-
-
 def scalar_sum_metric_2d(sys: PTSystem):
     """det-normalized metric of a 2x2 unbroken system, with eta + eta^{-1} = t I."""
     if sys.H.shape[0] != 2:
@@ -141,22 +108,6 @@ def scalar_sum_metric_2d(sys: PTSystem):
         raise errors.NumericalFailureError(f"scalar_sum_metric_2d: residual {res:.3e}")
     w = np.linalg.eigvalsh(eta)
     return MetricOperator(eta, True, float(w.min())), t
-
-
-def verify_scalar_sum(eta):
-    """t such that eta + eta^{-1} = t I, or None if no such t exists."""
-    eta = _require_square(eta, "verify_scalar_sum")
-    if not is_hermitian(eta):
-        raise errors.NotHermitianError("verify_scalar_sum: eta is not Hermitian")
-    w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
-    if w.min() <= TOL.psd_tol:
-        raise errors.NotPositiveDefiniteError("verify_scalar_sum: eta is not positive-definite")
-    n = eta.shape[0]
-    m = eta + np.linalg.inv(eta)
-    t = float(np.trace(m).real) / n
-    if fro(m - t * np.eye(n)) <= TOL.eq_tol * max(1.0, abs(t)):
-        return t
-    return None
 
 
 def scalar_sum_obstruction_demo() -> dict:

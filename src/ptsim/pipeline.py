@@ -280,6 +280,7 @@ def gunther_system(alpha: float, s: float = 1.0, e0: float = 0.0) -> PTSystem:
 
 def gunther_projection(alpha: float) -> np.ndarray:
     """Closed-form orthogonal projection onto Y_tau for the two-level family."""
+    _require_finite("gunther_projection", alpha=alpha)
     sa, ca = np.sin(alpha), np.cos(alpha)
     return 0.5 * np.array(
         [
@@ -299,6 +300,7 @@ def gunther_propagator(alpha: float, s: float = 1.0, e0: float = 0.0, t: float =
     e^{-itH} = e^{-it e0} [cos(wt) I - i t sinc(wt) (H - e0 I)], where
     sinc(x) = sin(x)/x and sinc(0) = 1.
     """
+    _require_finite("gunther_propagator", alpha=alpha, s=s, e0=e0, t=t)
     wt = s * np.cos(alpha) * t
     sinc = np.sin(wt) / wt if wt != 0.0 else 1.0
     k = gunther_hamiltonian(alpha, s, 0.0)  # H - e0 I

@@ -28,11 +28,9 @@ __all__ = [
     "PTSystem",
     "Kind",
     "Classification",
-    "CanonicalForm",
     "validate_pt_pair",
     "is_pt_symmetric",
     "classify",
-    "canonical_form",
     "construct_pt_from_eigenframe",
 ]
 
@@ -92,13 +90,6 @@ class Classification:
     condition_estimate: float
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    J: np.ndarray
-    Psi: np.ndarray
-    K: np.ndarray
-
-
 def validate_pt_pair(p, t) -> PTPair:
     p = np.asarray(p, dtype=complex)
     t = np.asarray(t, dtype=complex)
@@ -130,7 +121,7 @@ def classify(h, pt: PTPair | None = None) -> Classification:
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
     complete criterion for unbrokenness. If the spectrum is not closed under
     conjugation the matrix cannot be PT-symmetric at all. This is the
-    module's only eig of H; from_hamiltonian and canonical_form read it.
+    module's only eig of H; from_hamiltonian reads it.
     """
     h = _require_square(h, "classify")
     symmetric = pt is None or is_pt_symmetric(h, pt)
@@ -184,41 +175,6 @@ def _pair_swap(n_pairs: int, n: int) -> np.ndarray:
     perm = np.arange(n)
     perm[: 2 * n_pairs] ^= 1
     return np.eye(n, dtype=complex)[perm]
-
-
-def canonical_form(sys: PTSystem) -> CanonicalForm:
-    """Eigenframe gauge-fixed against PT: Psi^{-1} H Psi = J, Psi^{-1} PT conj(Psi) = K.
-
-    For a conjugate eigenvalue pair the partner column is PT conj(first
-    column); for a real eigenvalue the column is put in the self-conjugate
-    gauge PT conj(psi) = psi.
-    """
-    c = classify(sys.H, sys.pt)
-    if c.kind is Kind.NOT_PT_SYMMETRIC:
-        raise errors.NotPTSymmetricError("canonical_form: H is not PT-symmetric for this pair")
-    if c.kind is Kind.DEFECTIVE:
-        raise errors.DefectiveInputError("canonical_form: defective H is out of scope")
-    ptm = sys.pt.PT
-    pairs, reals = _pair_spectrum(c.spectrum)
-
-    cols, lams = [], []
-    for i, j in pairs:
-        psi1 = c.eigenframe[:, i]
-        psi2 = ptm @ psi1.conj()  # eigenvector for conj(lambda) by PT symmetry
-        cols += [psi1, psi2]
-        lams += [c.spectrum[i], np.conj(c.spectrum[i])]
-    for i in reals:
-        psi = c.eigenframe[:, i]
-        phi = psi + ptm @ psi.conj()
-        if np.linalg.norm(phi) < 1e-8 * np.linalg.norm(psi):
-            phi = 1j * (psi - ptm @ psi.conj())
-        cols.append(phi / np.linalg.norm(phi))
-        lams.append(complex(c.spectrum[i].real))
-
-    psi = np.column_stack(cols)
-    if np.linalg.cond(psi) > TOL.defect_cond:
-        raise errors.NumericalFailureError("canonical_form: gauge-fixed frame is singular")
-    return CanonicalForm(np.diag(lams), psi, _pair_swap(len(pairs), len(lams)))
 
 
 def construct_pt_from_eigenframe(psi, k) -> np.ndarray:

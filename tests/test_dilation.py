@@ -6,7 +6,6 @@ from ptsim import (
     PTSystem,
     build_dilation,
     dilated_evolution,
-    embed_state,
     embedding_membership,
     errors,
     gunther_eta,
@@ -194,7 +193,8 @@ class TestEvolution:
         # a NaN entry once passed the Y_tau membership test, whose norm
         # comparison is False for NaN, and evolved to a NaN vector
         d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
-        x = embed_state(np.array([1.0, 0.5j]), d)
+        psi = np.array([1.0, 0.5j])
+        x = np.concatenate([psi, d.tau @ psi])
         with pytest.raises(errors.ParseError, match="dilated_evolution: t must be finite"):
             dilated_evolution(d, value, x)
         x = x.copy()
@@ -203,17 +203,8 @@ class TestEvolution:
             dilated_evolution(d, 1.0, x)
 
 
-class TestEmbedState:
-    def test_unit_norm_and_membership(self):
-        sys = gunther_system(np.pi / 6)
-        d = build_dilation(sys, eta=gunther_eta(np.pi / 6))
-        psi = np.array([1.0, 2.0 - 1j], dtype=complex)
-        x = embed_state(psi, d)
-        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
-        assert in_tau_subspace(x, d.tau)
-        # direction is (psi; tau psi)
-        raw = np.concatenate([psi, d.tau @ psi])
-        assert x == pytest.approx(raw / np.linalg.norm(raw), abs=1e-12)
+class TestGraphState:
+    """Unit states (psi; tau psi) / ||(psi; tau psi)|| of Y_tau."""
 
     def test_eta_norm_is_the_normalizer(self):
         # ||(psi; tau psi)||^2 = <psi, eta psi>, so the Euclidean normalizer
@@ -225,40 +216,16 @@ class TestEmbedState:
         raw = np.concatenate([psi, d.tau @ psi])
         assert np.linalg.norm(raw) == pytest.approx(np.linalg.norm(sqrt_eta @ psi), abs=1e-12)
 
-    def test_matches_psd_power_normalizer(self):
-        rng = np.random.default_rng(44)
-        for sys in unbroken_corpus():
-            d = build_dilation(sys)
-            psi = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
-            expected = np.concatenate([psi, d.tau @ psi]) / np.linalg.norm(psd_power(d.eta, 0.5) @ psi)
-            assert np.linalg.norm(embed_state(psi, d) - expected) <= 1e-12
-
     def test_eta_norm_conservation_under_evolution(self):
         # ||sqrt(eta) psi(t)|| is constant, so the embedded state stays unit
         sys = gunther_system(np.pi / 4)
         d = build_dilation(sys, eta=gunther_eta(np.pi / 4))
         psi = np.array([0.3, 0.7j], dtype=complex)
-        x = embed_state(psi, d)
+        x = np.concatenate([psi, d.tau @ psi])
+        x /= np.linalg.norm(x)
         for t in (0.5, 1.0, 3.0):
             y = dilated_evolution(d, t, x)
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-10)
-
-    def test_zero_vector(self):
-        sys = gunther_system(np.pi / 6)
-        d = build_dilation(sys, eta=gunther_eta(np.pi / 6))
-        with pytest.raises(errors.ZeroVectorError):
-            embed_state(np.zeros(2), d)
-
-    def test_wrong_length(self):
-        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
-        with pytest.raises(errors.DimensionMismatchError):
-            embed_state(np.ones(3), d)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_psi_is_parse_error(self, value):
-        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
-        with pytest.raises(errors.ParseError, match="embed_state: psi must be finite"):
-            embed_state(np.array([value, 0.0]), d)
 
 
 class TestEmbeddingMembership:

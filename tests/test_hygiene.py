@@ -1,6 +1,7 @@
 """Stale exports and imports: every public name resolves, and no module-level
 import of a ptsim module goes unused. Deleting code leaves both behind
-unnoticed, since neither makes an import fail. Also the program's one output
+unnoticed, since neither makes an import fail; so does an error class whose
+last raiser was deleted. Also the program's one output
 edge: only the CLI imports ``ptsim.io``, and no record serializes itself. And
 the import cost: importing ptsim, its CLI or the test corpus does not load
 ``scipy.linalg``, which only ``matrix_exp``'s expm fallback needs."""
@@ -63,6 +64,17 @@ def test_no_unused_module_level_import(mod_name):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
             exported = set(ast.literal_eval(node.value))
     assert sorted(bound - used - exported) == []
+
+
+def test_every_error_class_is_used():
+    # each exception in ptsim.errors but the base is named as errors.<Name>
+    # in some other module
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)} - {"PTSimError"}
+    used = {node.attr for mod_name in MODULES if mod_name != "errors"
+            for node in ast.walk(ast.parse((SRC / f"{mod_name}.py").read_text()))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "errors"}
+    assert sorted(classes - used) == []
 
 
 def _imported_names(tree):

@@ -21,12 +21,11 @@ from ptsim.linalg import (
     matrix_exp,
     orthonormal_extension,
     psd_power,
-    sylvester_hermitian_nullspace,
 )
 from ptsim.metric import H3
 
 from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
-from oracle import expm_taylor, hermitian_sylvester_nullity_bruteforce, quadratic_eigs_2x2
+from oracle import expm_taylor, quadratic_eigs_2x2
 
 
 def h0_matrix(alpha, s=1.0):
@@ -250,58 +249,6 @@ class TestEigenPower:
         w, v = np.linalg.eigh(b @ b.conj().T + np.eye(n))
         s = v @ np.diag(w**p) @ v.conj().T
         assert np.array_equal(eigen_power(w, v, p), 0.5 * (s + s.conj().T))
-
-
-class TestSylvesterNullspace:
-    def test_diag_case(self):
-        basis = sylvester_hermitian_nullspace(np.diag([1.0, 2.0]).astype(complex))
-        assert len(basis) == 2
-        # span must contain diag(1,0) and diag(0,1)
-        flat = np.array([b.ravel() for b in basis])
-        for target in (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])):
-            coef, res, *_ = np.linalg.lstsq(flat.T, target.astype(complex).ravel(), rcond=None)
-            recon = (flat.T @ coef).reshape(2, 2)
-            assert np.linalg.norm(recon - target) <= 1e-10
-
-    def test_h0_contains_paper_direction(self):
-        h = h0_matrix(np.pi / 6)
-        basis = sylvester_hermitian_nullspace(h)
-        assert len(basis) == 2
-        target = np.array([[1.0, -0.5j], [0.5j, 1.0]], dtype=complex)
-        assert np.linalg.norm(h.conj().T @ target - target @ h) <= 1e-12
-        flat = np.array([b.ravel() for b in basis])
-        coef, *_ = np.linalg.lstsq(flat.T, target.ravel(), rcond=None)
-        assert np.linalg.norm((flat.T @ coef).reshape(2, 2) - target) <= 1e-10
-
-    def test_defective_has_no_positive_element(self):
-        h = np.array([[0, 1], [0, 0]], dtype=complex)
-        basis = sylvester_hermitian_nullspace(h)
-        assert basis
-        # scan real combinations; every one must have a nonpositive eigenvalue
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            coef = rng.normal(size=len(basis))
-            x = sum(c * b for c, b in zip(coef, basis))
-            assert np.linalg.eigvalsh(x).min() <= 1e-10
-
-    def test_dimension_matches_bruteforce(self):
-        rng = np.random.default_rng(11)
-        mats = [
-            np.diag([1.0, 2.0]).astype(complex),
-            h0_matrix(np.pi / 6),
-            H3,
-            np.array([[0, 1], [0, 0]], dtype=complex),
-            random_complex(rng, 3),
-            random_complex(rng, 4),
-        ]
-        for h in mats:
-            basis = sylvester_hermitian_nullspace(h)
-            assert len(basis) == hermitian_sylvester_nullity_bruteforce(h)
-            for x in basis:
-                assert np.linalg.norm(h.conj().T @ x - x @ h) <= 1e-10 * max(
-                    1.0, np.linalg.norm(h)
-                )
-                assert np.linalg.norm(x - x.conj().T) <= 1e-10
 
 
 class TestOrthonormalExtension:

@@ -144,7 +144,9 @@ class TestWorkedExample:
     @pytest.mark.parametrize("fn, name", [(gunther_hamiltonian, "alpha"), (gunther_hamiltonian, "s"),
                                           (gunther_hamiltonian, "e0"), (gunther_system, "alpha"),
                                           (gunther_system, "s"), (gunther_system, "e0"),
-                                          (gunther_eta, "alpha")])
+                                          (gunther_eta, "alpha"), (gunther_projection, "alpha"),
+                                          (gunther_propagator, "alpha"), (gunther_propagator, "s"),
+                                          (gunther_propagator, "e0"), (gunther_propagator, "t")])
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_family_parameter_is_parse_error(self, fn, name, value):
         # np.sin(inf) once warned and the family returned NaN matrices

@@ -4,7 +4,6 @@ import pytest
 from ptsim import (
     Kind,
     PTSystem,
-    canonical_form,
     classify,
     construct_pt_from_eigenframe,
     errors,
@@ -12,7 +11,7 @@ from ptsim import (
     is_pt_symmetric,
     validate_pt_pair,
 )
-from ptsim.linalg import SIGMA_X, SIGMA_Y
+from ptsim.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from ptsim.metric import H3, Q3
 
 from corpus import broken_corpus, defective_corpus, unbroken_corpus
@@ -43,6 +42,12 @@ class TestValidatePTPair:
     def test_non_involutory_p(self):
         with pytest.raises(errors.NotInvolutoryPError):
             validate_pt_pair(2 * EYE2, EYE2)
+
+    def test_non_commuting_pair(self):
+        # both involutory, but sigma_z sigma_x - sigma_x sigma_z = 2i sigma_y
+        with pytest.raises(errors.NonCommutingError, match="PT != T conj") as exc:
+            validate_pt_pair(SIGMA_Z, SIGMA_X)
+        assert exc.value.exit_code == 4
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_pair_is_parse_error(self, value):
@@ -133,43 +138,6 @@ class TestClassify:
                 )
 
 
-class TestCanonicalForm:
-    def test_real_diagonal(self):
-        h = np.diag([1.0, 2.0]).astype(complex)
-        sys = PTSystem(h, validate_pt_pair(EYE2, EYE2))
-        cf = canonical_form(sys)
-        assert cf.K == pytest.approx(np.eye(2))
-        assert np.linalg.inv(cf.Psi) @ h @ cf.Psi == pytest.approx(cf.J, abs=1e-12)
-
-    def test_h0_self_conjugate_gauge(self):
-        sys = gunther_system(np.pi / 6)
-        cf = canonical_form(sys)
-        assert cf.K == pytest.approx(np.eye(2))
-        ptm = sys.pt.PT
-        assert ptm @ cf.Psi.conj() == pytest.approx(cf.Psi, abs=1e-10)
-        assert np.linalg.inv(cf.Psi) @ sys.H @ cf.Psi == pytest.approx(cf.J, abs=1e-10)
-
-    def test_broken_swap_block(self):
-        sys = broken_2x2()
-        cf = canonical_form(sys)
-        assert cf.K == pytest.approx(SIGMA_X)
-        # conjugate pair adjacent on the diagonal of J
-        assert cf.J[0, 0] == pytest.approx(np.conj(cf.J[1, 1]))
-        assert abs(cf.J[0, 0].imag) == pytest.approx(np.sqrt(3))
-        res = np.linalg.inv(cf.Psi) @ sys.pt.PT @ cf.Psi.conj()
-        assert res == pytest.approx(cf.K, abs=1e-10)
-
-    def test_defective_refused(self):
-        sys = defective_corpus()[0]
-        with pytest.raises(errors.DefectiveInputError):
-            canonical_form(sys)
-
-    def test_not_pt_symmetric_refused(self):
-        sys = PTSystem(np.diag([1j, 2.0]).astype(complex), validate_pt_pair(EYE2, EYE2))
-        with pytest.raises(errors.NotPTSymmetricError):
-            canonical_form(sys)
-
-
 class TestFactorizations:
     @pytest.fixture
     def eig_calls(self, monkeypatch):
@@ -185,11 +153,9 @@ class TestFactorizations:
     @pytest.mark.parametrize("sys", [unbroken_corpus()[0], broken_corpus()[0]],
                              ids=["unbroken", "broken"])
     def test_one_eig_per_hamiltonian(self, sys, eig_calls):
-        # classify runs the one eig; from_hamiltonian and canonical_form read it
+        # classify runs the one eig; from_hamiltonian reads it
         PTSystem.from_hamiltonian(sys.H)
         assert len(eig_calls) == 1
-        canonical_form(sys)
-        assert len(eig_calls) == 2
 
 
 class TestConstructPT:
@@ -212,9 +178,9 @@ class TestConstructPT:
         )
 
     def test_round_trip_gives_valid_pt(self):
+        # the pair from_hamiltonian builds from H's eigenframe and _pair_swap
         for sys in unbroken_corpus()[:4] + [broken_2x2()]:
-            cf = canonical_form(sys)
-            ptm = construct_pt_from_eigenframe(cf.Psi, cf.K)
+            ptm = PTSystem.from_hamiltonian(sys.H).pt.PT
             assert ptm @ ptm.conj() == pytest.approx(np.eye(ptm.shape[0]), abs=1e-8)
             res = sys.H @ ptm - ptm @ sys.H.conj()
             assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(sys.H))
