@@ -184,6 +184,11 @@ class TestEvolution:
         with pytest.raises(errors.NotInSubspaceError):
             dilated_evolution(d, 1.0, bad)
 
+    def test_wrong_length(self):
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        with pytest.raises(errors.DimensionMismatchError):
+            dilated_evolution(d, 1.0, np.ones(3))
+
     def test_non_square_tau(self):
         with pytest.raises(errors.NonSquareError):
             in_tau_subspace(np.ones(4), np.ones((2, 3)))
@@ -205,6 +210,24 @@ class TestEvolution:
 
 class TestGraphState:
     """Unit states (psi; tau psi) / ||(psi; tau psi)|| of Y_tau."""
+
+    def test_unit_norm_and_membership(self):
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        psi = np.array([1.0, 2.0 - 1j], dtype=complex)
+        x = np.concatenate([psi, d.tau @ psi])
+        x /= np.linalg.norm(x)
+        assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-12)
+        assert in_tau_subspace(x, d.tau)
+        assert embedding_membership(d.Hhat, d.H, x)
+
+    def test_matches_psd_power_normalizer(self):
+        rng = np.random.default_rng(44)
+        for sys in unbroken_corpus():
+            d = build_dilation(sys)
+            psi = rng.normal(size=d.dim) + 1j * rng.normal(size=d.dim)
+            raw = np.concatenate([psi, d.tau @ psi])
+            expected = np.linalg.norm(psd_power(d.eta, 0.5) @ psi)
+            assert abs(np.linalg.norm(raw) - expected) <= 1e-12 * expected
 
     def test_eta_norm_is_the_normalizer(self):
         # ||(psi; tau psi)||^2 = <psi, eta psi>, so the Euclidean normalizer

@@ -101,6 +101,16 @@ class TestVerifyMetric:
         assert m.min_eigenvalue == pytest.approx(2.0 / (1.0 + np.sin(alpha)))
         assert m.min_eigenvalue == pytest.approx(4.0 / 3.0)
 
+    def test_indefinite_metric(self):
+        # Hermitian and intertwining, but not positive
+        m = verify_metric(np.diag([1.0, 2.0]), np.diag([1.0, -1.0]))
+        assert not m.positive_definite
+        assert m.min_eigenvalue == pytest.approx(-1.0)
+
+    def test_order_mismatch(self):
+        with pytest.raises(errors.DimensionMismatchError):
+            verify_metric(SIGMA_Z, np.eye(3))
+
     def test_not_intertwining(self):
         with pytest.raises(errors.NotIntertwiningError):
             verify_metric(gunther_system(np.pi / 6).H, SIGMA_Z)

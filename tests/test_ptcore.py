@@ -158,6 +158,30 @@ class TestFactorizations:
         assert len(eig_calls) == 1
 
 
+class TestFromHamiltonian:
+    def test_real_diagonal(self):
+        # an orthonormal real eigenframe gives T = I
+        sys = PTSystem.from_hamiltonian(np.diag([1.0, 2.0, 3.0]))
+        assert sys.pt.PT == pytest.approx(np.eye(3), abs=1e-12)
+        assert classify(sys.H, sys.pt).kind is Kind.UNBROKEN
+
+    def test_broken_keeps_its_kind(self):
+        # a complex-conjugate pair is swapped by the built T, so H stays
+        # PT-symmetric and classifies as broken under its new pair
+        for sys in broken_corpus():
+            built = PTSystem.from_hamiltonian(sys.H)
+            assert is_pt_symmetric(built.H, built.pt)
+            assert classify(built.H, built.pt).kind is Kind.BROKEN_DIAGONALIZABLE
+
+    def test_defective_refused(self):
+        with pytest.raises(errors.DefectiveInputError):
+            PTSystem.from_hamiltonian(defective_corpus()[0].H)
+
+    def test_not_pt_symmetric_refused(self):
+        with pytest.raises(errors.NotPTSymmetricError):
+            PTSystem.from_hamiltonian(np.diag([1.0, 1j]))
+
+
 class TestConstructPT:
     def test_identity(self):
         assert construct_pt_from_eigenframe(np.eye(3), np.eye(3)) == pytest.approx(np.eye(3))
