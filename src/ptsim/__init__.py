@@ -68,7 +68,6 @@ from .ptcore import (
     PTPair,
     PTSystem,
     classify,
-    construct_pt_from_eigenframe,
     is_pt_symmetric,
     validate_pt_pair,
 )

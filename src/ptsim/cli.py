@@ -18,7 +18,6 @@ import numpy as np
 
 from . import errors, io
 from .dilation import build_dilation
-from .linalg import _require_finite
 from .metric import positive_metric, scalar_sum_obstruction_demo, verify_metric
 from .nosignaling import ExperimentConfig, run_experiment, sweep_delta_s
 from .pipeline import (
@@ -54,8 +53,10 @@ def _emit(obj, out_path=None) -> None:
 
 
 def _pt_pair(p, t):
-    """The validated (P, T) pair, or None unless both matrices are given."""
-    return None if p is None or t is None else validate_pt_pair(p, t)
+    """The validated (P, T) pair, or None if neither matrix is given."""
+    if (p is None) != (t is None):
+        raise errors.ParseError("a PT pair needs both P and T, not one of them")
+    return None if p is None else validate_pt_pair(p, t)
 
 
 def _system(h, p, t) -> PTSystem:
@@ -65,10 +66,8 @@ def _system(h, p, t) -> PTSystem:
 
 
 def _pair_files(args):
-    """The --P/--T matrices, each None unless both files are given."""
-    if args.P and args.T:
-        return io.load_matrix(args.P), io.load_matrix(args.T)
-    return None, None
+    """The --P/--T matrices, each None if its file is not given."""
+    return [io.load_matrix(path) if path else None for path in (args.P, args.T)]
 
 
 def _load_system(args) -> PTSystem:
@@ -122,9 +121,7 @@ def cmd_simulate(args) -> int:
     try:
         if "alpha_params" in cfgobj and cfgobj["alpha_params"]:
             ap = {"s": 1.0, "E0": 0.0, **cfgobj["alpha_params"]}
-            params = {k: float(ap[k]) for k in ("alpha", "s", "E0")}
-            _require_finite("simulate", **params)  # named by their config keys
-            sys = gunther_system(*params.values())
+            sys = gunther_system(*(float(ap[k]) for k in ("alpha", "s", "E0")))
         else:
             h = io.matrix_from_obj(cfgobj["hamiltonian"])
             pt = [io.matrix_from_obj(cfgobj[k]) if cfgobj.get(k) else None for k in ("P", "T")]
@@ -223,29 +220,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="ptsim", description="PT-symmetric quantum mechanics toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", help="classify a Hamiltonian")
-    c.add_argument("matrix")
-    c.add_argument("--P")
-    c.add_argument("--T")
-    c.add_argument("--out")
+    # the matrix H, its optional (P, T) pair and the output file
+    system = argparse.ArgumentParser(add_help=False)
+    for arg in ("matrix", "--P", "--T", "--out"):
+        system.add_argument(arg)
+
+    c = sub.add_parser("classify", parents=[system], help="classify a Hamiltonian")
     c.set_defaults(func=cmd_classify)
 
-    m = sub.add_parser("metric", help="construct or verify a metric operator")
-    m.add_argument("matrix")
-    m.add_argument("--P")
-    m.add_argument("--T")
+    m = sub.add_parser("metric", parents=[system], help="construct or verify a metric operator")
     m.add_argument("--eta", help="verify this metric instead of constructing one")
-    m.add_argument("--out")
     m.set_defaults(func=cmd_metric)
 
-    d = sub.add_parser("dilate", help="build the Hermitian dilation")
-    d.add_argument("matrix")
-    d.add_argument("--P")
-    d.add_argument("--T")
+    d = sub.add_parser("dilate", parents=[system], help="build the Hermitian dilation")
     d.add_argument("--margin", type=float, default=1.05)
     d.add_argument("--h1", default="zero", help="zero | paper | path-to-matrix-file")
     d.add_argument("--eta", help="use this metric (must satisfy lambda_min > 1)")
-    d.add_argument("--out")
     d.set_defaults(func=cmd_dilate)
 
     s = sub.add_parser("simulate", help="run the three-stage simulation pipeline")

@@ -53,14 +53,6 @@ class SubspaceMap:
             if fro(b.conj().T @ b - eye) > 1e-10 * max(1.0, k):
                 raise errors.DependentInputError(f"SubspaceMap: {name} basis is not orthonormal")
 
-    @property
-    def subspace_dim(self) -> int:
-        return self.m_basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.m_basis.shape[0]
-
 
 @dataclass(frozen=True)
 class CompletionResult:

@@ -19,7 +19,6 @@ import numpy as np
 from . import errors
 from .linalg import (
     DEFAULT_TOL as TOL,
-    _EXPM_COND_LIMIT,
     _require_finite,
     _require_square,
     eigen_evolve,
@@ -39,6 +38,10 @@ __all__ = [
     "embedding_membership",
     "in_tau_subspace",
 ]
+
+# An eigenframe of H with a condition number above this is not trusted to
+# evolve a state; ``Dilation.propagate`` then takes ``matrix_exp``.
+_EXPM_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,8 @@ class Dilation:
     def propagate(self, t: float, x) -> np.ndarray:
         """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for a vector x, in
         O(n^2) work from H's kept eigenframe. A frame with kappa(Psi) above
-        ``matrix_exp``'s limit is not trusted: that x goes through
-        ``matrix_exp(-itH)``, which then takes its scaling-and-squaring route."""
+        ``_EXPM_COND_LIMIT`` is not trusted: that x goes through
+        ``matrix_exp(-itH)``, Pade scaling-and-squaring."""
         c = self.classification
         if c.condition_estimate > _EXPM_COND_LIMIT:
             return matrix_exp(-1j * t * self.H) @ x
@@ -122,10 +125,13 @@ def build_dilation(
     smallest eigenvalue equals ``margin`` (> 1 keeps tau invertible). A
     supplied eta must already satisfy lambda_min > 1; a caller who wants it
     rescaled passes c * eta. h1_choice is one of "zero", "paper"
-    (H1 = tau H tau eta^{-1} + H eta^{-1}) or "supplied".
+    (H1 = tau H tau eta^{-1} + H eta^{-1}) or "supplied", the one choice
+    that takes the matrix h1.
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
         raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
+    if h1 is not None and h1_choice != "supplied":
+        raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
     c = classify(sys.H, sys.pt)
     if c.kind is not Kind.UNBROKEN:
         raise errors.NotUnbrokenError(f"build_dilation: classification is {c.kind.value}")

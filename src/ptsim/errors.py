@@ -63,14 +63,6 @@ class DefectiveInputError(PTSimError):
     pass
 
 
-class InconsistentSpectrumError(PTSimError):
-    pass
-
-
-class SingularFrameError(PTSimError):
-    pass
-
-
 class NotUnbrokenError(PTSimError):
     pass
 
@@ -108,10 +100,6 @@ class NotNormalizedError(PTSimError):
 
 
 class ZeroFinalStateError(PTSimError):
-    pass
-
-
-class ZeroBranchError(PTSimError):
     pass
 
 

@@ -1,9 +1,8 @@
 """Dense complex linear-algebra primitives used by every other module.
 
 All matrices are numpy complex arrays. Operations are pure functions; values
-may be shared freely across threads. Everything runs on numpy; scipy is
-imported only by ``matrix_exp``'s scaling-and-squaring fallback, on the
-first input that needs it.
+may be shared freely across threads. Everything runs on numpy but
+``matrix_exp``, which is scipy's ``expm`` and imports it on its first call.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "eig",
     "matrix_exp",
     "psd_power",
-    "psd_eigh",
     "eigen_power",
     "eigen_evolve",
     "orthonormal_extension",
@@ -37,10 +35,6 @@ __all__ = [
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-# Eigendecomposition route for the exponential is used only below this
-# conditioning; beyond it scaling-and-squaring is more trustworthy.
-_EXPM_COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -157,17 +151,12 @@ def _has_clustered_rank_deficit(lam, psi) -> bool:
 
 
 def matrix_exp(a) -> np.ndarray:
-    """e^{A}.
-
-    Uses the eigendecomposition of A when that is well-conditioned and not
-    defective, and Pade scaling-and-squaring otherwise. An evolution under a
+    """e^{A} by scipy's Pade scaling-and-squaring ``expm`` (Al-Mohy & Higham,
+    SIAM J. Matrix Anal. Appl. 31, 970 (2009)), which needs no eigenvectors,
+    so a defective or non-normal A is no special case. An evolution under a
     Hermitian K with kept eigh factors is ``eigen_evolve`` instead.
     """
     a = _require_square(a, "matrix_exp")
-    d = eig(a)
-    if not d.defective and d.condition_estimate <= _EXPM_COND_LIMIT:
-        psi = d.eigenvector_matrix
-        return psi @ np.diag(np.exp(d.eigenvalues)) @ np.linalg.inv(psi)
     import scipy.linalg  # loaded here, so importing ptsim does not load it
 
     return scipy.linalg.expm(a)
@@ -177,27 +166,19 @@ def psd_power(a, p: float) -> np.ndarray:
     """A^p for Hermitian PSD A via a single eigenframe.
 
     Using one eigh call per matrix keeps powers mutually consistent, e.g.
-    psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding.
+    psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding. Eigenvalues in
+    [-psd_tol, 0) are clamped to zero; anything below the window is rejected.
     """
-    w, v = psd_eigh(a)
+    a = _require_square(a, "psd_power")
+    if not is_hermitian(a):
+        raise errors.NotHermitianError("psd_power: input is not Hermitian within eq_tol")
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    if np.min(w) < -DEFAULT_TOL.psd_tol:
+        raise errors.NotPSDError(f"psd_power: eigenvalue {np.min(w):.3e} below -psd_tol")
+    w = np.clip(w, 0.0, None)
     if p < 0 and np.min(w) == 0.0:
         raise errors.NotPositiveDefiniteError("psd_power: negative power of a singular matrix")
     return eigen_power(w, v, p)
-
-
-def psd_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian PSD matrix.
-
-    Eigenvalues in [-psd_tol, 0) are clamped to zero; anything below the
-    window is rejected.
-    """
-    a = _require_square(a, "psd_eigh")
-    if not is_hermitian(a):
-        raise errors.NotHermitianError("psd_eigh: input is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if np.min(w) < -DEFAULT_TOL.psd_tol:
-        raise errors.NotPSDError(f"psd_eigh: eigenvalue {np.min(w):.3e} below -psd_tol")
-    return np.clip(w, 0.0, None), v
 
 
 def eigen_power(w, v, p: float) -> np.ndarray:

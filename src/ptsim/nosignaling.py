@@ -90,10 +90,8 @@ def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
     if stages is None:
         rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
-        vanished = errors.ZeroBranchError
     else:
         channel = stages.kraus(cfg.t)
-        vanished = errors.ZeroFinalStateError
     table = np.zeros((2, 2, 2))
     p_success = np.ones(2)  # stays 1 in direct mode
     for k, u_a in enumerate(_ALICE_UNITARIES):
@@ -102,7 +100,7 @@ def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
         if stages is not None:
             p_success[k] = nrm**2
         if nrm <= 1e-14 or p_success[k] <= TOL.psd_tol:
-            raise vanished(f"run_experiment: {cfg.mode} branch {k} vanished")
+            raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
         table[k] = _measure_joint(final / nrm)
 
     bob = table.sum(axis=1)  # [k, b]

@@ -146,8 +146,12 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
 
     P_prep = Q1 Q1^dag, with Q1 = ``d.ytau_frame``, is an orthogonal
     projection exactly when Q1 has orthonormal columns; that is checked here,
-    once, so the Kraus factors need no per-call projector test.
+    once, so the Kraus factors need no per-call projector test. Only the
+    custom scheme takes rho and rho'; a built-in one refuses them before its
+    cached stages are read.
     """
+    if scheme != "custom" and (rho is not None or rho_prime is not None):
+        raise errors.ParseError(f"scheme {scheme!r} takes no rho or rho_prime; use scheme 'custom'")
     if scheme in d.stage_cache:
         return d.stage_cache[scheme]
     n, q1 = d.dim, d.ytau_frame

@@ -31,7 +31,6 @@ __all__ = [
     "validate_pt_pair",
     "is_pt_symmetric",
     "classify",
-    "construct_pt_from_eigenframe",
 ]
 
 
@@ -57,7 +56,10 @@ class PTSystem:
 
         Takes P = I and T = Psi K conj(Psi^{-1}), which is a valid
         time-reversal matrix whenever the spectrum is closed under
-        conjugation.
+        conjugation. K swaps the eigenvectors of each conjugate pair, so T
+        is Psi[:, swapped] conj(Psi^{-1})[order, :]: one inv of the frame
+        that ``classify`` kept, whose kappa(Psi) it has already held to
+        ``defect_cond``.
         """
         c = classify(h)
         if c.kind is Kind.DEFECTIVE:
@@ -66,8 +68,9 @@ class PTSystem:
             raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
         pairs, reals = _pair_spectrum(c.spectrum)
         order = [i for pair in pairs for i in pair] + reals
-        k = _pair_swap(len(pairs), len(order))
-        ptm = construct_pt_from_eigenframe(c.eigenframe[:, order], k)
+        swapped = [i for pair in pairs for i in pair[::-1]] + reals
+        psi = c.eigenframe
+        ptm = psi[:, swapped] @ np.linalg.inv(psi).conj()[order, :]
         pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm)
         return PTSystem(np.asarray(h, dtype=complex), pair)
 
@@ -133,15 +136,14 @@ def classify(h, pt: PTPair | None = None) -> Classification:
         return Classification(Kind.DEFECTIVE, d.eigenvalues, None, cond)
     if all(is_real_eigenvalue(lam) for lam in d.eigenvalues):
         return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix, cond)
-    try:
-        _pair_spectrum(d.eigenvalues)
-    except errors.InconsistentSpectrumError:
+    if _pair_spectrum(d.eigenvalues) is None:
         return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None, cond)
     return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix, cond)
 
 
 def _pair_spectrum(spectrum):
-    """Indices of conjugate pairs (Im > 0 first) and of real eigenvalues."""
+    """Indices of conjugate pairs (Im > 0 first) and of real eigenvalues;
+    None if a complex eigenvalue has no conjugate partner."""
     pairs, reals = [], []
     used = [False] * len(spectrum)
     for i, lam in enumerate(spectrum):
@@ -159,9 +161,7 @@ def _pair_spectrum(spectrum):
                 match = j
                 break
         if match is None:
-            raise errors.InconsistentSpectrumError(
-                f"complex eigenvalue {lam} has no conjugate partner"
-            )
+            return None
         used[i] = used[match] = True
         if lam.imag > 0:
             pairs.append((i, match))
@@ -169,21 +169,3 @@ def _pair_spectrum(spectrum):
             pairs.append((match, i))
     return pairs, reals
 
-
-def _pair_swap(n_pairs: int, n: int) -> np.ndarray:
-    """K for n_pairs leading conjugate pairs and trailing reals: swaps 2i <-> 2i+1."""
-    perm = np.arange(n)
-    perm[: 2 * n_pairs] ^= 1
-    return np.eye(n, dtype=complex)[perm]
-
-
-def construct_pt_from_eigenframe(psi, k) -> np.ndarray:
-    """PT = Psi K conj(Psi^{-1}) for an invertible frame and a K block pattern."""
-    psi = np.asarray(psi, dtype=complex)
-    k = np.asarray(k, dtype=complex)
-    if psi.shape != k.shape:
-        raise errors.DimensionMismatchError("construct_pt_from_eigenframe: shape mismatch")
-    if np.linalg.cond(psi) > TOL.defect_cond:
-        raise errors.SingularFrameError("construct_pt_from_eigenframe: frame not invertible")
-    psi_inv = np.linalg.inv(psi)
-    return psi @ k @ psi_inv.conj()

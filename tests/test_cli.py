@@ -88,6 +88,13 @@ class TestExitCodes:
         path.write_text(json.dumps(obj))
         assert_parse_error(main(["classify", str(path)]), capsys)
 
+    @pytest.mark.parametrize("command", ["classify", "metric", "dilate"])
+    @pytest.mark.parametrize("flag", ["--P", "--T"])
+    def test_half_pt_pair_is_2(self, command, flag, h0_file, tmp_path, capsys):
+        # one matrix of the pair is refused, not silently dropped
+        path = write_matrix(tmp_path / "m.json", np.eye(2))
+        assert_parse_error(main([command, h0_file, flag, path]), capsys)
+
     def test_unwritable_out_is_2(self, h0_file, tmp_path, capsys):
         out = tmp_path / "missing_dir" / "c.json"
         assert_parse_error(main(["classify", h0_file, "--out", str(out)]), capsys)
@@ -199,6 +206,12 @@ class TestSimulate:
                                 rho_prime=io.matrix_to_obj(np.eye(2)))
         assert main(["simulate", cfgp]) == 3
 
+    @pytest.mark.parametrize("field", ["rho", "rho_prime"])
+    def test_rho_with_a_built_in_scheme_is_2(self, field, tmp_path, capsys):
+        # the identity scheme would ignore the matrix; it refuses it instead
+        cfgp = self.make_config(tmp_path, **{field: io.matrix_to_obj(2 * np.eye(2))})
+        assert_parse_error(main(["simulate", cfgp]), capsys)
+
     def test_negative_samples_is_2(self, tmp_path, capsys):
         rc = main(["simulate", self.make_config(tmp_path), "--samples", "-5"])
         assert_parse_error(rc, capsys)
@@ -253,6 +266,11 @@ class TestSimulate:
         obj = json.loads(self.run_to_text(self.hamiltonian_config(tmp_path), tmp_path / "b.json"))
         assert obj["p_prepare"] == pytest.approx(0.5, abs=1e-12)
         assert obj["final_formula_check"] <= 1e-10
+
+    @pytest.mark.parametrize("field", ["P", "T"])
+    def test_hamiltonian_with_half_pt_pair_is_2(self, field, tmp_path, capsys):
+        cfgp = self.hamiltonian_config(tmp_path, **{field: np.eye(2)})
+        assert_parse_error(main(["simulate", cfgp]), capsys)
 
     def test_hamiltonian_non_involutory_p_is_4(self, tmp_path, capsys):
         cfgp = self.hamiltonian_config(tmp_path, P=2 * np.eye(2), T=np.eye(2))

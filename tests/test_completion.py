@@ -36,8 +36,8 @@ class TestSubspaceMap:
     def test_valid(self):
         m, nb = canonical_map(2)
         sm = SubspaceMap(m, nb, np.eye(2))
-        assert sm.subspace_dim == 2
-        assert sm.ambient_dim == 4
+        assert sm.m_basis.shape == sm.n_basis.shape == (4, 2)
+        assert sm.action.shape == (2, 2)
 
     def test_ambient_must_be_doubled(self):
         e = np.eye(3, dtype=complex)

@@ -85,6 +85,13 @@ class TestBuildDilation:
         with pytest.raises(errors.ParseError):
             build_dilation(gunther_system(np.pi / 6), h1_choice="supplied")
 
+    @pytest.mark.parametrize("h1_choice", ["zero", "paper"])
+    def test_h1_matrix_needs_the_supplied_choice(self, h1_choice):
+        # an H1 given with another choice is refused, not silently replaced
+        h1 = np.array([[0.3, 0.1], [0.1, -0.2]], dtype=complex)
+        with pytest.raises(errors.ParseError, match="h1_choice 'supplied'"):
+            build_dilation(gunther_system(np.pi / 6), h1_choice=h1_choice, h1=h1)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_supplied_h1_non_finite_is_parse_error(self, value):
         h1 = np.array([[0.3, value], [value, -0.2]], dtype=complex)

@@ -1,10 +1,10 @@
 """Stale exports and imports: every public name resolves, and no module-level
 import of a ptsim module goes unused. Deleting code leaves both behind
 unnoticed, since neither makes an import fail; so does an error class whose
-last raiser was deleted. Also the program's one output
+last raiser was deleted, or one that only the library itself catches. Also the program's one output
 edge: only the CLI imports ``ptsim.io``, and no record serializes itself. And
 the import cost: importing ptsim, its CLI or the test corpus does not load
-``scipy.linalg``, which only ``matrix_exp``'s expm fallback needs."""
+``scipy.linalg``, which only ``matrix_exp`` needs."""
 
 import ast
 import importlib
@@ -66,15 +66,30 @@ def test_no_unused_module_level_import(mod_name):
     assert sorted(bound - used - exported) == []
 
 
+def _error_names(node):
+    """X for each errors.X that an expression names, a tuple's items included."""
+    for item in node.elts if isinstance(node, ast.Tuple) else [node]:
+        if isinstance(item, ast.Attribute) and getattr(item.value, "id", None) == "errors":
+            yield item.attr
+
+
 def test_every_error_class_is_used():
-    # each exception in ptsim.errors but the base is named as errors.<Name>
-    # in some other module
+    # each exception in ptsim.errors but the base is raised as
+    # errors.<Name>(...) in some other module, and only the CLI catches one:
+    # an error the library catches and turns into a result reaches no caller
     classes = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
                if isinstance(node, ast.ClassDef)} - {"PTSimError"}
-    used = {node.attr for mod_name in MODULES if mod_name != "errors"
-            for node in ast.walk(ast.parse((SRC / f"{mod_name}.py").read_text()))
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "errors"}
-    assert sorted(classes - used) == []
+    trees = {mod_name: ast.parse((SRC / f"{mod_name}.py").read_text())
+             for mod_name in MODULES if mod_name != "errors"}
+    raised = {name for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+              for name in _error_names(node.exc.func)}
+    assert sorted(classes - raised) == []
+    caught = [(mod_name, name) for mod_name, tree in trees.items() if mod_name != "cli"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler) and node.type is not None
+              for name in _error_names(node.type)]
+    assert caught == []
 
 
 def _imported_names(tree):

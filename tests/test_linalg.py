@@ -4,7 +4,6 @@ import pkgutil
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,16 +186,23 @@ class TestMatrixExp:
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_skew_hermitian_generator(self, n):
-        # a skew-Hermitian generator -itK through the general route,
-        # against scipy's Pade expm
+        # a skew-Hermitian generator -itK, against V e^{-itw} V^dag from
+        # the eigh factors of K, a route that shares no code with expm
         rng = np.random.default_rng(n)
         k = random_complex(rng, n, scale=3.0)
         k = 0.5 * (k + k.conj().T)
+        w, v = np.linalg.eigh(k)
         for t in (0.1, 1.0, 2.5):
-            a = -1j * t * k
-            u = matrix_exp(a)
-            assert np.linalg.norm(u - scipy.linalg.expm(a)) <= 1e-12
+            u = matrix_exp(-1j * t * k)
+            assert np.linalg.norm(u - (v * np.exp(-1j * t * w)) @ v.conj().T) <= 1e-12
             assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= 1e-13
+
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7, -1.2 + 0.5j])
+    def test_jordan_block(self, lam):
+        # a defective A: e^{lam I + N} = e^lam (I + N) for the nilpotent N
+        got = matrix_exp(np.array([[lam, 1.0], [0.0, lam]], dtype=complex))
+        assert np.linalg.norm(got - np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]])) <= 1e-14
 
 
 class TestPrincipalSqrt:

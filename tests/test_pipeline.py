@@ -267,6 +267,16 @@ class TestRunSimulation:
             run_simulation(cfg)
 
 
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    @pytest.mark.parametrize("name", ["rho", "rho_prime"])
+    def test_built_in_scheme_refuses_factors(self, scheme, name):
+        # refused before the stage cache, so stages built earlier hide nothing
+        cfg = make_cfg(scheme=scheme, **{name: 2 * np.eye(2, dtype=complex)})
+        scheme_stages(cfg.dilation, scheme)
+        with pytest.raises(errors.ParseError, match="use scheme 'custom'"):
+            run_simulation(cfg)
+
+
 class TestReuse:
     def test_t_sweep_on_one_dilation_matches_fresh_dilations(self):
         rng = np.random.default_rng(53)
@@ -425,7 +435,7 @@ class TestTarget:
 
     @pytest.mark.parametrize("c, kappa, calls", [(1e3, (1e3, 1e4), 0), (1e8, (1e8, 1e12), 1)])
     def test_route_follows_the_frame_condition(self, monkeypatch, c, kappa, calls):
-        # a frame beyond matrix_exp's limit keeps the matrix_exp(-itH) route
+        # a frame beyond _EXPM_COND_LIMIT keeps the matrix_exp(-itH) route
         sys_ = _upper_triangular_system(c)
         d = build_dilation(sys_)
         assert kappa[0] < d.classification.condition_estimate <= kappa[1]

@@ -5,7 +5,6 @@ from ptsim import (
     Kind,
     PTSystem,
     classify,
-    construct_pt_from_eigenframe,
     errors,
     gunther_system,
     is_pt_symmetric,
@@ -183,32 +182,42 @@ class TestFromHamiltonian:
 
 
 class TestConstructPT:
+    """PT = Psi K conj(Psi^{-1}) as from_hamiltonian builds it from H's eigenframe."""
+
     def test_identity(self):
-        assert construct_pt_from_eigenframe(np.eye(3), np.eye(3)) == pytest.approx(np.eye(3))
+        # a diagonal real H has the frame I, so K = I gives PT = I
+        assert PTSystem.from_hamiltonian(np.diag([1.0, 2.0, 3.0])).pt.PT == pytest.approx(np.eye(3))
 
     def test_h3_frame(self):
-        # eigenframe of H3 is the unit-triangular Q up to column scaling
-        ptm = construct_pt_from_eigenframe(Q3, np.eye(3))
-        assert ptm @ ptm.conj() == pytest.approx(np.eye(3), abs=1e-10)
+        # H3's eigenframe is the unit-triangular Q3 up to column scaling
+        pair = PTSystem.from_hamiltonian(H3).pt
+        t, ptm = pair.T, pair.PT
+        assert t @ t.conj() == pytest.approx(np.eye(3), abs=1e-10)
         assert H3 @ ptm == pytest.approx(ptm @ H3.conj(), abs=1e-10)
 
     def test_real_frame_collapses(self):
+        # a real H with a real spectrum has a real frame: PT = Psi Psi^{-1} = I
         rng = np.random.default_rng(2)
         psi = rng.normal(size=(3, 3))
         while np.linalg.cond(psi) > 50:
             psi = rng.normal(size=(3, 3))
-        assert construct_pt_from_eigenframe(psi.astype(complex), np.eye(3)) == pytest.approx(
-            np.eye(3), abs=1e-12
-        )
+        h = psi @ np.diag([1.0, 2.0, 3.5]) @ np.linalg.inv(psi)
+        assert PTSystem.from_hamiltonian(h).pt.PT == pytest.approx(np.eye(3), abs=1e-12)
 
     def test_round_trip_gives_valid_pt(self):
-        # the pair from_hamiltonian builds from H's eigenframe and _pair_swap
+        # the pair from_hamiltonian builds, conjugate pairs swapped
         for sys in unbroken_corpus()[:4] + [broken_2x2()]:
             ptm = PTSystem.from_hamiltonian(sys.H).pt.PT
             assert ptm @ ptm.conj() == pytest.approx(np.eye(ptm.shape[0]), abs=1e-8)
             res = sys.H @ ptm - ptm @ sys.H.conj()
             assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(sys.H))
 
-    def test_singular_frame(self):
-        with pytest.raises(errors.SingularFrameError):
-            construct_pt_from_eigenframe(np.zeros((2, 2)), np.eye(2))
+    def test_one_condition_number(self, monkeypatch):
+        # classify's kappa(Psi) is the only one: the pair is not checked twice
+        calls = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+        for sys in (broken_2x2(), unbroken_corpus()[0]):
+            calls.clear()
+            PTSystem.from_hamiltonian(sys.H)
+            assert len(calls) == 1
