@@ -27,16 +27,13 @@ def main():
     alphas = [float(x) for x in args.alphas.split(",")]
     header = f"{'alpha':>8} {'s':>4} {'E0':>4} " + " ".join(f"{k:>13}" for k in KEYS)
     print(header)
-    worst = 0.0
-    for alpha in alphas:
-        for s in args.s:
-            for e0 in args.e0:
-                r = reproduce_gunther_example(alpha, s=s, e0=e0, t=args.t)
-                worst = max(worst, max(r.values()))
-                row = f"{alpha:8.4f} {s:4.1f} {e0:4.1f} " + " ".join(
-                    f"{r[k]:13.3e}" for k in KEYS
-                )
-                print(row)
+    # one call builds every (alpha, s, E0) point of the grid as one stack
+    grid = np.meshgrid(alphas, args.s, args.e0, indexing="ij")
+    r = reproduce_gunther_example(*grid, t=args.t)
+    for idx in np.ndindex(grid[0].shape):
+        alpha, s, e0 = (g[idx] for g in grid)
+        print(f"{alpha:8.4f} {s:4.1f} {e0:4.1f} " + " ".join(f"{r[k][idx]:13.3e}" for k in KEYS))
+    worst = max(float(np.max(r[k])) for k in KEYS)
     print(f"\nworst residual: {worst:.3e}")
 
 

@@ -183,14 +183,13 @@ def cmd_paper(args) -> int:
     def check(name, residual, tolerance, passed):
         checks.append({"check": name, "residual": residual, "tolerance": tolerance, "pass": passed})
 
-    for alpha in (np.pi / 6, np.pi / 4, 1.0):
-        for s in (1.0, 2.0):
-            for e0 in (0.0, 1.0):
-                rep = reproduce_gunther_example(alpha, s, e0, t=1.0)
-                for name, resid in rep.items():
-                    tol = 1e-8 if name == "evolution_top" else 1e-10
-                    check(f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
-                          float(resid), tol, bool(resid <= tol))
+    grid = [(alpha, s, e0) for alpha in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
+    rep = reproduce_gunther_example(*np.array(grid).T, t=1.0)
+    for i, (alpha, s, e0) in enumerate(grid):
+        for name, resids in rep.items():
+            tol = 1e-8 if name == "evolution_top" else 1e-10
+            check(f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
+                  float(resids[i]), tol, bool(resids[i] <= tol))
     demo = scalar_sum_obstruction_demo()
     entry = demo["obstruction_entry_13"]
     check("scalar_sum_obstruction.entry_13", abs(entry - 1.0), 0.0, entry == 1.0)

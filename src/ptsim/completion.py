@@ -10,12 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .linalg import (
-    DEFAULT_TOL as TOL,
-    _require_finite,
-    fro,
-    orthonormal_extension,
-)
+from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, fro, orthonormal_extension
 
 __all__ = [
     "SubspaceMap",
@@ -77,20 +72,21 @@ def _completion(full_m: np.ndarray | None, full_n: np.ndarray | None, c: np.ndar
     of the contraction C (Summa Brasil. Math. 2, 125 (1950)): with one SVD
     C = X S Y^dag and R = (I - S^2)^{1/2}, W = [[C, X R X^dag], [Y R Y^dag,
     -C^dag]]. U maps M onto the images N C + N-perp (I - C^dag C)^{1/2}, so
-    P_N U = scale N A on M; with C = 0, U maps M onto N-perp.
+    P_N U = scale N A on M; with C = 0, U maps M onto N-perp (also stacked).
     """
     x, s, yh = np.linalg.svd(c)
-    r = np.sqrt(np.clip(1.0 - s**2, 0.0, None))
-    k = c.shape[0]
-    w = np.empty((2 * k, 2 * k), dtype=complex)
-    w[:k, :k], w[:k, k:] = c, (x * r) @ x.conj().T
-    w[k:, :k], w[k:, k:] = yh.conj().T @ (r[:, None] * yh), -c.conj().T
+    r = np.sqrt(np.maximum(1.0 - s**2, 0.0))
+    k = c.shape[-1]
+    w = np.empty(c.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+    w[..., :k, :k], w[..., :k, k:] = c, (x * r[..., None, :]) @ x.conj().mT
+    w[..., k:, :k], w[..., k:, k:] = yh.conj().mT @ (r[..., :, None] * yh), -c.conj().mT
     if full_n is None:
-        u, p_n = w, np.diag(np.repeat([1.0 + 0j, 0j], k))
+        u, p_n = w, np.zeros(w.shape, dtype=complex)
+        p_n[..., :k, :k] = np.eye(k)
     else:
-        u, p_n = full_n @ w, full_n[:, :k] @ full_n[:, :k].conj().T
+        u, p_n = full_n @ w, full_n[..., :k] @ full_n[..., :k].conj().mT
     if full_m is not None:
-        u = u @ full_m.conj().T
+        u = u @ full_m.conj().mT
     return CompletionResult(u, p_n, scale)
 
 
@@ -99,13 +95,14 @@ def frame_completion(full_m: np.ndarray | None, full_n: np.ndarray | None, actio
     [M | M-perp] and [N | N-perp], with A the k x k action in their leading
     columns; None stands for the coordinate frame I. No frame is rebuilt and
     nothing is orthonormalized: the completion costs one SVD of A/||A||_F
-    and at most two products.
+    and at most two products; stacked actions and frames give stacked fields.
     """
     action = np.asarray(action, dtype=complex)
-    a_norm = fro(action)
-    if a_norm == 0.0:
-        raise errors.ZeroMapError("unitary_completion: zero map; use zero_map_completion")
-    return _completion(full_m, full_n, action / a_norm, 1.0 / a_norm)
+    (a_norm,) = _norms(action.reshape((-1,) + action.shape[-2:]))
+    for _, where in _failures(a_norm != 0.0, "unitary_completion"):
+        raise errors.ZeroMapError(f"{where}: zero map; use zero_map_completion")
+    stack = action.shape[:-2]
+    return _completion(full_m, full_n, action / a_norm.reshape(stack + (1, 1)), (1.0 / a_norm).reshape(stack)[()])
 
 
 def unitary_completion(m: SubspaceMap) -> CompletionResult:

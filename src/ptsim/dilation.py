@@ -17,17 +17,8 @@ from numbers import Real
 import numpy as np
 
 from . import errors
-from .linalg import (
-    DEFAULT_TOL as TOL,
-    _require_finite,
-    _require_square,
-    eigen_evolve,
-    eigen_power,
-    fro,
-    is_hermitian,
-    matrix_exp,
-    rel_scale,
-)
+from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _require_finite, _require_square,
+                     eigen_evolve, eigen_power, fro, matrix_exp)
 from .metric import _check_metric_equations, positive_metric
 from .ptcore import Classification, Kind, PTSystem, classify
 
@@ -112,84 +103,93 @@ class Dilation:
         return {}
 
 
-def build_dilation(
-    sys: PTSystem,
-    eta=None,
-    margin: float = 1.05,
-    h1_choice: str = "zero",
-    h1=None,
-) -> Dilation:
-    """Assemble Hhat from (H, eta, H1).
+def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero", h1=None):
+    """Assemble Hhat from (H, eta, H1) for one PTSystem, or for a sequence of
+    same-order systems with one eta (and h1) each: every layer then runs once
+    on their stack, and the list of Dilations has the bits of single builds.
+    A single system is the batch of one; an error about one system of a
+    longer sequence names it ("build_dilation: member 3: ...").
 
-    eta=None constructs the canonical positive metric and rescales it so its
-    smallest eigenvalue equals ``margin`` (> 1 keeps tau invertible). A
-    supplied eta must already satisfy lambda_min > 1; a caller who wants it
-    rescaled passes c * eta. h1_choice is one of "zero", "paper"
-    (H1 = tau H tau eta^{-1} + H eta^{-1}) or "supplied", the one choice
-    that takes the matrix h1.
+    eta=None takes the canonical metric rescaled to lambda_min = ``margin``
+    (> 1 keeps tau invertible); a supplied eta must have lambda_min > 1 (pass
+    c * eta to rescale). h1_choice is "zero", "paper" (H1 = tau H tau eta^{-1}
+    + H eta^{-1}) or "supplied", the one choice that takes the matrix h1.
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
         raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
     if h1 is not None and h1_choice != "supplied":
         raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
-    c = classify(sys.H, sys.pt)
-    if c.kind is not Kind.UNBROKEN:
-        raise errors.NotUnbrokenError(f"build_dilation: classification is {c.kind.value}")
-    h = np.array(sys.H, dtype=complex)
-    n = h.shape[0]
+    single = isinstance(sys, PTSystem)
+    systems = [sys] if single else list(sys)
+    if not systems or len({np.shape(m.H) for m in systems}) != 1:
+        raise errors.DimensionMismatchError("build_dilation: expected one or more systems of one order")
+    h = np.array([m.H for m in systems], dtype=complex)
+    b, n = h.shape[0], h.shape[-1]
+    cs = classify(h, [m.pt for m in systems])
+    for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], "build_dilation"):
+        raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
+    eye = np.eye(n)
 
     if eta is None:
-        base = positive_metric(sys, c)
+        base = positive_metric(systems, cs)
         scale = margin / base.min_eigenvalue
-        eta, w, v = scale * base.eta, scale * base.eigh[0] - 1.0, base.eigh[1]
-        h_scale, eta_scale, shifted = rel_scale(h), rel_scale(eta), eta - np.eye(n)
+        eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
+        h_scale, eta_scale = np.maximum(1.0, _norms(h, eta))
+        shifted = eta - eye
     else:
-        eta = np.array(eta, dtype=complex)
+        eta = np.array([eta] if single else eta, dtype=complex)
         h_scale, eta_scale = _check_metric_equations(h, eta, "build_dilation")
         # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
-        shifted = eta - np.eye(n)
-        w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().T))
-        if w[0] <= 0.0:
-            raise errors.EtaNotGreaterThanIError(f"build_dilation: lambda_min(eta) = {1.0 + w[0]:.6g} <= 1")
+        shifted = eta - eye
+        w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().mT))
+        for i, where in _failures(w[:, 0] > 0.0, "build_dilation"):
+            raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w[i, 0]:.6g} <= 1")
 
-    if np.sqrt(w[0]) <= TOL.psd_tol:
-        raise errors.NumericalFailureError("build_dilation: tau is singular (eta at boundary)")
+    for _, where in _failures(np.sqrt(w[:, 0]) > TOL.psd_tol, "build_dilation"):
+        raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
     tau = eigen_power(w, v, 0.5)
     tau_inv = np.linalg.inv(tau)
-    ytau_q, _ = np.linalg.qr(np.vstack([np.eye(n, dtype=complex), tau]), mode="complete")
+    i_tau = np.zeros((b, 2 * n, n), dtype=complex)
+    i_tau[:, :n], i_tau[:, n:] = eye, tau
+    ytau_q, _ = np.linalg.qr(i_tau, mode="complete")
 
     if h1_choice == "zero":
-        h1m = np.zeros((n, n), dtype=complex)
+        h1m = np.zeros_like(h)
     elif h1_choice == "paper":
         eta_inv = eigen_power(w + 1.0, v, -1.0)
         h1m = tau @ h @ tau @ eta_inv + h @ eta_inv
-        h1m = 0.5 * (h1m + h1m.conj().T)
+        h1m = 0.5 * (h1m + h1m.conj().mT)
     elif h1_choice == "supplied":
         if h1 is None:
             raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
-        h1m = np.array(h1, dtype=complex)
-        _require_finite("build_dilation", H1=h1m)
-        if h1m.shape != (n, n) or not is_hermitian(h1m):
-            raise errors.SuppliedH1NotHermitianError("build_dilation: supplied H1 is not Hermitian")
+        h1m = np.array([h1] if single else h1, dtype=complex)
+        for _, where in _failures(np.isfinite(h1m.reshape(len(h1m), -1)).all(axis=1), "build_dilation"):
+            raise errors.ParseError(f"{where}: H1 must be finite")
+        skew, h1_norm = _norms(h1m - h1m.conj().mT, h1m) if h1m.shape == h.shape else ([np.inf], [1.0])
+        for _, where in _failures(skew <= TOL.eq_tol * np.maximum(1.0, h1_norm), "build_dilation"):
+            raise errors.SuppliedH1NotHermitianError(f"{where}: supplied H1 is not Hermitian")
     else:
         raise errors.ParseError(f"unknown h1_choice {h1_choice!r}")
 
     h2 = (h - h1m) @ tau_inv
-    h4 = (tau @ h - h2.conj().T) @ tau_inv
-    hhat = np.empty((2 * n, 2 * n), dtype=complex)
-    hhat[:n, :n], hhat[:n, n:], hhat[n:, :n], hhat[n:, n:] = h1m, h2, h2.conj().T, h4
+    h4 = (tau @ h - h2.conj().mT) @ tau_inv
+    hhat = np.empty((b, 2 * n, 2 * n), dtype=complex)
+    hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1m, h2, h2.conj().mT, h4
 
-    residuals = {
-        "hermiticity": fro(hhat - hhat.conj().T) / h_scale,
-        "eq_h1h2": fro(h1m + h2 @ tau - h) / h_scale,
-        "eq_h2h4": fro(h2.conj().T + h4 @ tau - tau @ h) / h_scale,
-        "tau_sq": fro(tau @ tau - shifted) / eta_scale,
-    }
-    hhat = 0.5 * (hhat + hhat.conj().T)
-    hhat_eigh = np.linalg.eigh(hhat)
-    for a in (h, c.spectrum, c.eigenframe, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, *hhat_eigh):
+    # hhat - hhat^dag vanishes off its diagonal blocks: its norm is the hypot of theirs
+    norms = _norms(h1m - h1m.conj().mT, h4 - h4.conj().mT, h1m + h2 @ tau - h,
+                   h2.conj().mT + h4 @ tau - tau @ h, tau @ tau - shifted)
+    norms[1] = np.hypot(norms[0], norms[1])
+    residuals = [dict(zip(("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq"), r)) for r in
+                 (norms[1:] / np.array([h_scale, h_scale, h_scale, eta_scale])).T.tolist()]
+    hhat = 0.5 * (hhat + hhat.conj().mT)
+    hw, hv = np.linalg.eigh(hhat)
+    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, hw, hv, *(c.spectrum for c in cs),
+              *(c.eigenframe for c in cs)):
         a.setflags(write=False)
-    return Dilation(h, c, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, tuple(hhat_eigh), residuals)
+    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], h1m[i], h2[i], h4[i], hhat[i], (hw[i], hv[i]),
+                    residuals[i]) for i, c in enumerate(cs)]
+    return out[0] if single else out
 
 
 def in_tau_subspace(x, tau) -> bool:

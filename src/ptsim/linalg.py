@@ -3,6 +3,9 @@
 All matrices are numpy complex arrays. Operations are pure functions; values
 may be shared freely across threads. Everything runs on numpy but
 ``matrix_exp``, which is scipy's ``expm`` and imports it on its first call.
+``eig`` and ``eigen_power`` also take a stack (b, n, n) and factor it in one
+pass with the bits of b calls; an error about one member of a longer stack
+names it ("eig: member 3: ...").
 """
 
 from __future__ import annotations
@@ -15,21 +18,8 @@ import numpy as np
 from . import errors
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
-    "EigenDecomposition",
-    "eig",
-    "matrix_exp",
-    "psd_power",
-    "eigen_power",
-    "eigen_evolve",
-    "orthonormal_extension",
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
-    "fro",
-    "rel_scale",
-    "is_hermitian",
+    "Tolerances", "DEFAULT_TOL", "EigenDecomposition", "eig", "matrix_exp", "psd_power", "eigen_power",
+    "eigen_evolve", "orthonormal_extension", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "fro", "rel_scale",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -66,6 +56,25 @@ def rel_scale(a) -> float:
     return max(1.0, fro(a))
 
 
+def _norms(*stacks) -> np.ndarray:
+    """fro of each member of each complex stack (b, ...) of one shape, a row per
+    stack; vecdot takes the BLAS dots that fro takes, so the bits are fro's."""
+    x = (np.concatenate(stacks) if len(stacks) > 1 else stacks[0]).reshape(len(stacks) * len(stacks[0]), -1)
+    sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+    return np.sqrt(sq, out=sq).reshape(len(stacks), -1)
+
+
+def _failures(ok, who: str) -> list:
+    """[(i, where)] for the first member i whose verdict in ok is not True, else
+    []; where names member i if ok has more than one. Read as
+    ``for i, where in _failures(ok, who): raise ...``."""
+    ok = ok.tolist() if isinstance(ok, np.ndarray) else ok
+    if all(ok):
+        return []
+    i = ok.index(False)
+    return [(i, who if len(ok) == 1 else f"{who}: member {i}")]
+
+
 def _require_finite(who: str, **values) -> None:
     """A ParseError (exit 2) naming the first of values, each a number or an
     array, that is or holds a NaN or an infinity."""
@@ -74,23 +83,17 @@ def _require_finite(who: str, **values) -> None:
             raise errors.ParseError(f"{who}: {name} must be finite")
 
 
-def _require_square(a, who: str) -> np.ndarray:
-    """a as a complex array; a NonSquareError unless it is a square matrix, and
-    a ParseError if it holds a NaN or an infinity, which LAPACK cannot take."""
+def _require_square(a, who: str, stack: bool = False) -> np.ndarray:
+    """a as a complex array; a NonSquareError unless it is a square matrix (or,
+    with stack, a stack (b, n, n) of them), and a ParseError if it holds a NaN
+    or an infinity, which LAPACK cannot take."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
         raise errors.NonSquareError(f"{who}: expected a square matrix, got shape {a.shape}")
-    _require_finite(who, matrix=a)
+    if not np.isfinite(a).all():
+        for _, where in _failures(np.isfinite(a).all(axis=(-2, -1)).reshape(-1), who):
+            raise errors.ParseError(f"{where}: matrix must be finite")
     return a
-
-
-def is_hermitian(a) -> bool:
-    a = np.asarray(a, dtype=complex)
-    return fro(a - a.conj().T) <= DEFAULT_TOL.eq_tol * rel_scale(a)
-
-
-def is_real_eigenvalue(lam: complex) -> bool:
-    return abs(lam.imag) <= DEFAULT_TOL.real_tol * max(1.0, abs(lam))
 
 
 @dataclass(frozen=True)
@@ -110,44 +113,47 @@ def eig(a) -> EigenDecomposition:
     deficit). We refuse to classify such inputs further rather than
     silently mis-handle a Jordan block.
     """
-    a = _require_square(a, "eig")
+    a = _require_square(a, "eig", stack=True)
+    stack = a if a.ndim == 3 else a[None]
     try:
-        lam, psi = np.linalg.eig(a)
+        lam, psi = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise errors.NumericalFailureError(f"eig did not converge: {exc}") from exc
-    if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(psi))):
-        raise errors.NumericalFailureError("eig produced non-finite output")
+    finite = np.logical_and.reduce(np.isfinite(psi.reshape(len(psi), -1)), axis=-1)
+    for _, where in _failures(finite & np.logical_and.reduce(np.isfinite(lam), axis=-1), "eig"):
+        raise errors.NumericalFailureError(f"{where} produced non-finite output")
 
-    cond = float(np.linalg.cond(psi))
-    defective = bool(not np.isfinite(cond) or cond > DEFAULT_TOL.defect_cond)
-
-    if not defective:
-        defective = _has_clustered_rank_deficit(lam, psi)
-
+    cond = np.linalg.cond(psi)
+    defective = ~(cond <= DEFAULT_TOL.defect_cond) | _has_clustered_rank_deficit(lam, psi)
+    if a.ndim == 2:
+        return EigenDecomposition(lam[0], psi[0], float(cond[0]), bool(defective[0]))
     return EigenDecomposition(lam, psi, cond, defective)
 
 
-def _has_clustered_rank_deficit(lam, psi) -> bool:
+def _has_clustered_rank_deficit(lam, psi):
+    """Per member of stacks lam (b, n), psi (b, n, n): do nearly equal
+    eigenvalues come with nearly dependent eigenvectors?"""
+    if lam.ndim == 1:
+        return bool(_has_clustered_rank_deficit(lam[None], psi[None])[0])
     # A Jordan block perturbed at machine precision splits its eigenvalue by
     # ~sqrt(eps), so the cluster window must be much wider than real_tol.
-    n = len(lam)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    window = max(DEFAULT_TOL.real_tol, 1e-6) * scale
-    close = np.abs(lam[:, None] - lam[None, :]) <= window
-    if np.count_nonzero(close) == n:  # no pair is close: the common case
-        return False
-    # greedy clusters: the first unassigned eigenvalue and all still
-    # unassigned within the window of it
-    unassigned = np.ones(n, dtype=bool)
-    for i in range(n):
-        if unassigned[i]:
-            cluster = np.flatnonzero(close[i] & unassigned)
-            unassigned[cluster] = False
-            if len(cluster) > 1:
-                s = np.linalg.svd(psi[:, cluster], compute_uv=False)
-                if s[-1] <= 1e-6 * max(1.0, s[0]):
-                    return True
-    return False
+    n = lam.shape[-1]
+    window = max(DEFAULT_TOL.real_tol, 1e-6) * np.maximum(1.0, np.abs(lam).max(axis=-1))
+    close = np.abs(lam[:, :, None] - lam[:, None, :]) <= window[:, None, None]
+    deficit = np.zeros(len(lam), dtype=bool)
+    # members with a close pair; where none is close (the common case), only the diagonal counts
+    for m in np.flatnonzero(close.sum(axis=(1, 2)) > n) if np.count_nonzero(close) > len(lam) * n else ():
+        # greedy clusters: the first unassigned eigenvalue and all still
+        # unassigned within the window of it
+        unassigned = np.ones(n, dtype=bool)
+        for i in range(n):
+            if unassigned[i] and not deficit[m]:
+                cluster = np.flatnonzero(close[m, i] & unassigned)
+                unassigned[cluster] = False
+                if len(cluster) > 1:
+                    s = np.linalg.svd(psi[m][:, cluster], compute_uv=False)
+                    deficit[m] = s[-1] <= 1e-6 * max(1.0, s[0])
+    return deficit
 
 
 def matrix_exp(a) -> np.ndarray:
@@ -170,7 +176,7 @@ def psd_power(a, p: float) -> np.ndarray:
     [-psd_tol, 0) are clamped to zero; anything below the window is rejected.
     """
     a = _require_square(a, "psd_power")
-    if not is_hermitian(a):
+    if fro(a - a.conj().T) > DEFAULT_TOL.eq_tol * rel_scale(a):
         raise errors.NotHermitianError("psd_power: input is not Hermitian within eq_tol")
     w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
     if np.min(w) < -DEFAULT_TOL.psd_tol:
@@ -182,9 +188,9 @@ def psd_power(a, p: float) -> np.ndarray:
 
 
 def eigen_power(w, v, p: float) -> np.ndarray:
-    """V diag(w^p) V^dag, Hermitian-symmetrized, from the eigh factors (w, V)."""
-    s = (v * w**p) @ v.conj().T  # column scaling: each entry of V diag(d) has one term
-    return 0.5 * (s + s.conj().T)
+    """V diag(w^p) V^dag, Hermitian-symmetrized, from the eigh factors (w, V) or their stacks."""
+    s = (v * (w**p)[..., None, :]) @ v.conj().mT  # column scaling: each entry of V diag(d) has one term
+    return 0.5 * (s + s.conj().mT)
 
 
 def eigen_evolve(w, v, t: float, x) -> np.ndarray:

@@ -10,13 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .linalg import (
-    DEFAULT_TOL as TOL,
-    _require_finite,
-    eigen_power,
-    fro,
-    rel_scale,
-)
+from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro
 from .ptcore import Classification, Kind, PTSystem, classify
 
 __all__ = [
@@ -49,7 +43,7 @@ class MetricOperator:
     eigh: tuple | None = None
 
 
-def positive_metric(sys: PTSystem, classification: Classification | None = None) -> MetricOperator:
+def positive_metric(sys, classification: Classification | list | None = None) -> MetricOperator:
     """Canonical positive-definite metric eta = (Psi Psi^dag)^{-1}.
 
     Psi is the eigenframe with unit-norm columns; the output is one
@@ -57,32 +51,40 @@ def positive_metric(sys: PTSystem, classification: Classification | None = None)
     has already classified sys passes that result, so H is factored once.
     One SVD Psi = X S Y^dag gives eta = X S^{-2} X^dag, kept as ``eigh``, and
     lambda_min = s_max^{-2}, which keeps its digits near an exceptional point.
+    A sequence of same-order systems (and classifications) gives stacked fields.
     """
-    c = classify(sys.H, sys.pt) if classification is None else classification
-    if c.kind is not Kind.UNBROKEN:
-        raise errors.NotUnbrokenError(f"positive_metric: classification is {c.kind.value}")
-    psi = c.eigenframe / np.linalg.norm(c.eigenframe, axis=0, keepdims=True)
-    x, s, _ = np.linalg.svd(psi)  # s descending, so s^{-2} ascending
-    w = s**-2.0
-    return MetricOperator(eigen_power(w, x, 1.0), bool(w[0] > TOL.psd_tol), float(w[0]), (w, x))
+    single = isinstance(sys, PTSystem)
+    systems, cs = ([sys], [classification]) if single else (list(sys), classification)
+    if classification is None:
+        cs = classify(np.array([m.H for m in systems]), [m.pt for m in systems])
+    for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], "positive_metric"):
+        raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
+    frames = np.array([c.eigenframe for c in cs])
+    x, s, _ = np.linalg.svd(frames / np.linalg.norm(frames, axis=-2, keepdims=True))
+    w = s**-2.0  # s descending, so w ascending
+    eta, lo = eigen_power(w, x, 1.0), w[:, 0]
+    if single:
+        return MetricOperator(eta[0], bool(lo[0] > TOL.psd_tol), float(lo[0]), (w[0], x[0]))
+    return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
 
 
-def _check_metric_equations(h, eta, who: str) -> tuple[float, float]:
+def _check_metric_equations(h, eta, who: str) -> tuple:
     """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
-    naming the caller ``who``; return (rel_scale(H), rel_scale(eta)).
-
-    Positivity is left to the caller, which factors eta once in the form it
-    needs: ``verify_metric`` takes its eigenvalues, ``build_dilation`` the
-    eigh of eta - I.
+    naming the caller ``who``; return (rel_scale(H), rel_scale(eta)) for each
+    member of the stacks h and eta (b, n, n). Positivity is left to the caller,
+    which factors eta once: ``verify_metric`` by eigvalsh, ``build_dilation``
+    by the eigh of eta - I.
     """
-    if h.shape != eta.shape or h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
-    _require_finite(who, eta=eta)  # H is the caller's to check (build_dilation: in classify)
-    h_scale, eta_scale = rel_scale(h), rel_scale(eta)
-    if not fro(eta - eta.conj().T) <= TOL.eq_tol * eta_scale:
-        raise errors.NotHermitianError(f"{who}: eta is not Hermitian")
-    if fro(h.conj().T @ eta - eta @ h) > TOL.eq_tol * h_scale * eta_scale:
-        raise errors.NotIntertwiningError(f"{who}: H^dag eta != eta H")
+    for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):  # H is the caller's to check
+        raise errors.ParseError(f"{where}: eta must be finite")
+    h_norm, eta_norm, skew, intertwining = _norms(h, eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h)
+    h_scale, eta_scale = np.maximum(1.0, h_norm), np.maximum(1.0, eta_norm)
+    for _, where in _failures(skew <= TOL.eq_tol * eta_scale, who):
+        raise errors.NotHermitianError(f"{where}: eta is not Hermitian")
+    for _, where in _failures(intertwining <= TOL.eq_tol * h_scale * eta_scale, who):
+        raise errors.NotIntertwiningError(f"{where}: H^dag eta != eta H")
     return h_scale, eta_scale
 
 
@@ -90,7 +92,7 @@ def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     _require_finite("verify_metric", H=h)
-    _check_metric_equations(h, eta, "verify_metric")
+    _check_metric_equations(h[None], eta[None], "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve
+from .dilation import build_dilation
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _failures, _norms, _require_finite, eigen_evolve
 from .pipeline import (gunther_eta, gunther_propagator, gunther_system, preparation_completion,
                        resolve_rho, scheme_stages)
 
@@ -27,6 +27,7 @@ __all__ = [
 
 _Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # columns |+y>, |-y>
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
+_ALICE_STACK = np.array(_ALICE_UNITARIES)
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,12 @@ def _measure_joint(state: np.ndarray) -> np.ndarray:
     return np.abs(_Y_BASIS.conj().T @ state @ _Y_BASIS.conj()) ** 2
 
 
-def _paper_dilation(cfg: ExperimentConfig) -> Dilation:
-    return build_dilation(gunther_system(cfg.alpha, cfg.s), eta=gunther_eta(cfg.alpha), h1_choice="paper")
+def _paper_dilation(cfg):
+    """The paper's dilation of cfg, or of each of a list of configs from one stacked build."""
+    cfgs = cfg if isinstance(cfg, list) else [cfg]
+    ds = build_dilation([gunther_system(c.alpha, c.s) for c in cfgs], eta=[gunther_eta(c.alpha) for c in cfgs],
+                        h1_choice="paper")
+    return ds if isinstance(cfg, list) else ds[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> JointStats:
@@ -86,23 +91,17 @@ def run_experiment(cfg: ExperimentConfig) -> JointStats:
 
 def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
     """``run_experiment`` on cfg's stages, built once per alpha; None in direct mode."""
-    psi = bell_plus_x_state().reshape(2, 2)
     if stages is None:
         rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
     else:
         channel = stages.kraus(cfg.t)
-    table = np.zeros((2, 2, 2))
-    p_success = np.ones(2)  # stays 1 in direct mode
-    for k, u_a in enumerate(_ALICE_UNITARIES):
-        final = channel @ (u_a @ psi)
-        nrm = np.linalg.norm(final)
-        if stages is not None:
-            p_success[k] = nrm**2
-        if nrm <= 1e-14 or p_success[k] <= TOL.psd_tol:
-            raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
-        table[k] = _measure_joint(final / nrm)
-
+    finals = channel @ (_ALICE_STACK @ bell_plus_x_state().reshape(2, 2))  # Alice's two branches as one stack
+    (nrm,) = _norms(finals)
+    p_success = nrm**2 if stages is not None else np.ones(2)  # stays 1 in direct mode
+    for k, _ in _failures((nrm > 1e-14) & (p_success > TOL.psd_tol), "run_experiment"):
+        raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
+    table = _measure_joint(finals / nrm[:, None, None])
     bob = table.sum(axis=1)  # [k, b]
     delta_s = float(abs(bob[0, 0] - bob[1, 0]))
     return JointStats(table, bob, delta_s, p_success)
@@ -129,17 +128,12 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73", s: float = 1.0) -> list[dict]:
-    """One ``run_experiment`` row per (alpha, t); in simulated mode each alpha's
-    dilation and stages are built once and every t reads its K(t)."""
-    rows = []
-    for alpha in alphas:
-        stages = None
-        for t in ts:
-            cfg = ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode)
-            if stages is None and mode == "simulated_eq73":
-                stages = scheme_stages(_paper_dilation(cfg), scheme)
-            stats = _experiment_stats(cfg, stages)
-            rows.append({"alpha": float(alpha), "t": float(t), "scheme": scheme,
-                         "delta_s": stats.delta_s, "p_success_1": float(stats.p_success[0]),
-                         "p_success_2": float(stats.p_success[1])})
-    return rows
+    """One ``run_experiment`` row per (alpha, t); in simulated mode every
+    alpha's dilation comes from one stacked ``build_dilation`` call, its
+    stages are built once, and every t reads its K(t)."""
+    grid = [[ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode) for t in ts] for alpha in alphas]
+    simulated = mode == "simulated_eq73" and grid and grid[0]
+    stages = [scheme_stages(d, scheme) for d in _paper_dilation([r[0] for r in grid])] if simulated else [None] * len(grid)
+    points = [(cfg, _experiment_stats(cfg, st)) for cfgs, st in zip(grid, stages) for cfg in cfgs]
+    return [{"alpha": float(cfg.alpha), "t": float(cfg.t), "scheme": scheme, "delta_s": js.delta_s,
+             "p_success_1": float(js.p_success[0]), "p_success_2": float(js.p_success[1])} for cfg, js in points]

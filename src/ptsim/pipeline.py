@@ -15,7 +15,7 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, frame_completion, post_select
 from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _require_finite, eigen_evolve, fro, psd_power
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _require_finite, eigen_evolve, fro, psd_power
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -197,14 +197,19 @@ class SimulationTrace:
     probability_check: float
 
 
-def preparation_completion(d: Dilation, rho) -> CompletionResult:
+def preparation_completion(d, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
 
     Its frames are the coordinate frame [X1 | X1-perp] = I, passed as None so
-    that it is never formed, and the dilation's complete Q of [I; tau].
+    that it is never formed, and the dilation's complete Q of [I; tau]. A
+    sequence of same-order dilations gives one record with stacked fields.
     """
-    action = d.ytau_frame.conj().T @ np.vstack([rho, d.tau @ rho])
-    return frame_completion(None, d.ytau_q, action)
+    q, tau = (d.ytau_q, d.tau) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
+                                                                np.array([x.tau for x in d]))
+    n = tau.shape[-1]
+    image = np.empty(tau.shape[:-2] + (2 * n, n), dtype=complex)  # (rho; tau rho)
+    image[..., :n, :], image[..., n:, :] = rho, tau @ rho
+    return frame_completion(None, q, q[..., :n].conj().mT @ image)
 
 
 def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
@@ -259,18 +264,26 @@ def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def gunther_hamiltonian(alpha: float, s: float = 1.0, e0: float = 0.0) -> np.ndarray:
+def _matrix(*rows) -> np.ndarray:
+    """The complex matrix with these rows of entries; array entries broadcast to
+    a stack (..., r, c). So the family's closed forms below take arrays too."""
+    out = np.empty(np.broadcast(*(e for row in rows for e in row)).shape + (len(rows), len(rows[0])), dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            out[..., i, j] = entry
+    return out
+
+
+def gunther_hamiltonian(alpha, s=1.0, e0=0.0) -> np.ndarray:
     _require_finite("gunther_hamiltonian", alpha=alpha, s=s, e0=e0)
-    return np.array(
-        [[e0 + 1j * s * np.sin(alpha), s], [s, e0 - 1j * s * np.sin(alpha)]], dtype=complex
-    )
+    isa = 1j * s * np.sin(alpha)
+    return _matrix((e0 + isa, s), (s, e0 - isa))
 
 
-def gunther_eta(alpha: float) -> np.ndarray:
+def gunther_eta(alpha) -> np.ndarray:
     _require_finite("gunther_eta", alpha=alpha)
-    return (2.0 / np.cos(alpha) ** 2) * np.array(
-        [[1.0, -1j * np.sin(alpha)], [1j * np.sin(alpha), 1.0]], dtype=complex
-    )
+    return np.asarray(2.0 / np.cos(alpha) ** 2)[..., None, None] * _matrix((1.0, -1j * np.sin(alpha)),
+                                                                            (1j * np.sin(alpha), 1.0))
 
 
 # the family's PT pair (sigma_x, I), validated once and shared read-only
@@ -282,22 +295,14 @@ def gunther_system(alpha: float, s: float = 1.0, e0: float = 0.0) -> PTSystem:
     return PTSystem(gunther_hamiltonian(alpha, s, e0), _GUNTHER_PT)
 
 
-def gunther_projection(alpha: float) -> np.ndarray:
+def gunther_projection(alpha) -> np.ndarray:
     """Closed-form orthogonal projection onto Y_tau for the two-level family."""
     _require_finite("gunther_projection", alpha=alpha)
     sa, ca = np.sin(alpha), np.cos(alpha)
-    return 0.5 * np.array(
-        [
-            [1, 1j * sa, ca, 0],
-            [-1j * sa, 1, 0, ca],
-            [ca, 0, 1, -1j * sa],
-            [0, ca, 1j * sa, 1],
-        ],
-        dtype=complex,
-    )
+    return 0.5 * _matrix((1, 1j * sa, ca, 0), (-1j * sa, 1, 0, ca), (ca, 0, 1, -1j * sa), (0, ca, 1j * sa, 1))
 
 
-def gunther_propagator(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> np.ndarray:
+def gunther_propagator(alpha, s=1.0, e0=0.0, t=1.0) -> np.ndarray:
     """Closed-form e^{-itH} for the two-level family.
 
     H - e0 I squares to w^2 I with w = s cos(alpha), so
@@ -305,63 +310,57 @@ def gunther_propagator(alpha: float, s: float = 1.0, e0: float = 0.0, t: float =
     sinc(x) = sin(x)/x and sinc(0) = 1.
     """
     _require_finite("gunther_propagator", alpha=alpha, s=s, e0=e0, t=t)
-    wt = s * np.cos(alpha) * t
-    sinc = np.sin(wt) / wt if wt != 0.0 else 1.0
     k = gunther_hamiltonian(alpha, s, 0.0)  # H - e0 I
+    alpha, s, e0, t = (np.asarray(x)[..., None, None] for x in (alpha, s, e0, t))
+    wt = s * np.cos(alpha) * t
+    sinc = np.where(wt != 0.0, np.sin(wt) / np.where(wt != 0.0, wt, 1.0), 1.0)
     return np.exp(-1j * t * e0) * (np.cos(wt) * np.eye(2) - 1j * t * sinc * k)
 
 
-def _gunther_hhat(alpha: float, s: float, e0: float) -> np.ndarray:
+def _gunther_hhat(alpha, s, e0) -> np.ndarray:
     """Closed-form Hhat = I x (e0 I + b sigma_x) - c sigma_y x sigma_z, entry by
     entry, with b = s cos^2(alpha) and c = s sin(alpha) cos(alpha)."""
     sa, ca = np.sin(alpha), np.cos(alpha)
     b, ic = s * ca**2, 1j * (s * ca * sa)
-    return np.array([[e0, b, ic, 0], [b, e0, 0, -ic], [-ic, 0, e0, b], [0, ic, b, e0]], dtype=complex)
+    return _matrix((e0, b, ic, 0), (b, e0, 0, -ic), (-ic, 0, e0, b), (0, ic, b, e0))
 
 
-def reproduce_gunther_example(alpha: float, s: float = 1.0, e0: float = 0.0, t: float = 1.0) -> dict:
+def reproduce_gunther_example(alpha, s=1.0, e0=0.0, t=1.0) -> dict:
     """Entrywise comparison of the construction against its closed forms.
 
     Returns residuals for tau, H1, H2, H4, the tensor form of Hhat, the
     Y_tau projection, the preparation amplitude cos(alpha)/2 along the
     embedded initial state, and the top-block evolution identity against
-    ``gunther_propagator``.
+    ``gunther_propagator``. The parameters broadcast: each point is one
+    system of a single stacked ``build_dilation``, and each residual is an
+    array of the broadcast shape, or a float when all four are scalars (the
+    batch of one). An error names a failing point by its flat index.
     """
     _require_finite("reproduce_gunther_example", alpha=alpha, s=s, e0=e0, t=t)
-    sys = gunther_system(alpha, s, e0)
-    eta = gunther_eta(alpha)
-    d = build_dilation(sys, eta=eta, h1_choice="paper")
+    shape = np.broadcast_shapes(*map(np.shape, (alpha, s, e0, t)))
+    alpha, s, e0, t = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (alpha, s, e0, t))
+    ds = build_dilation([PTSystem(h, _GUNTHER_PT) for h in gunther_hamiltonian(alpha, s, e0)],
+                        eta=gunther_eta(alpha), h1_choice="paper")
+    tau, h1, h2, h4, hhat, hw, hv = map(np.array, zip(*((d.tau, d.H1, d.H2, d.H4, d.Hhat, *d.hhat_eigh) for d in ds)))
     sa, ca = np.sin(alpha), np.cos(alpha)
-
-    tau_cf = (1.0 / ca) * np.array([[1.0, -1j * sa], [1j * sa, 1.0]], dtype=complex)
-    h1_cf = np.array([[e0, s * ca**2], [s * ca**2, e0]], dtype=complex)
-    h2_cf = np.diag([1j * s * sa * ca, -1j * s * sa * ca]).astype(complex)
-    hhat_cf = _gunther_hhat(alpha, s, e0)
-
+    tau_cf = (1.0 / ca)[:, None, None] * _matrix((1.0, -1j * sa), (1j * sa, 1.0))
+    h1_cf = _matrix((e0, s * ca**2), (s * ca**2, e0))
+    h2_cf = _matrix((1j * s * sa * ca, 0), (0, -1j * s * sa * ca))
     psi_i = np.array([1.0, 0.0], dtype=complex)
-    chi_i = (1.0 / ca) * np.array([1.0, 1j * sa], dtype=complex)
-    psi_hat = np.concatenate([psi_i, chi_i])
-
-    prep = preparation_completion(d, np.eye(2, dtype=complex))
+    psi_hat = _matrix((1.0, 0.0, 1.0 / ca, (1.0 / ca) * (1j * sa)))[:, 0]  # (psi_i; chi_i)
+    prep = preparation_completion(ds, np.eye(2, dtype=complex))
     w = prep.P_N @ prep.U @ np.concatenate([psi_i, np.zeros(2)])
-    amp = (psi_hat.conj() @ w) / (psi_hat.conj() @ psi_hat)
-    amp_residual = abs(amp - ca / 2.0) + np.linalg.norm(w - amp * psi_hat)
+    amp, norm2 = ((psi_hat.conj()[:, None, :] @ y[:, :, None])[:, 0, 0] for y in (w, psi_hat))  # a dot per point
+    amp = amp / norm2
 
-    xhat = np.concatenate([psi_i, d.tau @ psi_i])
-    evolved = eigen_evolve(*d.hhat_eigh, t, xhat)
+    xhat = np.concatenate([np.broadcast_to(psi_i, (len(tau), 2)), tau @ psi_i], axis=-1)
+    evolved = (hv @ (np.exp(-1j * t[:, None] * hw) * (hv.conj().mT @ xhat[..., None])[..., 0])[..., None])[..., 0]
     top_target = gunther_propagator(alpha, s, e0, t) @ psi_i
-    evo_residual = float(
-        np.linalg.norm(evolved[:2] - top_target)
-        + np.linalg.norm(evolved[2:] - d.tau @ top_target)
-    )
+    top, bottom = _norms(evolved[:, :2] - top_target, evolved[:, 2:] - (tau @ top_target[..., None])[..., 0])
 
-    return {
-        "tau": fro(d.tau - tau_cf),
-        "h1": fro(d.H1 - h1_cf),
-        "h2": fro(d.H2 - h2_cf),
-        "h4": fro(d.H4 - h1_cf),
-        "hhat_tensor": fro(d.Hhat - hhat_cf),
-        "p_ytau": fro(prep.P_N - gunther_projection(alpha)),
-        "prep_amplitude": float(amp_residual),
-        "evolution_top": evo_residual,
-    }
+    residuals = dict(zip(("tau", "h1", "h2", "h4", "hhat_tensor", "p_ytau"), [
+        *_norms(tau - tau_cf, h1 - h1_cf, h2 - h2_cf, h4 - h1_cf),
+        *_norms(hhat - _gunther_hhat(alpha, s, e0), prep.P_N - gunther_projection(alpha))]))
+    residuals["prep_amplitude"] = np.abs(amp - ca / 2.0) + _norms(w - amp[:, None] * psi_hat)[0]
+    residuals["evolution_top"] = top + bottom
+    return {name: float(r[0]) if shape == () else r.reshape(shape) for name, r in residuals.items()}

@@ -13,15 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import errors
-from .linalg import (
-    DEFAULT_TOL as TOL,
-    _require_finite,
-    _require_square,
-    eig,
-    fro,
-    is_real_eigenvalue,
-    rel_scale,
-)
+from .linalg import DEFAULT_TOL as TOL, _norms, _require_finite, _require_square, eig, fro, rel_scale
 
 __all__ = [
     "PTPair",
@@ -71,7 +63,7 @@ class PTSystem:
         swapped = [i for pair in pairs for i in pair[::-1]] + reals
         psi = c.eigenframe
         ptm = psi[:, swapped] @ np.linalg.inv(psi).conj()[order, :]
-        pair = validate_pt_pair(np.eye(h.shape[0], dtype=complex), ptm)
+        pair = validate_pt_pair(np.eye(len(c.spectrum), dtype=complex), ptm)
         return PTSystem(np.asarray(h, dtype=complex), pair)
 
 
@@ -111,34 +103,40 @@ def validate_pt_pair(p, t) -> PTPair:
 
 
 def is_pt_symmetric(h, pt: PTPair) -> bool:
+    """H PT = PT conj(H) within eq_tol; a verdict per member of a stack h (b, n, n) with a pair each."""
     h = np.asarray(h, dtype=complex)
-    if h.shape[0] != pt.dim or h.shape[0] != h.shape[1]:
+    hs, pts = (h, pt) if h.ndim == 3 else (h[None], [pt])
+    m = np.array([p.PT for p in pts])
+    if hs.shape[-2] != hs.shape[-1] or m.shape != hs.shape:
         raise errors.DimensionMismatchError("is_pt_symmetric: order mismatch")
-    m = pt.PT
-    return fro(h @ m - m @ h.conj()) <= TOL.eq_tol * rel_scale(h)
+    commutator, h_norm = _norms(hs @ m - m @ hs.conj(), hs)
+    ok = commutator <= TOL.eq_tol * np.maximum(1.0, h_norm)
+    return ok if h.ndim == 3 else bool(ok[0])
 
 
-def classify(h, pt: PTPair | None = None) -> Classification:
+def classify(h, pt: PTPair | None = None):
     """Unbroken/broken/defective verdict from the spectrum and eigenframe.
 
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
     complete criterion for unbrokenness. If the spectrum is not closed under
     conjugation the matrix cannot be PT-symmetric at all. This is the
-    module's only eig of H; from_hamiltonian reads it.
+    module's only eig of H; from_hamiltonian reads it. A stack h (b, n, n),
+    with pt None or a pair per member, gives b Classifications from one eig.
     """
-    h = _require_square(h, "classify")
-    symmetric = pt is None or is_pt_symmetric(h, pt)
-    d = eig(h)
-    cond = d.condition_estimate
-    if not symmetric:
-        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None, cond)
-    if d.defective:
-        return Classification(Kind.DEFECTIVE, d.eigenvalues, None, cond)
-    if all(is_real_eigenvalue(lam) for lam in d.eigenvalues):
-        return Classification(Kind.UNBROKEN, d.eigenvalues, d.eigenvector_matrix, cond)
-    if _pair_spectrum(d.eigenvalues) is None:
-        return Classification(Kind.NOT_PT_SYMMETRIC, d.eigenvalues, None, cond)
-    return Classification(Kind.BROKEN_DIAGONALIZABLE, d.eigenvalues, d.eigenvector_matrix, cond)
+    h = _require_square(h, "classify", stack=True)
+    hs, pts = (h, pt) if h.ndim == 3 else (h[None], None if pt is None else [pt])
+    symmetric = [True] * len(hs) if pts is None else is_pt_symmetric(hs, pts).tolist()
+    d = eig(hs)
+    lam = d.eigenvalues
+    real = np.logical_and.reduce(np.abs(lam.imag) <= TOL.real_tol * np.maximum(1.0, np.abs(lam)), axis=-1)
+    out = []
+    for i, (sym, defective, unbroken, cond) in enumerate(zip(
+            symmetric, d.defective.tolist(), real.tolist(), d.condition_estimate.tolist())):
+        kind = (Kind.NOT_PT_SYMMETRIC if not sym else Kind.DEFECTIVE if defective else Kind.UNBROKEN if unbroken
+                else Kind.NOT_PT_SYMMETRIC if _pair_spectrum(lam[i]) is None else Kind.BROKEN_DIAGONALIZABLE)
+        frame = d.eigenvector_matrix[i] if kind in (Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE) else None
+        out.append(Classification(kind, lam[i], frame, cond))
+    return out if h.ndim == 3 else out[0]
 
 
 def _pair_spectrum(spectrum):
@@ -149,7 +147,7 @@ def _pair_spectrum(spectrum):
     for i, lam in enumerate(spectrum):
         if used[i]:
             continue
-        if is_real_eigenvalue(lam):
+        if abs(lam.imag) <= TOL.real_tol * max(1.0, abs(lam)):
             reals.append(i)
             used[i] = True
             continue

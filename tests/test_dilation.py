@@ -15,9 +15,11 @@ from ptsim import (
 )
 from ptsim.linalg import eigen_evolve, psd_power
 
-from corpus import broken_corpus, defective_corpus, random_unbroken, unbroken_corpus
+from corpus import broken_corpus, defective_corpus, random_broken, random_unbroken, unbroken_corpus
 
 RESIDUAL_KEYS = ("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq")
+# the (alpha, s, E0) sets that ``ptsim paper`` checks
+PAPER_SETS = [(a, s, e0) for a in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
 
 
 def assert_clean(d, tol=1e-10):
@@ -148,6 +150,62 @@ class TestBuildDilation:
         assert np.linalg.norm(q[:, n:].conj().T @ graph) <= 1e-12 * np.linalg.norm(graph)
         for col in q[:, :n].T:
             assert in_tau_subspace(col, d.tau)
+
+
+def assert_same_dilation(a, b):
+    """Every array field, the classification and the residuals, bit for bit."""
+    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "H1", "H2", "H4", "Hhat"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert all(np.array_equal(x, y) for x, y in zip(a.hhat_eigh, b.hhat_eigh, strict=True))
+    ca, cb = a.classification, b.classification
+    assert ca.kind is cb.kind and ca.condition_estimate == cb.condition_estimate
+    assert np.array_equal(ca.spectrum, cb.spectrum) and np.array_equal(ca.eigenframe, cb.eigenframe)
+    assert a.residuals == b.residuals
+
+
+class TestStackedBuild:
+    """A sequence of systems is one stacked build with the bits of single builds."""
+
+    def test_paper_sets(self):
+        systems = [gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS]
+        etas = [gunther_eta(a) for a, _, _ in PAPER_SETS]
+        stacked = build_dilation(systems, eta=etas, h1_choice="paper")
+        assert len(stacked) == len(PAPER_SETS)
+        for d, sys, eta in zip(stacked, systems, etas, strict=True):
+            assert_same_dilation(d, build_dilation(sys, eta=eta, h1_choice="paper"))
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_random_canonical(self, n):
+        rng = np.random.default_rng(300 + n)
+        systems = [random_unbroken(rng, n) for _ in range(5)]
+        for d, sys in zip(build_dilation(systems), systems, strict=True):
+            assert_same_dilation(d, build_dilation(sys))
+
+    def test_stack_of_one_is_a_list(self):
+        sys = gunther_system(0.4)
+        (d,) = build_dilation([sys])
+        assert_same_dilation(d, build_dilation(sys))
+
+    def test_broken_member_is_named(self):
+        systems = [gunther_system(0.3), gunther_system(0.5), random_broken(np.random.default_rng(4), 2)]
+        with pytest.raises(errors.NotUnbrokenError,
+                           match="^build_dilation: member 2: classification is BrokenDiagonalizable$"):
+            build_dilation(systems)
+
+    def test_single_system_keeps_its_error(self):
+        with pytest.raises(errors.NotUnbrokenError) as exc:
+            build_dilation(random_broken(np.random.default_rng(4), 2))
+        assert str(exc.value) == "build_dilation: classification is BrokenDiagonalizable"
+
+    def test_supplied_eta_member_is_named(self):
+        # the second eta is scaled below lambda_min = 1
+        etas = [gunther_eta(0.3), 0.5 * gunther_eta(0.5) / np.linalg.eigvalsh(gunther_eta(0.5))[0]]
+        with pytest.raises(errors.EtaNotGreaterThanIError, match="^build_dilation: member 1: lambda_min"):
+            build_dilation([gunther_system(0.3), gunther_system(0.5)], eta=etas)
+
+    def test_mixed_orders_refused(self):
+        with pytest.raises(errors.DimensionMismatchError):
+            build_dilation([gunther_system(0.3), random_unbroken(np.random.default_rng(5), 3)])
 
 
 class TestEvolution:

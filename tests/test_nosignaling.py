@@ -230,7 +230,8 @@ class TestSweep:
     @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_one_dilation_per_alpha(self, mode, scheme, monkeypatch):
-        # each alpha's stages serve every t; rows equal one run_experiment per point
+        # one stacked build makes every alpha's dilation, whose stages serve
+        # every t; rows equal one run_experiment (a batch of one) per point
         alphas, ts = [0.0, np.pi / 6, 1.2], [0.5, 1.0, 2.0]
         expected = [run_experiment(ExperimentConfig(alpha=a, t=t, scheme=scheme, mode=mode))
                     for a in alphas for t in ts]
@@ -239,6 +240,6 @@ class TestSweep:
         monkeypatch.setattr(nosignaling, "build_dilation",
                             lambda *args, **kw: calls.append(args) or build(*args, **kw))
         rows = sweep_delta_s(alphas, ts, scheme, mode=mode)
-        assert len(calls) == (len(alphas) if mode == "simulated_eq73" else 0)
+        assert [len(args[0]) for args in calls] == ([len(alphas)] if mode == "simulated_eq73" else [])
         assert [(r["delta_s"], r["p_success_1"], r["p_success_2"]) for r in rows] == [
             (e.delta_s, float(e.p_success[0]), float(e.p_success[1])) for e in expected]

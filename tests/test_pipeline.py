@@ -24,7 +24,7 @@ from ptsim import (
     sample_successes,
     validate_pt_pair,
 )
-from ptsim import cli, linalg, pipeline
+from ptsim import cli, io, linalg, pipeline
 from ptsim.completion import frame_completion, post_select
 from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
@@ -157,16 +157,64 @@ class TestWorkedExample:
 
 class TestPaperChecks:
     def test_closed_forms_only(self, monkeypatch, tmp_path):
-        # the worked examples factor each H once (classify) and exponentiate
-        # nothing; the obstruction demo inverts no matrix
+        # the 12 worked examples factor their stack of H once (classify) and
+        # exponentiate nothing; the obstruction demo inverts no matrix
         calls = _count_matrix_exp(monkeypatch)
         counts = TestReuse.count_linalg(monkeypatch, "eig", "inv")
         assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
         assert calls["matrix_exp"] == 0
-        assert counts["eig"] == 12
+        assert counts["eig"] == 1
         counts["inv"] = 0
         scalar_sum_obstruction_demo()
         assert counts["inv"] == 0
+
+
+class TestPaperBatch:
+    """``ptsim paper`` builds its 12 worked examples as one stack."""
+
+    GRID = [(a, s, e0) for a in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
+
+    def test_one_eig_and_one_qr(self, monkeypatch):
+        # counted as in test_ptcore.py::TestFactorizations
+        counts = TestReuse.count_linalg(monkeypatch, "eig", "qr")
+        build_dilation([gunther_system(a, s, e0) for a, s, e0 in self.GRID],
+                       eta=[gunther_eta(a) for a, _, _ in self.GRID], h1_choice="paper")
+        assert counts == {"eig": 1, "qr": 1}
+
+    def test_json_equals_twelve_scalar_calls(self, tmp_path):
+        # the text cmd_paper writes from one stacked call, rebuilt from 12
+        # scalar reproduce_gunther_example calls: byte identity on any platform
+        out = tmp_path / "paper.json"
+        assert cli.main(["paper", "--json", str(out)]) == 0
+        checks = []
+        for a, s, e0 in self.GRID:
+            for name, resid in reproduce_gunther_example(a, s, e0, t=1.0).items():
+                tol = 1e-8 if name == "evolution_top" else 1e-10
+                checks.append({"check": f"worked_example[alpha={a:.6g},s={s:g},E0={e0:g}].{name}",
+                               "residual": resid, "tolerance": tol, "pass": resid <= tol})
+        demo = scalar_sum_obstruction_demo()
+        entry = demo["obstruction_entry_13"]
+        checks.append({"check": "scalar_sum_obstruction.entry_13", "residual": abs(entry - 1.0),
+                       "tolerance": 0.0, "pass": entry == 1.0})
+        checks.append({"check": "scalar_sum_obstruction.grid_min_residual_exceeds_0.1",
+                       "residual": demo["min_residual"], "tolerance": 0.1, "pass": demo["min_residual"] > 0.1})
+        expected = io.dumps({"checks": checks, "all_pass": all(c["pass"] for c in checks)}) + "\n"
+        assert out.read_text() == expected
+
+    def test_array_parameters_match_scalar_calls(self):
+        # scalar in, scalar out; arrays broadcast and keep their shape
+        alpha, s = np.array([[np.pi / 6, 1.0], [0.3, 1.2]]), np.array([1.0, 2.0])
+        rep = reproduce_gunther_example(alpha, s, 0.5, t=0.7)
+        for idx in np.ndindex(alpha.shape):
+            one = reproduce_gunther_example(float(alpha[idx]), float(s[idx[1]]), 0.5, t=0.7)
+            for name, resid in one.items():
+                assert type(resid) is float and rep[name].shape == alpha.shape
+                assert rep[name][idx] == resid, (name, idx)
+
+    def test_unbroken_point_is_named(self):
+        # alpha = pi/2 is the exceptional point: the third point of the batch
+        with pytest.raises(errors.NotUnbrokenError, match="^build_dilation: member 2: classification is Defective$"):
+            reproduce_gunther_example(np.array([0.3, 0.5, np.pi / 2]))
 
 
 class TestRunSimulation:

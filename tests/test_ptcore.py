@@ -13,7 +13,7 @@ from ptsim import (
 from ptsim.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
 from ptsim.metric import H3, Q3
 
-from corpus import broken_corpus, defective_corpus, unbroken_corpus
+from corpus import broken_corpus, defective_corpus, random_broken, random_defective, random_unbroken, unbroken_corpus
 
 EYE2 = np.eye(2, dtype=complex)
 
@@ -157,6 +157,30 @@ class TestFactorizations:
         assert len(eig_calls) == 1
 
 
+class TestClassifyStack:
+    def test_members_match_single_calls(self):
+        # one verdict per member of a mixed stack, as each would get alone
+        rng = np.random.default_rng(31)
+        systems = [random_unbroken(rng, 4), random_broken(rng, 4), random_defective(rng, 4)]
+        eye = np.eye(4, dtype=complex)
+        h = [s.H for s in systems] + [np.diag([1.0, 2j, 3.0, 4.0])]
+        pts = [s.pt for s in systems] + [validate_pt_pair(eye, eye)]
+        stacked = classify(np.array(h), pts)
+        assert [c.kind for c in stacked] == [Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE, Kind.DEFECTIVE,
+                                             Kind.NOT_PT_SYMMETRIC]
+        for c, hi, pt in zip(stacked, h, pts, strict=True):
+            one = classify(hi, pt)
+            assert c.kind is one.kind and c.condition_estimate == one.condition_estimate
+            assert np.array_equal(c.spectrum, one.spectrum)
+            assert (c.eigenframe is None) == (one.eigenframe is None)
+            assert c.eigenframe is None or np.array_equal(c.eigenframe, one.eigenframe)
+
+    def test_non_finite_member_is_named(self):
+        h = np.array([np.eye(2), [[1.0, np.nan], [0.0, 2.0]]])
+        with pytest.raises(errors.ParseError, match="^classify: member 1: matrix must be finite$"):
+            classify(h)
+
+
 class TestFromHamiltonian:
     def test_real_diagonal(self):
         # an orthonormal real eigenframe gives T = I
@@ -179,6 +203,12 @@ class TestFromHamiltonian:
     def test_not_pt_symmetric_refused(self):
         with pytest.raises(errors.NotPTSymmetricError):
             PTSystem.from_hamiltonian(np.diag([1.0, 1j]))
+
+    def test_nested_list(self):
+        # a list classifies like an array, and the pair is built from its order
+        sys = PTSystem.from_hamiltonian([[1.0, 0.0], [0.0, 2.0]])
+        assert isinstance(sys.H, np.ndarray) and sys.H.dtype == complex
+        assert sys.pt.PT == pytest.approx(np.eye(2), abs=1e-12)
 
 
 class TestConstructPT:
