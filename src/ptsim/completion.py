@@ -15,7 +15,6 @@ from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, fro,
 __all__ = [
     "SubspaceMap",
     "CompletionResult",
-    "frame_completion",
     "unitary_completion",
     "zero_map_completion",
     "post_select",
@@ -61,18 +60,18 @@ def _frame(basis: np.ndarray) -> np.ndarray:
     return orthonormal_extension(list(basis.T), basis.shape[0])
 
 
-def _completion(full_m: np.ndarray | None, full_n: np.ndarray | None, c: np.ndarray,
-                scale: float) -> CompletionResult:
-    """U = [N | N-perp] W [M | M-perp]^dag for C = A/||A|| or C = 0.
+def _completion(c: np.ndarray, frames: list, scales) -> list:
+    """U_j = [N | N-perp] W_j [M | M-perp]^dag for each C_j = A_j/||A_j|| or 0 on
+    the first axis of c, with (full_m, full_n) = frames[j] and scale scales[j].
 
-    full_m = [M | M-perp] and full_n = [N | N-perp] are unitary frames whose
-    leading k columns are the bases of M and N; None stands for the
-    coordinate frame I, which is then neither formed nor multiplied by, and
-    gives P_N = diag(1, ..., 1, 0, ..., 0). W is Halmos's unitary dilation
-    of the contraction C (Summa Brasil. Math. 2, 125 (1950)): with one SVD
-    C = X S Y^dag and R = (I - S^2)^{1/2}, W = [[C, X R X^dag], [Y R Y^dag,
-    -C^dag]]. U maps M onto the images N C + N-perp (I - C^dag C)^{1/2}, so
-    P_N U = scale N A on M; with C = 0, U maps M onto N-perp (also stacked).
+    full_m and full_n are unitary frames whose leading k columns are the
+    bases of M and N; None stands for the coordinate frame I, which is then
+    neither formed nor multiplied by, and gives P_N = diag(1, ..., 1, 0, ..., 0).
+    W is Halmos's unitary dilation of the contraction C (Summa Brasil. Math.
+    2, 125 (1950)): with one SVD of all of c, C = X S Y^dag and
+    R = (I - S^2)^{1/2}, W = [[C, X R X^dag], [Y R Y^dag, -C^dag]]. U maps M
+    onto the images N C + N-perp (I - C^dag C)^{1/2}, so P_N U = scale N A on
+    M; with C = 0, U maps M onto N-perp.
     """
     x, s, yh = np.linalg.svd(c)
     r = np.sqrt(np.maximum(1.0 - s**2, 0.0))
@@ -80,29 +79,28 @@ def _completion(full_m: np.ndarray | None, full_n: np.ndarray | None, c: np.ndar
     w = np.empty(c.shape[:-2] + (2 * k, 2 * k), dtype=complex)
     w[..., :k, :k], w[..., :k, k:] = c, (x * r[..., None, :]) @ x.conj().mT
     w[..., k:, :k], w[..., k:, k:] = yh.conj().mT @ (r[..., :, None] * yh), -c.conj().mT
-    if full_n is None:
-        u, p_n = w, np.zeros(w.shape, dtype=complex)
-        p_n[..., :k, :k] = np.eye(k)
-    else:
-        u, p_n = full_n @ w, full_n[..., :k] @ full_n[..., :k].conj().mT
-    if full_m is not None:
-        u = u @ full_m.conj().mT
-    return CompletionResult(u, p_n, scale)
+    out = []
+    for w_j, (full_m, full_n), scale in zip(w, frames, scales):
+        if full_n is None:
+            u, p_n = w_j, np.zeros(w_j.shape, dtype=complex)
+            p_n[..., :k, :k] = np.eye(k)
+        else:
+            u, p_n = full_n @ w_j, full_n[..., :k] @ full_n[..., :k].conj().mT
+        out.append(CompletionResult(u if full_m is None else u @ full_m.conj().mT, p_n, scale))
+    return out
 
 
-def frame_completion(full_m: np.ndarray | None, full_n: np.ndarray | None, action) -> CompletionResult:
-    """``unitary_completion`` for a caller that holds the unitary frames
-    [M | M-perp] and [N | N-perp], with A the k x k action in their leading
-    columns; None stands for the coordinate frame I. No frame is rebuilt and
-    nothing is orthonormalized: the completion costs one SVD of A/||A||_F
-    and at most two products; stacked actions and frames give stacked fields.
-    """
-    action = np.asarray(action, dtype=complex)
-    (a_norm,) = _norms(action.reshape((-1,) + action.shape[-2:]))
-    for _, where in _failures(a_norm != 0.0, "unitary_completion"):
+def _completions(sides: list) -> list:
+    """``_completion`` of each side (A_j, frames[j]), at C_j = A_j/||A_j||_F, with
+    the actions A_j (each k x k, or a stack of them) as one stack: one norm
+    each, one zero-map verdict and one SVD. A zero map of one member of a
+    longer stack is named by its member index, not by j."""
+    actions = np.array([a for a, _ in sides], dtype=complex)
+    (a_norm,) = _norms(actions.reshape((-1,) + actions.shape[-2:]))
+    a_norm = a_norm.reshape(actions.shape[:-2])
+    for _, where in _failures((a_norm != 0.0).reshape(len(actions), -1).all(axis=0), "unitary_completion"):
         raise errors.ZeroMapError(f"{where}: zero map; use zero_map_completion")
-    stack = action.shape[:-2]
-    return _completion(full_m, full_n, action / a_norm.reshape(stack + (1, 1)), (1.0 / a_norm).reshape(stack)[()])
+    return _completion(actions / a_norm[..., None, None], [f for _, f in sides], 1.0 / a_norm)
 
 
 def unitary_completion(m: SubspaceMap) -> CompletionResult:
@@ -111,14 +109,14 @@ def unitary_completion(m: SubspaceMap) -> CompletionResult:
     Columns of A, scaled to unit total energy, give the N-components of the
     images; the deficit goes into N-perp.
     """
-    return frame_completion(_frame(m.m_basis), _frame(m.n_basis), m.action)
+    return _completions([(m.action, (_frame(m.m_basis), _frame(m.n_basis)))])[0]
 
 
 def zero_map_completion(m: SubspaceMap) -> CompletionResult:
     """U sending M onto N-perp, so P_N U vanishes on M."""
     if fro(m.action) != 0.0:
         raise errors.DimensionMismatchError("zero_map_completion: action is nonzero")
-    return _completion(_frame(m.m_basis), _frame(m.n_basis), m.action, 0.0)
+    return _completion(m.action[None], [(_frame(m.m_basis), _frame(m.n_basis))], [0.0])[0]
 
 
 def post_select(state, p):

@@ -47,7 +47,7 @@ class Dilation:
     once into ``hhat_eigh`` = (w, V), which gives every e^{-itHhat}.
     ``ytau_q`` is the complete Q of [I; tau]: its first n columns
     (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one of
-    Y_tau-perp.
+    Y_tau-perp. ``residuals`` are formed on first read.
     """
 
     H: np.ndarray
@@ -62,7 +62,6 @@ class Dilation:
     H4: np.ndarray
     Hhat: np.ndarray
     hhat_eigh: tuple
-    residuals: dict
 
     @property
     def dim(self) -> int:
@@ -92,6 +91,19 @@ class Dilation:
         if c.condition_estimate > _EXPM_COND_LIMIT:
             return matrix_exp(-1j * t * self.H) @ x
         return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x))
+
+    @cached_property
+    def residuals(self) -> dict:
+        """The defining residuals: Hhat's hermiticity before symmetrization,
+        H1 + H2 tau - H and H2^dag + H4 tau - tau H, each over max(1, ||H||_F),
+        and tau^2 - (eta - I) over max(1, ||eta||_F)."""
+        h, eta, tau, h1, h2, h4 = (x[None] for x in (self.H, self.eta, self.tau, self.H1, self.H2, self.H4))
+        # hhat - hhat^dag vanishes off its diagonal blocks: its norm is the hypot of theirs
+        norms = _norms(h1 - h1.conj().mT, h4 - h4.conj().mT, h1 + h2 @ tau - h, h2.conj().mT + h4 @ tau - tau @ h,
+                       tau @ tau - (eta - np.eye(self.dim)), eta)[:, 0]
+        norms[1], h_scale = np.hypot(norms[0], norms[1]), max(1.0, self.classification.h_norm)
+        scaled = norms[1:5] / np.array([h_scale, h_scale, h_scale, max(1.0, norms[5])])
+        return dict(zip(("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq"), scaled.tolist()))
 
     @cached_property
     def stage_cache(self) -> dict:
@@ -134,11 +146,9 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         base = positive_metric(systems, cs)
         scale = margin / base.min_eigenvalue
         eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
-        h_scale, eta_scale = np.maximum(1.0, _norms(h, eta))
-        shifted = eta - eye
     else:
         eta = np.array([eta] if single else eta, dtype=complex)
-        h_scale, eta_scale = _check_metric_equations(h, eta, "build_dilation")
+        _check_metric_equations(h, eta, "build_dilation", np.maximum(1.0, [c.h_norm for c in cs]))
         # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
         shifted = eta - eye
         w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().mT))
@@ -175,20 +185,13 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     h4 = (tau @ h - h2.conj().mT) @ tau_inv
     hhat = np.empty((b, 2 * n, 2 * n), dtype=complex)
     hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1m, h2, h2.conj().mT, h4
-
-    # hhat - hhat^dag vanishes off its diagonal blocks: its norm is the hypot of theirs
-    norms = _norms(h1m - h1m.conj().mT, h4 - h4.conj().mT, h1m + h2 @ tau - h,
-                   h2.conj().mT + h4 @ tau - tau @ h, tau @ tau - shifted)
-    norms[1] = np.hypot(norms[0], norms[1])
-    residuals = [dict(zip(("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq"), r)) for r in
-                 (norms[1:] / np.array([h_scale, h_scale, h_scale, eta_scale])).T.tolist()]
     hhat = 0.5 * (hhat + hhat.conj().mT)
     hw, hv = np.linalg.eigh(hhat)
     for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, hw, hv, *(c.spectrum for c in cs),
               *(c.eigenframe for c in cs)):
         a.setflags(write=False)
-    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], h1m[i], h2[i], h4[i], hhat[i], (hw[i], hv[i]),
-                    residuals[i]) for i, c in enumerate(cs)]
+    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], h1m[i], h2[i], h4[i], hhat[i], (hw[i], hv[i]))
+           for i, c in enumerate(cs)]
     return out[0] if single else out
 
 

@@ -83,24 +83,19 @@ def load_matrix(path) -> np.ndarray:
     return matrix_from_obj(obj)
 
 
-def _normalize(obj):
-    if obj is None or type(obj) in (float, int, str, bool):  # exact: np.float64 subclasses float
-        return obj
+def _default(obj):
+    """What json does not write itself: a numpy scalar as its Python value, a
+    complex number as [re, im] and an array as its envelope. A float subclass
+    such as np.float64 never gets here: json writes it as a float."""
     if isinstance(obj, np.generic):
-        obj = obj.item()
+        return obj.item()
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, np.ndarray):
-        if obj.ndim == 1:
-            return vector_to_obj(obj)
-        return matrix_to_obj(obj)
-    if isinstance(obj, dict):
-        return {k: _normalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    return obj
+        return vector_to_obj(obj) if obj.ndim == 1 else matrix_to_obj(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def dumps(obj) -> str:
     """Deterministic JSON text: fixed field order, floats in shortest round-trip form."""
-    return json.dumps(_normalize(obj), indent=2)
+    return json.dumps(obj, indent=2, default=_default)

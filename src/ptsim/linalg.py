@@ -61,7 +61,7 @@ def _norms(*stacks) -> np.ndarray:
     stack; vecdot takes the BLAS dots that fro takes, so the bits are fro's."""
     x = (np.concatenate(stacks) if len(stacks) > 1 else stacks[0]).reshape(len(stacks) * len(stacks[0]), -1)
     sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
-    return np.sqrt(sq, out=sq).reshape(len(stacks), -1)
+    return np.sqrt(sq).reshape(len(stacks), -1)
 
 
 def _failures(ok, who: str) -> list:
@@ -114,27 +114,30 @@ def eig(a) -> EigenDecomposition:
     silently mis-handle a Jordan block.
     """
     a = _require_square(a, "eig", stack=True)
-    stack = a if a.ndim == 3 else a[None]
+    if a.ndim == 3:
+        return _eig(a)
+    d = _eig(a[None])
+    return EigenDecomposition(d.eigenvalues[0], d.eigenvector_matrix[0], float(d.condition_estimate[0]),
+                              bool(d.defective[0]))
+
+
+def _eig(stack: np.ndarray) -> EigenDecomposition:
+    """``eig`` of a stack (b, n, n) that its caller has checked to be finite,
+    in one LAPACK pass; the fields are stacked."""
     try:
         lam, psi = np.linalg.eig(stack)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise errors.NumericalFailureError(f"eig did not converge: {exc}") from exc
-    finite = np.logical_and.reduce(np.isfinite(psi.reshape(len(psi), -1)), axis=-1)
-    for _, where in _failures(finite & np.logical_and.reduce(np.isfinite(lam), axis=-1), "eig"):
+    for _, where in _failures(np.isfinite(lam).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)), "eig"):
         raise errors.NumericalFailureError(f"{where} produced non-finite output")
-
     cond = np.linalg.cond(psi)
     defective = ~(cond <= DEFAULT_TOL.defect_cond) | _has_clustered_rank_deficit(lam, psi)
-    if a.ndim == 2:
-        return EigenDecomposition(lam[0], psi[0], float(cond[0]), bool(defective[0]))
     return EigenDecomposition(lam, psi, cond, defective)
 
 
 def _has_clustered_rank_deficit(lam, psi):
     """Per member of stacks lam (b, n), psi (b, n, n): do nearly equal
     eigenvalues come with nearly dependent eigenvectors?"""
-    if lam.ndim == 1:
-        return bool(_has_clustered_rank_deficit(lam[None], psi[None])[0])
     # A Jordan block perturbed at machine precision splits its eigenvalue by
     # ~sqrt(eps), so the cluster window must be much wider than real_tol.
     n = lam.shape[-1]

@@ -10,18 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro
+from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro, rel_scale
 from .ptcore import Classification, Kind, PTSystem, classify
 
-__all__ = [
-    "MetricOperator",
-    "positive_metric",
-    "verify_metric",
-    "scalar_sum_metric_2d",
-    "scalar_sum_obstruction_demo",
-    "H3",
-    "Q3",
-]
+__all__ = ["MetricOperator", "positive_metric", "verify_metric", "scalar_sum_metric_2d", "scalar_sum_obstruction_demo",
+           "H3", "Q3"]
 
 # Upper-triangular witness with spectrum {1,2,3}: unbroken, yet no metric of
 # the form eta + eta^{-1} = t I exists.
@@ -68,31 +61,30 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
 
 
-def _check_metric_equations(h, eta, who: str) -> tuple:
+def _check_metric_equations(h, eta, who: str, h_scale) -> None:
     """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
-    naming the caller ``who``; return (rel_scale(H), rel_scale(eta)) for each
-    member of the stacks h and eta (b, n, n). Positivity is left to the caller,
-    which factors eta once: ``verify_metric`` by eigvalsh, ``build_dilation``
-    by the eigh of eta - I.
+    naming the caller ``who``, for each member of the stacks h and eta
+    (b, n, n); h_scale is max(1, ||H||_F) per member, which the caller has
+    already formed. Positivity is left to the caller, which factors eta once:
+    ``verify_metric`` by eigvalsh, ``build_dilation`` by the eigh of eta - I.
     """
     if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
     for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):  # H is the caller's to check
         raise errors.ParseError(f"{where}: eta must be finite")
-    h_norm, eta_norm, skew, intertwining = _norms(h, eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h)
-    h_scale, eta_scale = np.maximum(1.0, h_norm), np.maximum(1.0, eta_norm)
+    eta_norm, skew, intertwining = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h)
+    eta_scale = np.maximum(1.0, eta_norm)
     for _, where in _failures(skew <= TOL.eq_tol * eta_scale, who):
         raise errors.NotHermitianError(f"{where}: eta is not Hermitian")
     for _, where in _failures(intertwining <= TOL.eq_tol * h_scale * eta_scale, who):
         raise errors.NotIntertwiningError(f"{where}: H^dag eta != eta H")
-    return h_scale, eta_scale
 
 
 def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     _require_finite("verify_metric", H=h)
-    _check_metric_equations(h[None], eta[None], "verify_metric")
+    _check_metric_equations(h[None], eta[None], "verify_metric", rel_scale(h))
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

@@ -27,7 +27,7 @@ __all__ = [
 
 _Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # columns |+y>, |-y>
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
-_ALICE_STACK = np.array(_ALICE_UNITARIES)
+_ALICE_STATES = np.array(_ALICE_UNITARIES) @ (np.eye(2, dtype=complex) / np.sqrt(2.0))  # each on bell_plus_x_state
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
     else:
         channel = stages.kraus(cfg.t)
-    finals = channel @ (_ALICE_STACK @ bell_plus_x_state().reshape(2, 2))  # Alice's two branches as one stack
+    finals = channel @ _ALICE_STATES
     (nrm,) = _norms(finals)
     p_success = nrm**2 if stages is not None else np.ones(2)  # stays 1 in direct mode
     for k, _ in _failures((nrm > 1e-14) & (p_success > TOL.psd_tol), "run_experiment"):

@@ -13,7 +13,7 @@ from numbers import Integral
 import numpy as np
 
 from . import errors
-from .completion import CompletionResult, frame_completion, post_select
+from .completion import CompletionResult, _completions, post_select
 from .dilation import Dilation, build_dilation
 from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _require_finite, eigen_evolve, fro, psd_power
 from .ptcore import PTSystem, validate_pt_pair
@@ -158,7 +158,7 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
     if fro(q1.conj().T @ q1 - np.eye(n)) > TOL.eq_tol * max(1.0, np.sqrt(n)):
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
-    prep, extr = preparation_completion(d, r), extraction_completion(d, r_prime)
+    prep, extr = _stage_completions(d, r, r_prime)
     v = d.hhat_eigh[1]
     kraus_right = v.conj().T @ (q1 @ (q1.conj().T @ prep.U[:, :n]))
     kraus_left = extr.U[:n, :] @ v
@@ -197,27 +197,33 @@ class SimulationTrace:
     probability_check: float
 
 
-def preparation_completion(d, rho) -> CompletionResult:
-    """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi).
-
-    Its frames are the coordinate frame [X1 | X1-perp] = I, passed as None so
-    that it is never formed, and the dilation's complete Q of [I; tau]. A
-    sequence of same-order dilations gives one record with stacked fields.
-    """
+def _stage_completions(d, rho=None, rho_prime=None) -> list:
+    """The completions of (phi; 0) -> (rho phi; tau rho phi) and (phi; tau phi) ->
+    (rho' phi; 0), for the factors given, as one stack (``completion._completions``),
+    on the coordinate frame I (None, so never formed) and the complete Q of
+    [I; tau]. A sequence of same-order dilations gives stacked fields."""
     q, tau = (d.ytau_q, d.tau) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
                                                                 np.array([x.tau for x in d]))
-    n = tau.shape[-1]
-    image = np.empty(tau.shape[:-2] + (2 * n, n), dtype=complex)  # (rho; tau rho)
-    image[..., :n, :], image[..., n:, :] = rho, tau @ rho
-    return frame_completion(None, q, q[..., :n].conj().mT @ image)
+    n, sides = tau.shape[-1], []
+    if rho is not None:
+        image = np.empty(tau.shape[:-2] + (2 * n, n), dtype=complex)  # (rho; tau rho)
+        image[..., :n, :], image[..., n:, :] = rho, tau @ rho
+        sides.append((q[..., :n].conj().mT @ image, (None, q)))
+    if rho_prime is not None:
+        sides.append((rho_prime @ q[..., :n, :n], (q, None)))
+    return _completions(sides)
+
+
+def preparation_completion(d, rho) -> CompletionResult:
+    """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi), of a
+    dilation or of each of a sequence of them (``_stage_completions``)."""
+    return _stage_completions(d, rho=rho)[0]
 
 
 def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
-    """Completion for the induced map (phi; tau phi) -> (rho' phi; 0),
-    on the frames of ``preparation_completion`` in reverse.
-    """
-    action = rho_prime @ d.ytau_frame[:d.dim, :]
-    return frame_completion(d.ytau_q, None, action)
+    """Completion for the induced map (phi; tau phi) -> (rho' phi; 0), on the
+    frames of ``preparation_completion`` in reverse (``_stage_completions``)."""
+    return _stage_completions(d, rho_prime=rho_prime)[0]
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationTrace:

@@ -13,17 +13,9 @@ from enum import Enum
 import numpy as np
 
 from . import errors
-from .linalg import DEFAULT_TOL as TOL, _norms, _require_finite, _require_square, eig, fro, rel_scale
+from .linalg import DEFAULT_TOL as TOL, _eig, _norms, _require_finite, _require_square, fro, rel_scale
 
-__all__ = [
-    "PTPair",
-    "PTSystem",
-    "Kind",
-    "Classification",
-    "validate_pt_pair",
-    "is_pt_symmetric",
-    "classify",
-]
+__all__ = ["PTPair", "PTSystem", "Kind", "Classification", "validate_pt_pair", "is_pt_symmetric", "classify"]
 
 
 @dataclass(frozen=True)
@@ -77,12 +69,14 @@ class Kind(Enum):
 @dataclass(frozen=True)
 class Classification:
     """``condition_estimate`` is the 2-norm condition number of the eigenframe
-    that ``eig`` computed, kept whether or not the frame is."""
+    that ``eig`` computed, kept whether or not the frame is. ``h_norm`` is
+    ||H||_F, the scale of the PT-symmetry test, kept for the later tests of H."""
 
     kind: Kind
     spectrum: np.ndarray
     eigenframe: np.ndarray | None
     condition_estimate: float
+    h_norm: float
 
 
 def validate_pt_pair(p, t) -> PTPair:
@@ -105,13 +99,16 @@ def validate_pt_pair(p, t) -> PTPair:
 def is_pt_symmetric(h, pt: PTPair) -> bool:
     """H PT = PT conj(H) within eq_tol; a verdict per member of a stack h (b, n, n) with a pair each."""
     h = np.asarray(h, dtype=complex)
-    hs, pts = (h, pt) if h.ndim == 3 else (h[None], [pt])
+    return _pt_verdict(h, pt)[0] if h.ndim == 3 else bool(_pt_verdict(h[None], [pt])[0][0])
+
+
+def _pt_verdict(hs, pts) -> tuple:
+    """``is_pt_symmetric`` of a stack hs with a pair each, and ||H||_F per member."""
     m = np.array([p.PT for p in pts])
     if hs.shape[-2] != hs.shape[-1] or m.shape != hs.shape:
         raise errors.DimensionMismatchError("is_pt_symmetric: order mismatch")
     commutator, h_norm = _norms(hs @ m - m @ hs.conj(), hs)
-    ok = commutator <= TOL.eq_tol * np.maximum(1.0, h_norm)
-    return ok if h.ndim == 3 else bool(ok[0])
+    return commutator <= TOL.eq_tol * np.maximum(1.0, h_norm), h_norm
 
 
 def classify(h, pt: PTPair | None = None):
@@ -121,21 +118,22 @@ def classify(h, pt: PTPair | None = None):
     complete criterion for unbrokenness. If the spectrum is not closed under
     conjugation the matrix cannot be PT-symmetric at all. This is the
     module's only eig of H; from_hamiltonian reads it. A stack h (b, n, n),
-    with pt None or a pair per member, gives b Classifications from one eig.
+    with pt None or a pair per member, gives b Classifications from one eig;
+    H is checked for finiteness once, before the symmetry test and eig.
     """
     h = _require_square(h, "classify", stack=True)
     hs, pts = (h, pt) if h.ndim == 3 else (h[None], None if pt is None else [pt])
-    symmetric = [True] * len(hs) if pts is None else is_pt_symmetric(hs, pts).tolist()
-    d = eig(hs)
+    symmetric, h_norm = (np.ones(len(hs), dtype=bool), _norms(hs)[0]) if pts is None else _pt_verdict(hs, pts)
+    d = _eig(hs)
     lam = d.eigenvalues
     real = np.logical_and.reduce(np.abs(lam.imag) <= TOL.real_tol * np.maximum(1.0, np.abs(lam)), axis=-1)
     out = []
-    for i, (sym, defective, unbroken, cond) in enumerate(zip(
-            symmetric, d.defective.tolist(), real.tolist(), d.condition_estimate.tolist())):
+    for i, (sym, defective, unbroken, cond, norm) in enumerate(zip(
+            symmetric.tolist(), d.defective.tolist(), real.tolist(), d.condition_estimate.tolist(), h_norm.tolist())):
         kind = (Kind.NOT_PT_SYMMETRIC if not sym else Kind.DEFECTIVE if defective else Kind.UNBROKEN if unbroken
                 else Kind.NOT_PT_SYMMETRIC if _pair_spectrum(lam[i]) is None else Kind.BROKEN_DIAGONALIZABLE)
         frame = d.eigenvector_matrix[i] if kind in (Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE) else None
-        out.append(Classification(kind, lam[i], frame, cond))
+        out.append(Classification(kind, lam[i], frame, cond, norm))
     return out if h.ndim == 3 else out[0]
 
 

@@ -65,6 +65,22 @@ def test_dumps_numpy_scalars():
     assert json.loads(io.dumps(obj)) == [3, True, [1.0, 2.0], 0.5]
 
 
+def test_dumps_writes_numpy_values_as_python_ones():
+    # json writes np.float64 itself, as a float; the other numpy values and
+    # complex numbers go through the encoder's default hook
+    obj = {"f64": np.float64(0.1), "f32": np.float32(0.1), "c128": np.complex128(1 - 2j), "b": np.bool_(False),
+           "i64": np.int64(-7), "v": np.array([1.0, -0.0]), "m": np.eye(2), "t": (1, 2.5), "nan": np.nan}
+    plain = {"f64": 0.1, "f32": float(np.float32(0.1)), "c128": [1.0, -2.0], "b": False, "i64": -7,
+             "v": io.vector_to_obj(np.array([1.0, -0.0])), "m": io.matrix_to_obj(np.eye(2)), "t": [1, 2.5],
+             "nan": float("nan")}
+    assert io.dumps(obj) == json.dumps(plain, indent=2)
+
+
+def test_dumps_refuses_other_objects():
+    with pytest.raises(TypeError):
+        io.dumps({"x": object()})
+
+
 MATRIX_1x2 = '{"rows": 1, "cols": 2, "data": [[1.0, 0.0], %s]}'
 VECTOR_2 = '{"dim": 2, "data": [[1.0, 0.0], %s]}'
 

@@ -90,6 +90,24 @@ class TestEig:
     def test_jordan_block_flagged_defective(self):
         assert eig(np.array([[0, 1], [0, 0]], dtype=complex)).defective
 
+    def test_non_finite_output_names_the_member(self, monkeypatch):
+        # LAPACK output with a NaN in the last member's frame: one verdict for
+        # the stack, and the failing member named only in a longer stack
+        lapack_eig = np.linalg.eig
+
+        def nan_in_last_member(a):
+            lam, psi = lapack_eig(a)
+            psi[-1, 0, 0] = np.nan
+            return lam, psi
+
+        monkeypatch.setattr(np.linalg, "eig", nan_in_last_member)
+        stack = np.array([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])], dtype=complex)
+        for a, where in ((stack, "eig: member 1"), (stack[0], "eig"), (stack[:1], "eig")):
+            with pytest.raises(errors.NumericalFailureError, match=f"^{where} produced non-finite output$"):
+                eig(a)
+        with pytest.raises(errors.NumericalFailureError, match="^eig: member 1 produced non-finite output$"):
+            classify(stack)
+
     def test_residual_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
@@ -142,7 +160,7 @@ class TestClusterCheck:
         for h in mats:
             lam, psi = np.linalg.eig(np.asarray(h, dtype=complex))
             window = 1e-6 * max(1.0, float(np.max(np.abs(lam))))
-            assert _has_clustered_rank_deficit(lam, psi) == greedy(lam, psi, window)
+            assert _has_clustered_rank_deficit(lam[None], psi[None])[0] == greedy(lam, psi, window)
 
     def test_perturbed_jordan_block_is_defective(self, svd_calls):
         # 1e-14 splits the eigenvalue by 2e-7, inside the cluster window; the

@@ -25,7 +25,7 @@ from ptsim import (
     validate_pt_pair,
 )
 from ptsim import cli, io, linalg, pipeline
-from ptsim.completion import frame_completion, post_select
+from ptsim.completion import _completions, post_select
 from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
 from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
@@ -325,6 +325,20 @@ class TestRunSimulation:
             run_simulation(cfg)
 
 
+    @pytest.mark.parametrize("zero", ["rho", "rho_prime"])
+    def test_zero_stage_action_keeps_the_single_system_text(self, zero):
+        # the two completions are one stack of two, but a zero action is still
+        # one system's error, with no member index
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        factors = {"rho": np.eye(2, dtype=complex), "rho_prime": np.eye(2, dtype=complex), zero: np.zeros((2, 2))}
+        text = "^unitary_completion: zero map; use zero_map_completion$"
+        with pytest.raises(errors.ZeroMapError, match=text):
+            scheme_stages(d, "custom", **factors)
+        build = preparation_completion if zero == "rho" else extraction_completion
+        with pytest.raises(errors.ZeroMapError, match=text):
+            build(d, factors[zero])
+
+
 class TestReuse:
     def test_t_sweep_on_one_dilation_matches_fresh_dilations(self):
         rng = np.random.default_rng(53)
@@ -369,13 +383,13 @@ class TestReuse:
         return counts
 
     def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh of Hhat, one complete QR of [I; tau], and one SVD each of
-        # the unit-column eigenframe (the canonical eta and its factors) and
-        # of each completion's contraction
+        # one eigh of Hhat, one complete QR of [I; tau], one SVD of the
+        # unit-column eigenframe (the canonical eta and its factors) and one
+        # of both completions' contractions as a stack of two
         sys = random_unbroken(np.random.default_rng(56), 8)
         counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "svd")
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 3}
+        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 2}
 
     def test_t_sweep_adds_no_eigh(self, monkeypatch):
         # every t evolves on the dilation's kept eigh of Hhat
@@ -431,8 +445,8 @@ class TestReuse:
         d = build_dilation(random_unbroken(np.random.default_rng(59), n))
         st = scheme_stages(d, "metric_sandwich")
         eye = np.eye(2 * n, dtype=complex)
-        prep = frame_completion(eye, d.ytau_q, d.ytau_frame.conj().T @ np.vstack([st.rho, d.tau @ st.rho]))
-        extr = frame_completion(d.ytau_q, eye, st.rho_prime @ d.ytau_frame[:n, :])
+        (prep,) = _completions([(d.ytau_frame.conj().T @ np.vstack([st.rho, d.tau @ st.rho]), (eye, d.ytau_q))])
+        (extr,) = _completions([(st.rho_prime @ d.ytau_frame[:n, :], (d.ytau_q, eye))])
         for got, expected in ((st.preparation, prep), (st.extraction, extr)):
             assert np.array_equal(got.U, expected.U)
             assert np.array_equal(got.P_N, expected.P_N)

@@ -8,6 +8,8 @@ from ptsim import (
     errors,
     gunther_system,
     is_pt_symmetric,
+    linalg,
+    ptcore,
     validate_pt_pair,
 )
 from ptsim.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -179,6 +181,30 @@ class TestClassifyStack:
         h = np.array([np.eye(2), [[1.0, np.nan], [0.0, 2.0]]])
         with pytest.raises(errors.ParseError, match="^classify: member 1: matrix must be finite$"):
             classify(h)
+
+    def test_non_finite_member_with_pairs_is_named(self):
+        # refused before the PT-symmetry residual of the stack
+        sys = gunther_system(np.pi / 6)
+        h = np.array([sys.H, sys.H, sys.H])
+        h[2, 1, 0] = np.inf
+        with pytest.raises(errors.ParseError, match="^classify: member 2: matrix must be finite$"):
+            classify(h, [sys.pt] * 3)
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_input_is_checked_once(self, stacked, monkeypatch):
+        # classify checks H and hands the checked stack to eig's LAPACK pass,
+        # which does not check it again
+        whos, check = [], linalg._require_square
+        for module in (linalg, ptcore):
+            monkeypatch.setattr(module, "_require_square",
+                                lambda a, who, stack=False: whos.append(who) or check(a, who, stack))
+        sys = gunther_system(np.pi / 6)
+        c = classify(np.array([sys.H]), [sys.pt])[0] if stacked else classify(sys.H, sys.pt)
+        assert whos == ["classify"] and c.kind is Kind.UNBROKEN
+
+    def test_h_norm_is_the_frobenius_norm(self):
+        for sys in unbroken_corpus() + broken_corpus():
+            assert classify(sys.H, sys.pt).h_norm == np.linalg.norm(sys.H)
 
 
 class TestFromHamiltonian:
