@@ -27,7 +27,7 @@ __all__ = [
 
 _Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # columns |+y>, |-y>
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
-_ALICE_STATES = np.array(_ALICE_UNITARIES) @ (np.eye(2, dtype=complex) / np.sqrt(2.0))  # each on bell_plus_x_state
+_ALICE_STATES = np.array(_ALICE_UNITARIES) @ (np.eye(2, dtype=complex) / np.sqrt(2.0))  # u_a x I on the Bell state
 
 
 @dataclass(frozen=True)
