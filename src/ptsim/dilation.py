@@ -43,11 +43,13 @@ class Dilation:
     spectrum Lambda, eigenframe Psi and kappa(Psi), which give every
     e^{-itH} (``propagate``). eta - I = V diag(w) V^dag is kept as
     (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
-    factors, shifted, or one eigh of a supplied eta - I. Hhat is factored
-    once into ``hhat_eigh`` = (w, V), which gives every e^{-itHhat}.
-    ``ytau_q`` is the complete Q of [I; tau]: its first n columns
-    (``ytau_frame``) are an orthonormal basis of Y_tau, the rest one of
-    Y_tau-perp. ``residuals`` are formed on first read.
+    factors, shifted, or one eigh of a supplied eta - I. ``ytau_q`` = [Q1 | Q2],
+    the complete Q of [I; tau], holds orthonormal bases of Y_tau (Q1,
+    ``ytau_frame``) and Y_tau-perp, both invariant under Hhat. So Hhat is
+    factored once, by one eigh of Q1^dag Hhat Q1 and Q2^dag Hhat Q2, into
+    ``hhat_eigh`` = (w, [Q1 V_Y | Q2 V_perp]), which gives every e^{-itHhat}:
+    the first n pairs span Y_tau, with H's spectrum as their w, and w ascends
+    within each half, not across them. ``residuals`` are formed on first read.
     """
 
     H: np.ndarray
@@ -186,7 +188,9 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     hhat = np.empty((b, 2 * n, 2 * n), dtype=complex)
     hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1m, h2, h2.conj().mT, h4
     hhat = 0.5 * (hhat + hhat.conj().mT)
-    hw, hv = np.linalg.eigh(hhat)
+    qs = ytau_q.reshape(b, 2 * n, 2, n).transpose(0, 2, 1, 3)  # [Q1 | Q2] as a stack (b, 2, 2n, n)
+    hw, hv = np.linalg.eigh(qs.conj().mT @ (hhat[:, None] @ qs))  # Hhat's blocks on Y_tau and Y_tau-perp
+    hw, hv = hw.reshape(b, 2 * n), (qs @ hv).transpose(0, 2, 1, 3).reshape(b, 2 * n, 2 * n)
     for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, hw, hv, *(c.spectrum for c in cs),
               *(c.eigenframe for c in cs)):
         a.setflags(write=False)

@@ -130,7 +130,9 @@ def _eig(stack: np.ndarray) -> EigenDecomposition:
         raise errors.NumericalFailureError(f"eig did not converge: {exc}") from exc
     for _, where in _failures(np.isfinite(lam).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)), "eig"):
         raise errors.NumericalFailureError(f"{where} produced non-finite output")
-    cond = np.linalg.cond(psi)
+    s = np.linalg.svdvals(psi)  # kappa = s_max / s_min, cond's bits; unit columns keep s_max > 0
+    with np.errstate(divide="ignore"):  # so s_min = 0 gives inf, with no warning
+        cond = s[:, 0] / s[:, -1]
     defective = ~(cond <= DEFAULT_TOL.defect_cond) | _has_clustered_rank_deficit(lam, psi)
     return EigenDecomposition(lam, psi, cond, defective)
 

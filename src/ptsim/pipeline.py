@@ -71,10 +71,10 @@ class SchemeStages:
     forms no reference cycle and is freed as soon as it is dropped.
 
     A successful run is one Kraus operator of a quantum instrument (Nielsen
-    & Chuang, ch. 8), K(t) = L diag(e^{-itw}) R, whose factors
-    ``kraus_right`` R = V^dag P_prep U_prep[:, :n] (2n x n) and
-    ``kraus_left`` L = U_extr[:n, :] V (n x 2n) are formed once with the
-    stages. K(t) psi = sqrt(p_total) xi4[:n].
+    & Chuang, ch. 8) on Y_tau, whose eigenpairs of Hhat are (w_Y, Q1 V_Y), the
+    first n: K(t) = L diag(e^{-itw_Y}) R, with the n x n factors ``kraus_right``
+    R = V_Y^dag Q1^dag U_prep[:, :n] and ``kraus_left`` L = U_extr[:n, :] Q1 V_Y
+    formed once with the stages. K(t) psi = sqrt(p_total) xi4[:n].
     """
 
     rho: np.ndarray
@@ -117,16 +117,16 @@ class SchemeStages:
 
     def kraus(self, t: float) -> np.ndarray:
         """K(t), the n x n Kraus operator of a successful run at time t."""
-        return (self.kraus_left * np.exp(-1j * t * self.hhat_eigh[0])) @ self.kraus_right
+        return (self.kraus_left * np.exp(-1j * t * self.hhat_eigh[0][:len(self.kraus_right)])) @ self.kraus_right
 
     def kraus_apply(self, t: float, psi) -> np.ndarray:
-        """K(t) psi for psi of shape (n,) or (n, m), in O(n 2n m) work.
+        """K(t) psi for psi of shape (n,) or (n, m), in O(n^2 m) work.
 
         The m columns of a block are a spectator factor (Bob), so this is
         K(t) x I_m on its ravel; the squared (Frobenius) norm of the result
         is the success probability of a unit psi.
         """
-        phase = np.exp(-1j * t * self.hhat_eigh[0])
+        phase = np.exp(-1j * t * self.hhat_eigh[0][:len(self.kraus_right)])  # w_Y, Y_tau's eigenvalues
         return self.kraus_left @ (phase * (self.kraus_right @ psi).T).T
 
 
@@ -159,9 +159,9 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
     prep, extr = _stage_completions(d, r, r_prime)
-    v = d.hhat_eigh[1]
-    kraus_right = v.conj().T @ (q1 @ (q1.conj().T @ prep.U[:, :n]))
-    kraus_left = extr.U[:n, :] @ v
+    q1_vy = d.hhat_eigh[1][:, :n]  # spans Y_tau, so its adjoint V_Y^dag Q1^dag also projects onto it
+    kraus_right = q1_vy.conj().T @ prep.U[:, :n]
+    kraus_left = extr.U[:n, :] @ q1_vy
     st = SchemeStages(r, r_prime, prep, extr, d.hhat_eigh, kraus_left, kraus_right)
     if scheme != "custom":
         _read_only(r, r_prime, prep.U, prep.P_N, extr.U, extr.P_N, kraus_left, kraus_right)

@@ -50,7 +50,7 @@ class PTSystem:
             raise errors.DefectiveInputError("from_hamiltonian: H is defective")
         if c.kind is Kind.NOT_PT_SYMMETRIC:
             raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
-        pairs, reals = _pair_spectrum(c.spectrum)
+        pairs, reals = c.pairing or ([], list(range(len(c.spectrum))))
         order = [i for pair in pairs for i in pair] + reals
         swapped = [i for pair in pairs for i in pair[::-1]] + reals
         psi = c.eigenframe
@@ -70,13 +70,15 @@ class Kind(Enum):
 class Classification:
     """``condition_estimate`` is the 2-norm condition number of the eigenframe
     that ``eig`` computed, kept whether or not the frame is. ``h_norm`` is
-    ||H||_F, the scale of the PT-symmetry test, kept for the later tests of H."""
+    ||H||_F, the scale of the PT-symmetry test, kept for the later tests of H.
+    ``pairing`` is ``_pair_spectrum`` of a spectrum not all real, else None."""
 
     kind: Kind
     spectrum: np.ndarray
     eigenframe: np.ndarray | None
     condition_estimate: float
     h_norm: float
+    pairing: tuple | None = None
 
 
 def validate_pt_pair(p, t) -> PTPair:
@@ -130,10 +132,11 @@ def classify(h, pt: PTPair | None = None):
     out = []
     for i, (sym, defective, unbroken, cond, norm) in enumerate(zip(
             symmetric.tolist(), d.defective.tolist(), real.tolist(), d.condition_estimate.tolist(), h_norm.tolist())):
+        pairing = None if not sym or defective or unbroken else _pair_spectrum(lam[i])
         kind = (Kind.NOT_PT_SYMMETRIC if not sym else Kind.DEFECTIVE if defective else Kind.UNBROKEN if unbroken
-                else Kind.NOT_PT_SYMMETRIC if _pair_spectrum(lam[i]) is None else Kind.BROKEN_DIAGONALIZABLE)
+                else Kind.NOT_PT_SYMMETRIC if pairing is None else Kind.BROKEN_DIAGONALIZABLE)
         frame = d.eigenvector_matrix[i] if kind in (Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE) else None
-        out.append(Classification(kind, lam[i], frame, cond, norm))
+        out.append(Classification(kind, lam[i], frame, cond, norm, pairing))
     return out if h.ndim == 3 else out[0]
 
 

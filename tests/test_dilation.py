@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -150,6 +152,52 @@ class TestBuildDilation:
         assert np.linalg.norm(q[:, n:].conj().T @ graph) <= 1e-12 * np.linalg.norm(graph)
         for col in q[:, :n].T:
             assert in_tau_subspace(col, d.tau)
+
+
+BLOCKED_NS = (2, 8, 16, 64)
+BLOCKED_IDS = [f"n{n}" for n in BLOCKED_NS] + [f"paper{i}" for i in range(len(PAPER_SETS))]
+
+
+@functools.cache
+def _blocked_cases():
+    """Canonical dilations at BLOCKED_NS and the paper sets as one stack."""
+    rng = np.random.default_rng(90)
+    singles = [build_dilation(random_unbroken(rng, n)) for n in BLOCKED_NS]
+    paper = build_dilation([gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS],
+                           eta=[gunther_eta(a) for a, _, _ in PAPER_SETS], h1_choice="paper")
+    return singles + paper
+
+
+class TestBlockedFactorization:
+    """Hhat is factored by its invariant blocks on Y_tau and Y_tau-perp."""
+
+    @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
+    def test_eigenvectors_keep_the_two_subspaces(self, i):
+        d = _blocked_cases()[i]
+        n, (_, v) = d.dim, d.hhat_eigh
+        q1, q2 = d.ytau_q[:, :n], d.ytau_q[:, n:]
+        assert np.linalg.norm(q2.conj().T @ v[:, :n]) <= 1e-13
+        assert np.linalg.norm(q1.conj().T @ v[:, n:]) <= 1e-13
+        # and they are still orthonormal eigenpairs of the whole Hhat
+        assert np.linalg.norm(v.conj().T @ v - np.eye(2 * n)) <= 1e-12
+        assert np.linalg.norm(d.Hhat @ v - v * d.hhat_eigh[0]) <= 1e-13 * np.linalg.norm(d.Hhat)
+
+    @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
+    def test_ytau_half_is_the_spectrum_of_h(self, i):
+        d = _blocked_cases()[i]
+        # Hhat acts on Y_tau like H, whose spectrum is real when unbroken
+        lam = np.sort(d.classification.spectrum.real)
+        w_y = np.sort(d.hhat_eigh[0][:d.dim])
+        assert np.linalg.norm(w_y - lam) <= 1e-12 * max(1.0, np.linalg.norm(lam))
+
+    def test_one_eigh_per_stack(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+        build_dilation([gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS],
+                       eta=[gunther_eta(a) for a, _, _ in PAPER_SETS])
+        # eta - I, then Hhat's two n x n blocks for every member
+        assert calls == [(12, 2, 2), (12, 2, 2, 2)]
 
 
 def assert_same_dilation(a, b):

@@ -80,6 +80,19 @@ class TestEig:
         with pytest.raises(errors.NonSquareError):
             eig(np.zeros((2, 3)))
 
+    def test_condition_number_has_the_bits_of_cond(self):
+        frames = eig(random_complex(np.random.default_rng(8), 6)[None]).eigenvector_matrix
+        for h in (H3[None], h0_matrix(0.4)[None], frames):
+            d = eig(h)
+            assert np.array_equal(d.condition_estimate, np.linalg.cond(d.eigenvector_matrix))
+
+    def test_singular_frame_is_infinitely_conditioned(self, monkeypatch):
+        # an exactly dependent frame: kappa is inf, with no divide warning
+        frame = np.array([[[1.0, 1.0], [0.0, 0.0]]], dtype=complex)
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (np.zeros((1, 2), dtype=complex), frame))
+        d = eig(np.zeros((1, 2, 2)))
+        assert d.condition_estimate[0] == np.inf and d.defective[0]
+
     @pytest.mark.parametrize("fn", [eig, matrix_exp])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_is_parse_error(self, fn, value):

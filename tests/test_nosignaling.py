@@ -221,17 +221,18 @@ class TestWholeSystem:
 class TestSweep:
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_lapack_calls_per_point(self, scheme, monkeypatch):
-        # a simulated point: classify's eig and the cond of its frame, the
-        # eigh of eta - I and of Hhat, tau's inverse, the complete QR of
-        # [I; tau], and one SVD of both completions' contractions as a stack
-        counts = dict.fromkeys(("eig", "cond", "eigh", "qr", "inv", "svd"), 0)
+        # a simulated point: classify's eig and the singular values of its
+        # frame (kappa, no cond), the eigh of eta - I and of Hhat's two
+        # blocks, tau's inverse, the complete QR of [I; tau], and one SVD of
+        # both completions' contractions as a stack
+        counts = dict.fromkeys(("eig", "cond", "svdvals", "eigh", "qr", "inv", "svd"), 0)
         for name in counts:
             def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert counts == {"eig": 1, "cond": 1, "eigh": 2, "qr": 1, "inv": 1, "svd": 1}
+        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 1, "svd": 1}
 
     def test_rows(self):
         rows = sweep_delta_s([np.pi / 6, np.pi / 4], [1.0], scheme="metric_sandwich")

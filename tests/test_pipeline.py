@@ -30,7 +30,7 @@ from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
 from ptsim.pipeline import extraction_completion, preparation_completion, scheme_stages
 
-from corpus import random_unbroken, unbroken_corpus
+from corpus import gunther_tensor, random_unbroken, unbroken_corpus
 from oracle import expm_taylor
 
 FROZEN_TRACES = json.loads(
@@ -668,6 +668,22 @@ class TestInstrument:
             trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme=scheme))
             assert trace.probability_check <= 1e-12, t
 
+    @pytest.mark.parametrize("n", NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_factors_live_on_ytau(self, n, scheme):
+        # the n x n factors on Y_tau give the K(t) of the 2n x n factors
+        # L = U_extr[:n, :] V, R = V^dag Q1 Q1^dag U_prep[:, :n] of a dense
+        # eigh of the whole Hhat
+        _, d, _ = _instrument_case(n)
+        st = scheme_stages(d, scheme)
+        assert st.kraus_left.shape == st.kraus_right.shape == (n, n)
+        w, v = np.linalg.eigh(d.Hhat)
+        q1 = d.ytau_frame
+        left = st.extraction.U[:n, :] @ v
+        right = v.conj().T @ (q1 @ (q1.conj().T @ st.preparation.U[:, :n]))
+        for t in self.TS:
+            assert np.linalg.norm(st.kraus(t) - (left * np.exp(-1j * t * w)) @ right) <= 1e-13, t
+
     def test_kraus_factors_are_read_only(self):
         st = scheme_stages(_instrument_case(4)[1], "identity")
         for a in (st.kraus_left, st.kraus_right):
@@ -681,6 +697,43 @@ class TestInstrument:
         bad = dataclasses.replace(d, ytau_q=1.001 * d.ytau_q)
         with pytest.raises(errors.NotProjectionError):
             scheme_stages(bad, "identity")
+
+
+class TestGuntherTensor:
+    """Tensor sums of the worked family: an exact truth at every n = 2^m.
+
+    Bounds are multiples of kappa(Psi) eps, the conditioning of H's
+    eigenframe, which grows with m."""
+
+    C = 100.0
+    EPS = np.finfo(float).eps
+
+    def test_generator_closed_forms(self):
+        # the closed forms against dense expm and eigh-based powers
+        sys_, eta, propagator, _ = gunther_tensor(np.random.default_rng(899), 3)
+        assert np.linalg.norm(eta @ sys_.H - sys_.H.conj().T @ eta) <= 1e-12 * np.linalg.norm(eta)
+        assert np.linalg.eigvalsh(eta)[0] > 1.0
+        for t in (0.7, 1.9):
+            u = scipy.linalg.expm(-1j * t * sys_.H)
+            assert np.linalg.norm(propagator(t) - u) <= 1e-12
+            sandwich = psd_power(eta, 0.5) @ u @ psd_power(eta, -0.5)
+            assert np.linalg.norm(propagator(t, 0.5) - sandwich) <= 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_xi5_matches_the_closed_form(self, m):
+        rng = np.random.default_rng(900 + m)
+        sys_, eta, propagator, spectrum = gunther_tensor(rng, m)
+        d = build_dilation(sys_, eta=eta)
+        bound = self.C * d.classification.condition_estimate * self.EPS
+        lam = np.sort(d.classification.spectrum.real)
+        assert np.abs(lam - np.sort(spectrum)).max() <= bound * np.linalg.norm(sys_.H, 2)
+        psi = rng.normal(size=2**m) + 1j * rng.normal(size=2**m)
+        # identity evolves by e^{-itH}; metric_sandwich by eta^{1/2} e^{-itH} eta^{-1/2}
+        for scheme, p in (("identity", 0.0), ("metric_sandwich", 0.5)):
+            for t in (0.7, 1.9):
+                trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme=scheme))
+                target = propagator(t, p) @ psi
+                assert np.linalg.norm(trace.xi5 - target / np.linalg.norm(target)) <= bound, (scheme, t)
 
 
 class TestSampling:

@@ -222,6 +222,17 @@ class TestFromHamiltonian:
             assert is_pt_symmetric(built.H, built.pt)
             assert classify(built.H, built.pt).kind is Kind.BROKEN_DIAGONALIZABLE
 
+    def test_broken_spectrum_is_paired_once(self, monkeypatch):
+        # the pairing that told broken from not PT-symmetric in classify is
+        # the one the pair is built from; an all-real spectrum needs none
+        calls = []
+        pair = ptcore._pair_spectrum
+        monkeypatch.setattr(ptcore, "_pair_spectrum", lambda lam: calls.append(1) or pair(lam))
+        for sys, expected in ((broken_2x2(), 1), (unbroken_corpus()[0], 0)):
+            calls.clear()
+            PTSystem.from_hamiltonian(sys.H)
+            assert len(calls) == expected
+
     def test_defective_refused(self):
         with pytest.raises(errors.DefectiveInputError):
             PTSystem.from_hamiltonian(defective_corpus()[0].H)
@@ -269,10 +280,11 @@ class TestConstructPT:
             assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(sys.H))
 
     def test_one_condition_number(self, monkeypatch):
-        # classify's kappa(Psi) is the only one: the pair is not checked twice
+        # classify's kappa(Psi), from one svdvals of the frame, is the only
+        # one: the pair is not checked twice
         calls = []
-        cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda *a, **k: calls.append(1) or cond(*a, **k))
+        svdvals = np.linalg.svdvals
+        monkeypatch.setattr(np.linalg, "svdvals", lambda *a, **k: calls.append(1) or svdvals(*a, **k))
         for sys in (broken_2x2(), unbroken_corpus()[0]):
             calls.clear()
             PTSystem.from_hamiltonian(sys.H)
