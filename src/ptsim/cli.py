@@ -82,18 +82,8 @@ def cmd_classify(args) -> int:
 
 def cmd_metric(args) -> int:
     sys = _load_system(args)
-    if args.eta:
-        m = verify_metric(sys.H, io.load_matrix(args.eta))
-    else:
-        m = positive_metric(sys)
-    _emit(
-        {
-            "eta": m.eta,
-            "positive_definite": m.positive_definite,
-            "min_eigenvalue": m.min_eigenvalue,
-        },
-        args.out,
-    )
+    m = verify_metric(sys.H, io.load_matrix(args.eta)) if args.eta else positive_metric(sys)
+    _emit({"eta": m.eta, "positive_definite": m.positive_definite, "min_eigenvalue": m.min_eigenvalue}, args.out)
     return EXIT_OK
 
 

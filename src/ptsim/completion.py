@@ -44,7 +44,7 @@ class SubspaceMap:
             raise errors.DimensionMismatchError("SubspaceMap: action must be k x k")
         eye = np.eye(k)
         for name, b in (("M", m), ("N", nb)):
-            if fro(b.conj().T @ b - eye) > 1e-10 * max(1.0, k):
+            if fro(b.conj().T @ b - eye) > TOL.eq_tol * max(1.0, k):
                 raise errors.DependentInputError(f"SubspaceMap: {name} basis is not orthonormal")
 
 

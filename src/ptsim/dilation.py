@@ -1,7 +1,8 @@
 """Hermitian dilation of an unbroken Hamiltonian onto the doubled space.
 
 The dilation record carries the coupling matrix tau = (eta - I)^{1/2}, the
-four blocks of Hhat = [[H1, H2], [H2^dag, H4]], and the defining residuals:
+factor of Hhat on Y_tau, the four blocks of Hhat = [[H1, H2], [H2^dag, H4]]
+and the defining residuals:
     H1 + H2 tau = H
     H2^dag + H4 tau = tau H
 Evolution under Hhat restricted to the graph subspace Y_tau = {(psi; tau psi)}
@@ -17,7 +18,7 @@ from numbers import Real
 import numpy as np
 
 from . import errors
-from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _require_finite, _require_square,
+from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _read_only, _require_finite, _require_square,
                      eigen_evolve, eigen_power, fro, matrix_exp)
 from .metric import _check_metric_equations, positive_metric
 from .ptcore import Classification, Kind, PTSystem, classify
@@ -43,13 +44,16 @@ class Dilation:
     spectrum Lambda, eigenframe Psi and kappa(Psi), which give every
     e^{-itH} (``propagate``). eta - I = V diag(w) V^dag is kept as
     (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
-    factors, shifted, or one eigh of a supplied eta - I. ``ytau_q`` = [Q1 | Q2],
-    the complete Q of [I; tau], holds orthonormal bases of Y_tau (Q1,
-    ``ytau_frame``) and Y_tau-perp, both invariant under Hhat. So Hhat is
-    factored once, by one eigh of Q1^dag Hhat Q1 and Q2^dag Hhat Q2, into
-    ``hhat_eigh`` = (w, [Q1 V_Y | Q2 V_perp]), which gives every e^{-itHhat}:
-    the first n pairs span Y_tau, with H's spectrum as their w, and w ascends
-    within each half, not across them. ``residuals`` are formed on first read.
+    factors, shifted, or one eigh of a supplied eta - I. [I; tau] = Q1 R, with
+    R = ``ytau_r`` (R^dag R = eta) and ``ytau_q`` = [Q1 | Q2] the complete Q:
+    orthonormal bases of Y_tau (Q1, ``ytau_frame``) and Y_tau-perp, both
+    invariant under Hhat. Q1^dag Hhat Q1 = R H R^{-1} for every H1, the
+    equivalent Hermitian Hamiltonian (Mostafazadeh, J. Math. Phys. 43, 205
+    (2002)); the build keeps its eigh through Q1, ``ytau_eigh`` = (w_Y, Q1 V_Y),
+    w_Y being H's spectrum, and forms nothing else of Hhat. H1 (by ``h1_choice``;
+    ``h1_supplied`` holds a supplied one), H2, H4, Hhat, ``hhat_eigh`` =
+    (w, [Q1 V_Y | Q2 V_perp]) (w ascends within each half, not across them) and
+    ``residuals`` are formed on first read.
     """
 
     H: np.ndarray
@@ -59,11 +63,10 @@ class Dilation:
     eta_minus_i_v: np.ndarray
     tau: np.ndarray
     ytau_q: np.ndarray
-    H1: np.ndarray
-    H2: np.ndarray
-    H4: np.ndarray
-    Hhat: np.ndarray
-    hhat_eigh: tuple
+    ytau_r: np.ndarray
+    ytau_eigh: tuple
+    h1_choice: str
+    h1_supplied: np.ndarray | None
 
     @property
     def dim(self) -> int:
@@ -80,9 +83,7 @@ class Dilation:
     @cached_property
     def eigenframe_inverse(self) -> np.ndarray:
         """Psi^{-1}, one inv formed on first use and kept read-only."""
-        inv = np.linalg.inv(self.classification.eigenframe)
-        inv.setflags(write=False)
-        return inv
+        return _read_only(np.linalg.inv(self.classification.eigenframe))[0]
 
     def propagate(self, t: float, x) -> np.ndarray:
         """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for a vector x, in
@@ -93,6 +94,19 @@ class Dilation:
         if c.condition_estimate > _EXPM_COND_LIMIT:
             return matrix_exp(-1j * t * self.H) @ x
         return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x))
+
+    @cached_property
+    def _blocks(self) -> tuple:
+        return tuple(x[0] for x in _hhat_blocks([self]))
+
+    # the four blocks are formed together on the first read of any of them
+    H1, H2, H4, Hhat = (property(lambda self, i=i: self._blocks[i]) for i in range(4))
+
+    @cached_property
+    def hhat_eigh(self) -> tuple:
+        q2 = self.ytau_q[:, self.dim:]  # Y_tau-perp, the other invariant block
+        w, v = np.linalg.eigh(q2.conj().T @ (self.Hhat @ q2))
+        return _read_only(np.concatenate([self.ytau_eigh[0], w]), np.hstack([self.ytau_eigh[1], q2 @ v]))
 
     @cached_property
     def residuals(self) -> dict:
@@ -118,7 +132,7 @@ class Dilation:
 
 
 def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero", h1=None):
-    """Assemble Hhat from (H, eta, H1) for one PTSystem, or for a sequence of
+    """The dilation of (H, eta, H1) for one PTSystem, or for a sequence of
     same-order systems with one eta (and h1) each: every layer then runs once
     on their stack, and the list of Dilations has the bits of single builds.
     A single system is the batch of one; an error about one system of a
@@ -159,44 +173,50 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
 
     for _, where in _failures(np.sqrt(w[:, 0]) > TOL.psd_tol, "build_dilation"):
         raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
-    tau = eigen_power(w, v, 0.5)
-    tau_inv = np.linalg.inv(tau)
-    i_tau = np.zeros((b, 2 * n, n), dtype=complex)
-    i_tau[:, :n], i_tau[:, n:] = eye, tau
-    ytau_q, _ = np.linalg.qr(i_tau, mode="complete")
-
-    if h1_choice == "zero":
-        h1m = np.zeros_like(h)
-    elif h1_choice == "paper":
-        eta_inv = eigen_power(w + 1.0, v, -1.0)
-        h1m = tau @ h @ tau @ eta_inv + h @ eta_inv
-        h1m = 0.5 * (h1m + h1m.conj().mT)
-    elif h1_choice == "supplied":
+    if h1_choice == "supplied":
         if h1 is None:
             raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
-        h1m = np.array([h1] if single else h1, dtype=complex)
-        for _, where in _failures(np.isfinite(h1m.reshape(len(h1m), -1)).all(axis=1), "build_dilation"):
+        (h1,) = _read_only(np.array([h1] if single else h1, dtype=complex))
+        for _, where in _failures(np.isfinite(h1.reshape(len(h1), -1)).all(axis=1), "build_dilation"):
             raise errors.ParseError(f"{where}: H1 must be finite")
-        skew, h1_norm = _norms(h1m - h1m.conj().mT, h1m) if h1m.shape == h.shape else ([np.inf], [1.0])
+        skew, h1_norm = _norms(h1 - h1.conj().mT, h1) if h1.shape == h.shape else ([np.inf], [1.0])
         for _, where in _failures(skew <= TOL.eq_tol * np.maximum(1.0, h1_norm), "build_dilation"):
             raise errors.SuppliedH1NotHermitianError(f"{where}: supplied H1 is not Hermitian")
-    else:
+    elif h1_choice not in ("zero", "paper"):
         raise errors.ParseError(f"unknown h1_choice {h1_choice!r}")
 
-    h2 = (h - h1m) @ tau_inv
+    tau = eigen_power(w, v, 0.5)
+    i_tau = np.zeros((b, 2 * n, n), dtype=complex)
+    i_tau[:, :n], i_tau[:, n:] = eye, tau
+    ytau_q, r = np.linalg.qr(i_tau, mode="complete")
+    r = r[:, :n]
+    hy = np.linalg.solve(r.mT, (r @ h).mT).mT  # R H R^{-1}: a solve is more accurate than R H Q1[:n]
+    wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
+    vy = ytau_q[:, :, :n] @ vy
+    _read_only(h, eta, w, v, tau, ytau_q, r, wy, vy, *(c.spectrum for c in cs), *(c.eigenframe for c in cs))
+    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], (wy[i], vy[i]), h1_choice,
+                    None if h1 is None else h1[i]) for i, c in enumerate(cs)]
+    return out[0] if single else out
+
+
+def _hhat_blocks(ds) -> tuple:
+    """Read-only stacks (H1, H2 = (H - H1) tau^{-1}, H4 = (tau H - H2^dag) tau^{-1},
+    Hhat = [[H1, H2], [H2^dag, H4]] symmetrized) of the dilations ds of one build."""
+    h, tau, w, v = (np.array([getattr(d, f) for d in ds]) for f in ("H", "tau", "eta_minus_i_w", "eta_minus_i_v"))
+    b, n = h.shape[:2]
+    if ds[0].h1_choice == "paper":
+        eta_inv = eigen_power(w + 1.0, v, -1.0)
+        h1 = tau @ h @ tau @ eta_inv + h @ eta_inv
+        h1 = 0.5 * (h1 + h1.conj().mT)
+    else:
+        h1 = np.array([np.zeros_like(d.H) if d.h1_supplied is None else d.h1_supplied for d in ds])
+    tau_inv = np.linalg.inv(tau)
+    h2 = (h - h1) @ tau_inv
     h4 = (tau @ h - h2.conj().mT) @ tau_inv
     hhat = np.empty((b, 2 * n, 2 * n), dtype=complex)
-    hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1m, h2, h2.conj().mT, h4
+    hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1, h2, h2.conj().mT, h4
     hhat = 0.5 * (hhat + hhat.conj().mT)
-    qs = ytau_q.reshape(b, 2 * n, 2, n).transpose(0, 2, 1, 3)  # [Q1 | Q2] as a stack (b, 2, 2n, n)
-    hw, hv = np.linalg.eigh(qs.conj().mT @ (hhat[:, None] @ qs))  # Hhat's blocks on Y_tau and Y_tau-perp
-    hw, hv = hw.reshape(b, 2 * n), (qs @ hv).transpose(0, 2, 1, 3).reshape(b, 2 * n, 2 * n)
-    for a in (h, eta, w, v, tau, ytau_q, h1m, h2, h4, hhat, hw, hv, *(c.spectrum for c in cs),
-              *(c.eigenframe for c in cs)):
-        a.setflags(write=False)
-    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], h1m[i], h2[i], h4[i], hhat[i], (hw[i], hv[i]))
-           for i, c in enumerate(cs)]
-    return out[0] if single else out
+    return _read_only(h1, h2, h4, hhat)
 
 
 def in_tau_subspace(x, tau) -> bool:
@@ -205,9 +225,7 @@ def in_tau_subspace(x, tau) -> bool:
     n = tau.shape[0]
     if x.shape[0] != 2 * n:
         raise errors.DimensionMismatchError("in_tau_subspace: length mismatch")
-    return np.linalg.norm(x[n:] - tau @ x[:n]) <= TOL.eq_tol * max(1.0, np.linalg.norm(x)) * max(
-        1.0, fro(tau)
-    )
+    return np.linalg.norm(x[n:] - tau @ x[:n]) <= TOL.eq_tol * max(1.0, np.linalg.norm(x)) * max(1.0, fro(tau))
 
 
 def dilated_evolution(d: Dilation, t: float, xhat) -> np.ndarray:
@@ -215,7 +233,7 @@ def dilated_evolution(d: Dilation, t: float, xhat) -> np.ndarray:
     _require_finite("dilated_evolution", t=t, xhat=xhat)
     if not in_tau_subspace(xhat, d.tau):
         raise errors.NotInSubspaceError("dilated_evolution: input is not in Y_tau")
-    return eigen_evolve(*d.hhat_eigh, t, xhat)
+    return eigen_evolve(*d.ytau_eigh, t, xhat)
 
 
 def embedding_membership(hhat, h, x) -> bool:

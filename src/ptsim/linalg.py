@@ -31,17 +31,16 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 class Tolerances:
     """The fixed table of numerical tolerances, ``DEFAULT_TOL``. Functions
     read it directly; none takes a tolerance as an argument.
-
-    eq_tol      residual tolerance for matrix equalities
-    real_tol    relative tolerance for "this eigenvalue is real"
-    defect_cond eigenvector-matrix condition number above which we refuse
-    psd_tol     eigenvalue nonnegativity window
     """
 
-    eq_tol: float = 1e-10
-    real_tol: float = 1e-9
-    defect_cond: float = 1e12
-    psd_tol: float = 1e-12
+    eq_tol: float = 1e-10  # residual tolerance for matrix equalities
+    real_tol: float = 1e-9  # relative tolerance for "this eigenvalue is real"
+    defect_cond: float = 1e12  # eigenvector-matrix condition number above which we refuse
+    psd_tol: float = 1e-12  # eigenvalue nonnegativity window
+    rank_tol: float = 1e-10  # relative |R_jj| at or below which orthonormal_extension's vectors are dependent
+    cluster_tol: float = 1e-6  # relative width of an eigenvalue cluster, and singular-value floor of its eigenvectors
+    branch_tol: float = 1e-14  # norm at or below which a unit state's simulated branch has vanished
+    target_tol: float = 1e-12  # norm at or below which rho' e^{-itH} rho annihilates a unit state
 
 
 DEFAULT_TOL = Tolerances()
@@ -81,6 +80,13 @@ def _require_finite(who: str, **values) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
             raise errors.ParseError(f"{who}: {name} must be finite")
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _require_square(a, who: str, stack: bool = False) -> np.ndarray:
@@ -143,7 +149,7 @@ def _has_clustered_rank_deficit(lam, psi):
     # A Jordan block perturbed at machine precision splits its eigenvalue by
     # ~sqrt(eps), so the cluster window must be much wider than real_tol.
     n = lam.shape[-1]
-    window = max(DEFAULT_TOL.real_tol, 1e-6) * np.maximum(1.0, np.abs(lam).max(axis=-1))
+    window = max(DEFAULT_TOL.real_tol, DEFAULT_TOL.cluster_tol) * np.maximum(1.0, np.abs(lam).max(axis=-1))
     close = np.abs(lam[:, :, None] - lam[:, None, :]) <= window[:, None, None]
     deficit = np.zeros(len(lam), dtype=bool)
     # members with a close pair; where none is close (the common case), only the diagonal counts
@@ -157,7 +163,7 @@ def _has_clustered_rank_deficit(lam, psi):
                 unassigned[cluster] = False
                 if len(cluster) > 1:
                     s = np.linalg.svd(psi[m][:, cluster], compute_uv=False)
-                    deficit[m] = s[-1] <= 1e-6 * max(1.0, s[0])
+                    deficit[m] = s[-1] <= DEFAULT_TOL.cluster_tol * max(1.0, s[0])
     return deficit
 
 
@@ -212,7 +218,7 @@ def orthonormal_extension(vectors, dim: int) -> np.ndarray:
     the phase of its R diagonal, so the leading columns are the Gram-Schmidt
     orthonormalization of the input (orthonormal input is reproduced in
     place) and the output is deterministic. Input whose j-th residual |R_jj|
-    falls below 1e-10 max(1, ||v_j||) is rejected as dependent.
+    falls below ``rank_tol`` max(1, ||v_j||) is rejected as dependent.
     """
     vs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if any(v.shape[0] != dim for v in vs):
@@ -225,7 +231,7 @@ def orthonormal_extension(vectors, dim: int) -> np.ndarray:
     q, r = np.linalg.qr(np.hstack([v, np.eye(dim, dtype=complex)]), mode="complete")
     diag = np.diagonal(r)
     mag = np.abs(diag)
-    if np.any(mag[:k] <= 1e-10 * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+    if np.any(mag[:k] <= DEFAULT_TOL.rank_tol * np.maximum(1.0, np.linalg.norm(v, axis=0))):
         raise errors.DependentInputError("orthonormal_extension: dependent input vectors")
     phase = np.divide(diag, mag, out=np.ones(dim, dtype=complex), where=mag > 0.0)
     return q * phase

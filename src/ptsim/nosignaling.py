@@ -99,7 +99,7 @@ def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
     finals = channel @ _ALICE_STATES
     (nrm,) = _norms(finals)
     p_success = nrm**2 if stages is not None else np.ones(2)  # stays 1 in direct mode
-    for k, _ in _failures((nrm > 1e-14) & (p_success > TOL.psd_tol), "run_experiment"):
+    for k, _ in _failures((nrm > TOL.branch_tol) & (p_success > TOL.psd_tol), "run_experiment"):
         raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
     table = _measure_joint(finals / nrm[:, None, None])
     bob = table.sum(axis=1)  # [k, b]

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import errors
 from .completion import CompletionResult, _completions, post_select
-from .dilation import Dilation, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _require_finite, eigen_evolve, fro, psd_power
+from .dilation import Dilation, _hhat_blocks, build_dilation
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _read_only, _require_finite, eigen_evolve, fro, psd_power
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -66,22 +66,23 @@ class SchemeStages:
     """The stage operators of a scheme on one dilation.
 
     They are the scheme's (rho, rho'), the two completions these induce and
-    the dilation's eigh factors (w, V) of Hhat, which evolve every t. It
-    holds no reference to the dilation, so a dilation that keeps its stages
-    forms no reference cycle and is freed as soon as it is dropped.
+    the dilation's ``ytau_eigh`` = (w_Y, Q1 V_Y), Hhat's eigenpairs on Y_tau,
+    where every prepared state lies, which evolve every t. It holds no
+    reference to the dilation, so a dilation that keeps its stages forms no
+    reference cycle and is freed as soon as it is dropped.
 
     A successful run is one Kraus operator of a quantum instrument (Nielsen
-    & Chuang, ch. 8) on Y_tau, whose eigenpairs of Hhat are (w_Y, Q1 V_Y), the
-    first n: K(t) = L diag(e^{-itw_Y}) R, with the n x n factors ``kraus_right``
-    R = V_Y^dag Q1^dag U_prep[:, :n] and ``kraus_left`` L = U_extr[:n, :] Q1 V_Y
-    formed once with the stages. K(t) psi = sqrt(p_total) xi4[:n].
+    & Chuang, ch. 8) on Y_tau: K(t) = L diag(e^{-itw_Y}) R, with the n x n
+    factors ``kraus_right`` R = V_Y^dag Q1^dag U_prep[:, :n] and ``kraus_left``
+    L = U_extr[:n, :] Q1 V_Y formed once with the stages. K(t) psi =
+    sqrt(p_total) xi4[:n].
     """
 
     rho: np.ndarray
     rho_prime: np.ndarray
     preparation: CompletionResult
     extraction: CompletionResult
-    hhat_eigh: tuple
+    ytau_eigh: tuple
     kraus_left: np.ndarray
     kraus_right: np.ndarray
 
@@ -104,8 +105,8 @@ class SchemeStages:
         if p_prepare == 0.0:
             raise errors.ZeroFinalStateError("preparation branch vanished")
 
-        # stage 3: unitary dilated evolution
-        xi3 = eigen_evolve(*self.hhat_eigh, t, xi2)
+        # stage 3: unitary dilated evolution, on Y_tau
+        xi3 = eigen_evolve(*self.ytau_eigh, t, xi2)
 
         # stage 4: unitary + post-selection onto X1, which is the ancilla
         # measurement: extraction.P_N is the projector onto ancilla |0>
@@ -117,7 +118,7 @@ class SchemeStages:
 
     def kraus(self, t: float) -> np.ndarray:
         """K(t), the n x n Kraus operator of a successful run at time t."""
-        return (self.kraus_left * np.exp(-1j * t * self.hhat_eigh[0][:len(self.kraus_right)])) @ self.kraus_right
+        return (self.kraus_left * np.exp(-1j * t * self.ytau_eigh[0])) @ self.kraus_right
 
     def kraus_apply(self, t: float, psi) -> np.ndarray:
         """K(t) psi for psi of shape (n,) or (n, m), in O(n^2 m) work.
@@ -126,13 +127,8 @@ class SchemeStages:
         K(t) x I_m on its ravel; the squared (Frobenius) norm of the result
         is the success probability of a unit psi.
         """
-        phase = np.exp(-1j * t * self.hhat_eigh[0][:len(self.kraus_right)])  # w_Y, Y_tau's eigenvalues
+        phase = np.exp(-1j * t * self.ytau_eigh[0])
         return self.kraus_left @ (phase * (self.kraus_right @ psi).T).T
-
-
-def _read_only(*arrays) -> None:
-    for a in arrays:
-        a.setflags(write=False)
 
 
 def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeStages:
@@ -159,10 +155,10 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
     prep, extr = _stage_completions(d, r, r_prime)
-    q1_vy = d.hhat_eigh[1][:, :n]  # spans Y_tau, so its adjoint V_Y^dag Q1^dag also projects onto it
+    q1_vy = d.ytau_eigh[1]  # spans Y_tau, so its adjoint V_Y^dag Q1^dag also projects onto it
     kraus_right = q1_vy.conj().T @ prep.U[:, :n]
     kraus_left = extr.U[:n, :] @ q1_vy
-    st = SchemeStages(r, r_prime, prep, extr, d.hhat_eigh, kraus_left, kraus_right)
+    st = SchemeStages(r, r_prime, prep, extr, d.ytau_eigh, kraus_left, kraus_right)
     if scheme != "custom":
         _read_only(r, r_prime, prep.U, prep.P_N, extr.U, extr.P_N, kraus_left, kraus_right)
         d.stage_cache[scheme] = st
@@ -240,7 +236,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     psi = psi / nrm
 
     target = st.rho_prime @ d.propagate(cfg.t, st.rho @ psi)
-    if np.linalg.norm(target) <= 1e-12:
+    if np.linalg.norm(target) <= TOL.target_tol:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
     xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t)
@@ -249,10 +245,8 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     p_total = float(p_prepare * p_post)
     # the stage route against the instrument: p_total = ||K(t) psi||^2
     probability_check = abs(p_total - float(np.linalg.norm(st.kraus_apply(cfg.t, psi)) ** 2)) / p_total
-    return SimulationTrace(
-        xi1, xi2, xi3, xi4, xi5, float(p_prepare), float(p_post), p_total,
-        final_formula_check, probability_check,
-    )
+    return SimulationTrace(xi1, xi2, xi3, xi4, xi5, float(p_prepare), float(p_post), p_total,
+                           final_formula_check, probability_check)
 
 
 def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
@@ -347,7 +341,8 @@ def reproduce_gunther_example(alpha, s=1.0, e0=0.0, t=1.0) -> dict:
     alpha, s, e0, t = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (alpha, s, e0, t))
     ds = build_dilation([PTSystem(h, _GUNTHER_PT) for h in gunther_hamiltonian(alpha, s, e0)],
                         eta=gunther_eta(alpha), h1_choice="paper")
-    tau, h1, h2, h4, hhat, hw, hv = map(np.array, zip(*((d.tau, d.H1, d.H2, d.H4, d.Hhat, *d.hhat_eigh) for d in ds)))
+    tau, hw, hv = map(np.array, zip(*((d.tau, *d.ytau_eigh) for d in ds)))
+    h1, h2, h4, hhat = _hhat_blocks(ds)
     sa, ca = np.sin(alpha), np.cos(alpha)
     tau_cf = (1.0 / ca)[:, None, None] * _matrix((1.0, -1j * sa), (1j * sa, 1.0))
     h1_cf = _matrix((e0, s * ca**2), (s * ca**2, e0))

@@ -154,7 +154,7 @@ class TestBuildDilation:
             assert in_tau_subspace(col, d.tau)
 
 
-BLOCKED_NS = (2, 8, 16, 64)
+BLOCKED_NS = (2, 8, 16, 64, 128)
 BLOCKED_IDS = [f"n{n}" for n in BLOCKED_NS] + [f"paper{i}" for i in range(len(PAPER_SETS))]
 
 
@@ -196,15 +196,51 @@ class TestBlockedFactorization:
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
         build_dilation([gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS],
                        eta=[gunther_eta(a) for a, _, _ in PAPER_SETS])
-        # eta - I, then Hhat's two n x n blocks for every member
-        assert calls == [(12, 2, 2), (12, 2, 2, 2)]
+        # eta - I, then R H R^{-1}, Hhat's block on Y_tau, for every member
+        assert calls == [(12, 2, 2), (12, 2, 2)]
+
+
+class TestYtauFactor:
+    """Hhat acts on Y_tau as R H R^{-1}, with [I; tau] = Q1 R: the equivalent
+    Hermitian Hamiltonian (Mostafazadeh, J. Math. Phys. 43, 205 (2002)).
+
+    Bounds are multiples of eps ||H||_F (eps ||eta||_F for the metric)."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
+    def test_r_factors_the_graph_and_the_metric(self, i):
+        d = _blocked_cases()[i]
+        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
+        assert np.array_equal(r, np.triu(r))
+        graph = np.vstack([np.eye(n), d.tau])
+        assert np.linalg.norm(q1 @ r - graph) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(graph)
+        assert np.linalg.norm(r.conj().T @ r - d.eta) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.eta)
+
+    @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
+    def test_q1_hhat_q1_is_r_h_r_inverse(self, i):
+        # the dense Hhat in the frame Q1, against a product with an explicit R^{-1}
+        d = _blocked_cases()[i]
+        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
+        equivalent = r @ d.H @ np.linalg.inv(r)
+        bound = 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.H)
+        assert np.linalg.norm(q1.conj().T @ d.Hhat @ q1 - equivalent) <= bound
+
+    @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
+    def test_ytau_eigh_leads_hhat_eigh(self, i):
+        # the whole factorization, formed on first read, starts with the kept pair
+        d = _blocked_cases()[i]
+        (w_y, v_y), (w, v) = d.ytau_eigh, d.hhat_eigh
+        assert np.array_equal(w[:d.dim], w_y) and np.array_equal(v[:, :d.dim], v_y)
+        assert np.linalg.norm(d.Hhat @ v_y - v_y * w_y) <= 8 * np.sqrt(d.dim) * self.EPS * np.linalg.norm(d.Hhat)
 
 
 def assert_same_dilation(a, b):
     """Every array field, the classification and the residuals, bit for bit."""
-    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "H1", "H2", "H4", "Hhat"):
+    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "ytau_r", "H1", "H2", "H4", "Hhat"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert all(np.array_equal(x, y) for x, y in zip(a.hhat_eigh, b.hhat_eigh, strict=True))
+    for pair in ("ytau_eigh", "hhat_eigh"):
+        assert all(np.array_equal(x, y) for x, y in zip(getattr(a, pair), getattr(b, pair), strict=True)), pair
     ca, cb = a.classification, b.classification
     assert ca.kind is cb.kind and ca.condition_estimate == cb.condition_estimate
     assert np.array_equal(ca.spectrum, cb.spectrum) and np.array_equal(ca.eigenframe, cb.eigenframe)

@@ -55,6 +55,13 @@ def test_no_callable_takes_a_tol_argument():
     assert DEFAULT_TOL == Tolerances(eq_tol=1e-10, real_tol=1e-9, defect_cond=1e12, psd_tol=1e-12)
 
 
+def test_module_cutoffs_are_in_the_table():
+    # orthonormal_extension's rank test, the eigenvalue-cluster window and
+    # rank test, a vanished experiment branch and a vanished simulation target
+    assert (DEFAULT_TOL.rank_tol, DEFAULT_TOL.cluster_tol, DEFAULT_TOL.branch_tol, DEFAULT_TOL.target_tol) == (
+        1e-10, 1e-6, 1e-14, 1e-12)
+
+
 class TestEig:
     def test_pauli_x(self):
         d = eig(SIGMA_X)

@@ -7,6 +7,7 @@ from ptsim import (
     ExperimentConfig,
     bell_plus_x_state,
     completion,
+    dilation,
     errors,
     nosignaling,
     pipeline,
@@ -222,17 +223,30 @@ class TestSweep:
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_lapack_calls_per_point(self, scheme, monkeypatch):
         # a simulated point: classify's eig and the singular values of its
-        # frame (kappa, no cond), the eigh of eta - I and of Hhat's two
-        # blocks, tau's inverse, the complete QR of [I; tau], and one SVD of
-        # both completions' contractions as a stack
-        counts = dict.fromkeys(("eig", "cond", "svdvals", "eigh", "qr", "inv", "svd"), 0)
+        # frame (kappa, no cond), the eigh of eta - I and of R H R^{-1}, the
+        # complete QR of [I; tau] = Q1 R, the solve against R, and one SVD of
+        # both completions' contractions as a stack; no inverse of tau
+        counts = dict.fromkeys(("eig", "cond", "svdvals", "eigh", "qr", "inv", "solve", "svd"), 0)
         for name in counts:
             def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 1, "svd": 1}
+        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 1}
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_point_forms_no_hhat(self, scheme, monkeypatch):
+        # K(t) reads only Hhat's factor on Y_tau: the blocks of Hhat and its
+        # Y_tau-perp eigh are never formed
+        calls = []
+        monkeypatch.setattr(dilation, "_hhat_blocks", lambda ds: calls.append(ds))
+        build = nosignaling.build_dilation
+        built = []
+        monkeypatch.setattr(nosignaling, "build_dilation", lambda *a, **kw: built.extend(build(*a, **kw)) or built)
+        sweep_delta_s([np.pi / 6], [1.0], scheme)
+        assert calls == [] and len(built) == 1
+        assert not {"_blocks", "hhat_eigh"} & set(vars(built[0]))
 
     def test_rows(self):
         rows = sweep_delta_s([np.pi / 6, np.pi / 4], [1.0], scheme="metric_sandwich")

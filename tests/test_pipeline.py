@@ -24,7 +24,7 @@ from ptsim import (
     sample_successes,
     validate_pt_pair,
 )
-from ptsim import cli, io, linalg, pipeline
+from ptsim import cli, dilation, io, linalg, pipeline
 from ptsim.completion import _completions, post_select
 from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
@@ -58,6 +58,19 @@ def _count_matrix_exp(monkeypatch):
         if name.split(".")[0] == "ptsim" and hasattr(mod, "matrix_exp"):
             monkeypatch.setattr(mod, "matrix_exp", counted)
     return calls
+
+
+def _count_hhat_blocks(monkeypatch):
+    """The stack sizes of every assembly of Hhat's blocks (``dilation._hhat_blocks``)."""
+    sizes = []
+
+    def counted(ds, _fn=dilation._hhat_blocks):
+        sizes.append(len(ds))
+        return _fn(ds)
+
+    monkeypatch.setattr(dilation, "_hhat_blocks", counted)
+    monkeypatch.setattr(pipeline, "_hhat_blocks", counted)
+    return sizes
 
 
 def _upper_triangular_system(c):
@@ -180,6 +193,12 @@ class TestPaperBatch:
         build_dilation([gunther_system(a, s, e0) for a, s, e0 in self.GRID],
                        eta=[gunther_eta(a) for a, _, _ in self.GRID], h1_choice="paper")
         assert counts == {"eig": 1, "qr": 1}
+
+    def test_one_stacked_hhat_assembly(self, monkeypatch, tmp_path):
+        # the residuals of H1, H2, H4 and Hhat read one assembly of all 12
+        sizes = _count_hhat_blocks(monkeypatch)
+        assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
+        assert sizes == [len(self.GRID)]
 
     def test_json_equals_twelve_scalar_calls(self, tmp_path):
         # the text cmd_paper writes from one stacked call, rebuilt from 12
@@ -383,16 +402,16 @@ class TestReuse:
         return counts
 
     def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh of Hhat, one complete QR of [I; tau], one SVD of the
-        # unit-column eigenframe (the canonical eta and its factors) and one
-        # of both completions' contractions as a stack of two
+        # one eigh of R H R^{-1}, Hhat's block on Y_tau, one complete QR of
+        # [I; tau] = Q1 R, one SVD of the unit-column eigenframe (the canonical
+        # eta and its factors) and one of both completions' contractions as a stack of two
         sys = random_unbroken(np.random.default_rng(56), 8)
         counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "svd")
         scheme_stages(build_dilation(sys), "metric_sandwich")
         assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 2}
 
     def test_t_sweep_adds_no_eigh(self, monkeypatch):
-        # every t evolves on the dilation's kept eigh of Hhat
+        # every t evolves on the dilation's kept eigh of Hhat on Y_tau
         rng = np.random.default_rng(58)
         sys = random_unbroken(rng, 8)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -406,7 +425,7 @@ class TestReuse:
 
     def test_supplied_eta_is_factored_once(self, monkeypatch):
         # one eigh of eta - I tests lambda_min > 1 and gives tau; the other is
-        # Hhat's. The Hermitian and intertwining checks factor nothing.
+        # R H R^{-1}'s. The Hermitian and intertwining checks factor nothing.
         sys8 = random_unbroken(np.random.default_rng(60), 8)
         cases = [(gunther_system(np.pi / 6), gunther_eta(np.pi / 6)), (sys8, build_dilation(sys8).eta)]
         for system, eta in cases:
@@ -416,10 +435,42 @@ class TestReuse:
 
     def test_supplied_eta_factorizations_at_n2(self, monkeypatch):
         # the worked example's build: classify's eig, the eigh of eta - I and
-        # of Hhat, tau's inverse and the complete QR of [I; tau]
-        counts = self.count_linalg(monkeypatch, "eig", "eigh", "inv", "qr", "svd")
+        # of R H R^{-1}, the complete QR of [I; tau] = Q1 R and the solve
+        # against R; tau is not inverted
+        counts = self.count_linalg(monkeypatch, "eig", "eigh", "inv", "solve", "qr", "svd")
         build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6), h1_choice="paper")
-        assert counts == {"eig": 1, "eigh": 2, "inv": 1, "qr": 1, "svd": 0}
+        assert counts == {"eig": 1, "eigh": 2, "inv": 0, "solve": 1, "qr": 1, "svd": 0}
+
+    def test_simulation_forms_nothing_else_of_hhat(self, monkeypatch):
+        # a build and a run read only Hhat's factor on Y_tau: no tau^{-1}, no
+        # assembly of Hhat and no eigh of its Y_tau-perp block; the one inv
+        # is Psi^{-1}, for the target
+        rng = np.random.default_rng(61)
+        sys_ = random_unbroken(rng, 8)
+        sizes = _count_hhat_blocks(monkeypatch)
+        inverted, eigh_calls = [], []
+        inv, eigh = np.linalg.inv, np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a) or inv(a))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eigh_calls.append(a.shape) or eigh(a, *args))
+        d = build_dilation(sys_)
+        run_simulation(SimulationConfig(sys=sys_, dilation=d, t=1.1, psi=rng.normal(size=8) + 0j,
+                                        scheme="metric_sandwich"))
+        assert sizes == [] and eigh_calls == [(1, 8, 8)]
+        assert len(inverted) == 1 and inverted[0] is d.classification.eigenframe
+        assert not {"_blocks", "hhat_eigh"} & set(vars(d))
+
+    def test_first_reads_form_hhat_once(self, monkeypatch):
+        d = build_dilation(random_unbroken(np.random.default_rng(62), 8), h1_choice="paper")
+        sizes = _count_hhat_blocks(monkeypatch)
+        counts = self.count_linalg(monkeypatch, "eigh", "inv")
+        hhat = d.Hhat
+        assert [a.shape for a in (d.H1, d.H2, d.H4, d.Hhat)] == [(8, 8)] * 3 + [(16, 16)]
+        assert d.Hhat is hhat and sizes == [1] and counts == {"eigh": 0, "inv": 1}
+        w, v = d.hhat_eigh
+        assert d.hhat_eigh[1] is v and sizes == [1] and counts == {"eigh": 1, "inv": 1}
+        for a in (d.H1, d.H2, d.H4, hhat, w, v):
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0.0
 
     def test_gunther_system_shares_one_validated_pair(self, monkeypatch):
         calls = []
@@ -684,6 +735,25 @@ class TestInstrument:
         for t in self.TS:
             assert np.linalg.norm(st.kraus(t) - (left * np.exp(-1j * t * w)) @ right) <= 1e-13, t
 
+    @pytest.mark.parametrize("case", ["n2", "n8", "paper"])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kraus_does_not_read_h1(self, case, scheme):
+        # the Y_tau factor R H R^{-1} holds for every H1, so K(t) is the same
+        # bits under each choice, while Hhat off Y_tau is not
+        if case == "paper":
+            sys_, eta = gunther_system(np.pi / 6), gunther_eta(np.pi / 6)
+        else:
+            sys_ = random_unbroken(np.random.default_rng(710), int(case[1:]))
+            eta = build_dilation(sys_).eta
+        n = sys_.H.shape[0]
+        g = np.random.default_rng(711).normal(size=(n, n)) + 1j * np.random.default_rng(712).normal(size=(n, n))
+        ds = [build_dilation(sys_, eta=eta, h1_choice="zero"), build_dilation(sys_, eta=eta, h1_choice="paper"),
+              build_dilation(sys_, eta=eta, h1_choice="supplied", h1=g + g.conj().T)]
+        for t in self.TS:
+            kraus = [scheme_stages(d, scheme).kraus(t) for d in ds]
+            assert all(np.array_equal(k, kraus[0]) for k in kraus[1:]), t
+        assert all(np.linalg.norm(d.Hhat - ds[0].Hhat) > 1e-3 for d in ds[1:])
+
     def test_kraus_factors_are_read_only(self):
         st = scheme_stages(_instrument_case(4)[1], "identity")
         for a in (st.kraus_left, st.kraus_right):
@@ -719,7 +789,7 @@ class TestGuntherTensor:
             sandwich = psd_power(eta, 0.5) @ u @ psd_power(eta, -0.5)
             assert np.linalg.norm(propagator(t, 0.5) - sandwich) <= 1e-12
 
-    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("m", range(1, 8))
     def test_xi5_matches_the_closed_form(self, m):
         rng = np.random.default_rng(900 + m)
         sys_, eta, propagator, spectrum = gunther_tensor(rng, m)
