@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceMap:
     """A: M -> N in the given orthonormal bases (2n x n columns each)."""
 
@@ -48,7 +48,7 @@ class SubspaceMap:
                 raise errors.DependentInputError(f"SubspaceMap: {name} basis is not orthonormal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompletionResult:
     U: np.ndarray
     P_N: np.ndarray
@@ -90,17 +90,22 @@ def _completion(c: np.ndarray, frames: list, scales) -> list:
     return out
 
 
-def _completions(sides: list) -> list:
-    """``_completion`` of each side (A_j, frames[j]), at C_j = A_j/||A_j||_F, with
-    the actions A_j (each k x k, or a stack of them) as one stack: one norm
-    each, one zero-map verdict and one SVD. A zero map of one member of a
-    longer stack is named by its member index, not by j."""
-    actions = np.array([a for a, _ in sides], dtype=complex)
+def _contractions(actions) -> tuple:
+    """(C, scales) of the actions A_j (each k x k, or a stack of them) as one stack:
+    C_j = A_j/||A_j||_F and scale 1/||A_j||_F, with one norm each and one zero-map
+    verdict. A zero map of one member of a longer stack is named by its index, not by j."""
+    actions = np.array(actions, dtype=complex)
     (a_norm,) = _norms(actions.reshape((-1,) + actions.shape[-2:]))
     a_norm = a_norm.reshape(actions.shape[:-2])
     for _, where in _failures((a_norm != 0.0).reshape(len(actions), -1).all(axis=0), "unitary_completion"):
         raise errors.ZeroMapError(f"{where}: zero map; use zero_map_completion")
-    return _completion(actions / a_norm[..., None, None], [f for _, f in sides], 1.0 / a_norm)
+    return actions / a_norm[..., None, None], 1.0 / a_norm
+
+
+def _completions(sides: list) -> list:
+    """``_completion`` of each side (A_j, frames[j]) at the ``_contractions`` of the A_j: one SVD."""
+    c, scales = _contractions([a for a, _ in sides])
+    return _completion(c, [f for _, f in sides], scales)
 
 
 def unitary_completion(m: SubspaceMap) -> CompletionResult:
@@ -135,7 +140,7 @@ def post_select(state, p):
     if fro(p @ p - p) > p_tol or fro(p - p.conj().T) > p_tol:
         raise errors.NotProjectionError("post_select: P is not an orthogonal projection")
     nrm = np.linalg.norm(state)
-    if not abs(nrm - 1.0) <= 1e-8:  # written so that a NaN norm fails it
+    if not abs(nrm - 1.0) <= TOL.unit_tol:  # written so that a NaN norm fails it
         raise errors.NotNormalizedError("post_select: state must be unit-norm")
     out = p @ state
     prob = float(np.linalg.norm(out) ** 2)

@@ -36,7 +36,7 @@ __all__ = [
 _EXPM_COND_LIMIT = 1e8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 

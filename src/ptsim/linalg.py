@@ -41,6 +41,7 @@ class Tolerances:
     cluster_tol: float = 1e-6  # relative width of an eigenvalue cluster, and singular-value floor of its eigenvectors
     branch_tol: float = 1e-14  # norm at or below which a unit state's simulated branch has vanished
     target_tol: float = 1e-12  # norm at or below which rho' e^{-itH} rho annihilates a unit state
+    unit_tol: float = 1e-8  # distance of a norm from 1 beyond which post_select refuses a state as not unit
 
 
 DEFAULT_TOL = Tolerances()
@@ -102,7 +103,7 @@ def _require_square(a, who: str, stack: bool = False) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvector_matrix: np.ndarray

@@ -25,7 +25,7 @@ _Q3_INV = np.array([[1, -1, 0], [0, 1, -1], [0, 0, 1]], dtype=complex)
 _GRID_POINTS = 21  # per axis of the obstruction demo's grid of diagonal A
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricOperator:
     """``eigh`` is (w, V), eta = V diag(w) V^dag with w ascending, when the
     constructor factored eta (``positive_metric``), else None."""

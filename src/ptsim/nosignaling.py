@@ -49,7 +49,7 @@ class ExperimentConfig:
                                         f"use one of {', '.join(allowed)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointStats:
     table: np.ndarray  # [k, a, b] over outcomes {+y, -y}
     bob_marginals: np.ndarray  # [k, b]

@@ -8,12 +8,13 @@ binomial sampling is layered on top for realism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 
 import numpy as np
 
 from . import errors
-from .completion import CompletionResult, _completions, post_select
+from .completion import CompletionResult, _completion, _completions, _contractions, post_select
 from .dilation import Dilation, _hhat_blocks, build_dilation
 from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _read_only, _require_finite, eigen_evolve, fro, psd_power
 from .ptcore import PTSystem, validate_pt_pair
@@ -61,30 +62,40 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
     raise errors.ParseError(f"unknown scheme {scheme!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeStages:
-    """The stage operators of a scheme on one dilation.
-
-    They are the scheme's (rho, rho'), the two completions these induce and
-    the dilation's ``ytau_eigh`` = (w_Y, Q1 V_Y), Hhat's eigenpairs on Y_tau,
-    where every prepared state lies, which evolve every t. It holds no
-    reference to the dilation, so a dilation that keeps its stages forms no
-    reference cycle and is freed as soon as it is dropped.
+    """The stage operators of a scheme on one dilation: (rho, rho'), the
+    contractions C of the two stage actions with their scales and frames, and
+    ``ytau_eigh`` = (w_Y, Q1 V_Y), Hhat's eigenpairs on Y_tau, where every
+    prepared state lies, which evolve every t. The dense completions
+    ``preparation`` and ``extraction`` (U, P_N, scale) are formed from these,
+    as one stack, on first read. No reference to the dilation is held, so a
+    dilation that keeps its stages forms no reference cycle.
 
     A successful run is one Kraus operator of a quantum instrument (Nielsen
     & Chuang, ch. 8) on Y_tau: K(t) = L diag(e^{-itw_Y}) R, with the n x n
-    factors ``kraus_right`` R = V_Y^dag Q1^dag U_prep[:, :n] and ``kraus_left``
-    L = U_extr[:n, :] Q1 V_Y formed once with the stages. K(t) psi =
-    sqrt(p_total) xi4[:n].
+    factors ``kraus_right`` R = V_Y^dag C_prep and ``kraus_left`` L = C_extr V_Y,
+    formed once with the stages. Halmos's dilation keeps C as its top-left
+    block, so these are V_Y^dag Q1^dag U_prep[:, :n] and U_extr[:n, :] Q1 V_Y.
+    K(t) psi = sqrt(p_total) xi4[:n].
     """
 
     rho: np.ndarray
     rho_prime: np.ndarray
-    preparation: CompletionResult
-    extraction: CompletionResult
+    _contractions: np.ndarray
+    _scales: np.ndarray
+    _frames: tuple
     ytau_eigh: tuple
     kraus_left: np.ndarray
     kraus_right: np.ndarray
+
+    @cached_property
+    def _completed(self) -> list:
+        out = _completion(self._contractions, self._frames, self._scales)
+        _read_only(*(a for c in out for a in (c.U, c.P_N)))
+        return out
+
+    preparation, extraction = (property(lambda self, i=i: self._completed[i]) for i in range(2))
 
     def run(self, psi, t: float):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
@@ -100,8 +111,7 @@ class SchemeStages:
         xi1 = np.concatenate([psi, np.zeros_like(psi)])
 
         # stage 2: unitary + post-selection onto Y_tau
-        prep = self.preparation
-        xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N)
+        xi2, p_prepare = post_select(self.preparation.U @ xi1, self.preparation.P_N)
         if p_prepare == 0.0:
             raise errors.ZeroFinalStateError("preparation branch vanished")
 
@@ -110,8 +120,7 @@ class SchemeStages:
 
         # stage 4: unitary + post-selection onto X1, which is the ancilla
         # measurement: extraction.P_N is the projector onto ancilla |0>
-        extr = self.extraction
-        xi4, p_post = post_select(extr.U @ xi3, extr.P_N)
+        xi4, p_post = post_select(self.extraction.U @ xi3, self.extraction.P_N)
         if p_post == 0.0:
             raise errors.ZeroFinalStateError("extraction branch vanished")
         return xi1, xi2, xi3, xi4, p_prepare, p_post
@@ -136,9 +145,9 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
 
     The built-in schemes are built once per dilation and kept on it, keyed
     by scheme, with read-only arrays, so every t and every state run on one
-    dilation shares (rho, rho'), both completions and the Kraus factors. A
-    custom scheme is built per call, since its factors are caller-owned
-    arrays.
+    dilation shares (rho, rho'), the Kraus factors and, once a run has formed
+    them, both completions. A custom scheme is built per call, since its
+    factors are caller-owned arrays.
 
     P_prep = Q1 Q1^dag, with Q1 = ``d.ytau_frame``, is an orthogonal
     projection exactly when Q1 has orthonormal columns; that is checked here,
@@ -154,13 +163,13 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
     if fro(q1.conj().T @ q1 - np.eye(n)) > TOL.eq_tol * max(1.0, np.sqrt(n)):
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
-    prep, extr = _stage_completions(d, r, r_prime)
-    q1_vy = d.ytau_eigh[1]  # spans Y_tau, so its adjoint V_Y^dag Q1^dag also projects onto it
-    kraus_right = q1_vy.conj().T @ prep.U[:, :n]
-    kraus_left = extr.U[:n, :] @ q1_vy
-    st = SchemeStages(r, r_prime, prep, extr, d.ytau_eigh, kraus_left, kraus_right)
+    actions, frames = zip(*_stage_sides(d, r, r_prime))
+    c, scales = _contractions(actions)
+    vy = q1.conj().T @ d.ytau_eigh[1]  # V_Y, as Q1 V_Y seen in the basis Q1
+    kraus_right, kraus_left = vy.conj().T @ c[0], c[1] @ vy
+    st = SchemeStages(r, r_prime, c, scales, frames, d.ytau_eigh, kraus_left, kraus_right)
     if scheme != "custom":
-        _read_only(r, r_prime, prep.U, prep.P_N, extr.U, extr.P_N, kraus_left, kraus_right)
+        _read_only(r, r_prime, c, scales, kraus_left, kraus_right)
         d.stage_cache[scheme] = st
     return st
 
@@ -179,7 +188,7 @@ class SimulationConfig:
         return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationTrace:
     xi1: np.ndarray
     xi2: np.ndarray
@@ -193,11 +202,11 @@ class SimulationTrace:
     probability_check: float
 
 
-def _stage_completions(d, rho=None, rho_prime=None) -> list:
-    """The completions of (phi; 0) -> (rho phi; tau rho phi) and (phi; tau phi) ->
-    (rho' phi; 0), for the factors given, as one stack (``completion._completions``),
-    on the coordinate frame I (None, so never formed) and the complete Q of
-    [I; tau]. A sequence of same-order dilations gives stacked fields."""
+def _stage_sides(d, rho=None, rho_prime=None) -> list:
+    """The sides (action, frames) of ``completion._completions`` for (phi; 0) ->
+    (rho phi; tau rho phi) and (phi; tau phi) -> (rho' phi; 0), for the factors
+    given, on the coordinate frame I (None, so never formed) and the complete Q
+    of [I; tau]. A sequence of same-order dilations gives stacked fields."""
     q, tau = (d.ytau_q, d.tau) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
                                                                 np.array([x.tau for x in d]))
     n, sides = tau.shape[-1], []
@@ -207,19 +216,19 @@ def _stage_completions(d, rho=None, rho_prime=None) -> list:
         sides.append((q[..., :n].conj().mT @ image, (None, q)))
     if rho_prime is not None:
         sides.append((rho_prime @ q[..., :n, :n], (q, None)))
-    return _completions(sides)
+    return sides
 
 
 def preparation_completion(d, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi), of a
-    dilation or of each of a sequence of them (``_stage_completions``)."""
-    return _stage_completions(d, rho=rho)[0]
+    dilation or of each of a sequence of them (``_stage_sides``)."""
+    return _completions(_stage_sides(d, rho=rho))[0]
 
 
 def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
     """Completion for the induced map (phi; tau phi) -> (rho' phi; 0), on the
-    frames of ``preparation_completion`` in reverse (``_stage_completions``)."""
-    return _stage_completions(d, rho_prime=rho_prime)[0]
+    frames of ``preparation_completion`` in reverse (``_stage_sides``)."""
+    return _completions(_stage_sides(d, rho_prime=rho_prime))[0]
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
@@ -236,15 +245,15 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     psi = psi / nrm
 
     target = st.rho_prime @ d.propagate(cfg.t, st.rho @ psi)
-    if np.linalg.norm(target) <= TOL.target_tol:
+    if (target_norm := np.linalg.norm(target)) <= TOL.target_tol:
         raise errors.ZeroFinalStateError("run_simulation: rho' U(t) rho annihilates psi")
 
     xi1, xi2, xi3, xi4, p_prepare, p_post = st.run(psi, cfg.t)
     xi5 = xi4[:n]
-    final_formula_check = float(np.linalg.norm(xi5 - target / np.linalg.norm(target)))
+    final_formula_check = float(np.linalg.norm(xi5 - target / target_norm))
     p_total = float(p_prepare * p_post)
-    # the stage route against the instrument: p_total = ||K(t) psi||^2
-    probability_check = abs(p_total - float(np.linalg.norm(st.kraus_apply(cfg.t, psi)) ** 2)) / p_total
+    # the stage route against the closed form K(t) = c rho' e^{-itH} rho: p_total = c^2 ||target||^2
+    probability_check = abs(p_total - float((st._scales.prod() * target_norm) ** 2)) / p_total
     return SimulationTrace(xi1, xi2, xi3, xi4, xi5, float(p_prepare), float(p_post), p_total,
                            final_formula_check, probability_check)
 

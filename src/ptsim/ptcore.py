@@ -18,7 +18,7 @@ from .linalg import DEFAULT_TOL as TOL, _eig, _norms, _require_finite, _require_
 __all__ = ["PTPair", "PTSystem", "Kind", "Classification", "validate_pt_pair", "is_pt_symmetric", "classify"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PTPair:
     P: np.ndarray
     T: np.ndarray
@@ -29,7 +29,7 @@ class PTPair:
         return self.P.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PTSystem:
     H: np.ndarray
     pt: PTPair
@@ -66,7 +66,7 @@ class Kind(Enum):
     NOT_PT_SYMMETRIC = "NotPTSymmetric"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Classification:
     """``condition_estimate`` is the 2-norm condition number of the eigenframe
     that ``eig`` computed, kept whether or not the frame is. ``h_norm`` is

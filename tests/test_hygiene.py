@@ -7,6 +7,7 @@ the import cost: importing ptsim, its CLI or the test corpus does not load
 ``scipy.linalg``, which only ``matrix_exp`` needs."""
 
 import ast
+import dataclasses
 import importlib
 import os
 import pkgutil
@@ -116,6 +117,20 @@ def test_no_to_obj_method(mod_name):
     tree = ast.parse((SRC / f"{mod_name}.py").read_text())
     assert [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "to_obj"] == []
+
+
+def test_frozen_array_records_compare_by_identity():
+    # a generated __eq__ over array fields raises numpy's "truth value of an
+    # array is ambiguous" and makes the class unhashable; every frozen
+    # dataclass with an np.ndarray field is eq=False, so it compares and
+    # hashes by identity
+    records = [cls for mod_name in MODULES for cls in vars(importlib.import_module(f"ptsim.{mod_name}")).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == f"ptsim.{mod_name}"
+               and cls.__dataclass_params__.frozen and any("np.ndarray" in str(f.type) for f in dataclasses.fields(cls))]
+    assert {"Dilation", "SchemeStages"} <= {cls.__name__ for cls in records}
+    assert [cls.__name__ for cls in records if cls.__dataclass_params__.eq] == []
+    a, b = (ptsim.build_dilation(ptsim.gunther_system(0.3)) for _ in range(2))
+    assert a == a and a != b and len({a, b}) == 2
 
 
 @pytest.mark.parametrize("modules", ["ptsim, ptsim.cli", "corpus"])

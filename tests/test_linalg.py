@@ -57,9 +57,10 @@ def test_no_callable_takes_a_tol_argument():
 
 def test_module_cutoffs_are_in_the_table():
     # orthonormal_extension's rank test, the eigenvalue-cluster window and
-    # rank test, a vanished experiment branch and a vanished simulation target
-    assert (DEFAULT_TOL.rank_tol, DEFAULT_TOL.cluster_tol, DEFAULT_TOL.branch_tol, DEFAULT_TOL.target_tol) == (
-        1e-10, 1e-6, 1e-14, 1e-12)
+    # rank test, a vanished experiment branch, a vanished simulation target
+    # and post_select's unit-norm test
+    assert (DEFAULT_TOL.rank_tol, DEFAULT_TOL.cluster_tol, DEFAULT_TOL.branch_tol, DEFAULT_TOL.target_tol,
+            DEFAULT_TOL.unit_tol) == (1e-10, 1e-6, 1e-14, 1e-12, 1e-8)
 
 
 class TestEig:

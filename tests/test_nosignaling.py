@@ -224,8 +224,9 @@ class TestSweep:
     def test_lapack_calls_per_point(self, scheme, monkeypatch):
         # a simulated point: classify's eig and the singular values of its
         # frame (kappa, no cond), the eigh of eta - I and of R H R^{-1}, the
-        # complete QR of [I; tau] = Q1 R, the solve against R, and one SVD of
-        # both completions' contractions as a stack; no inverse of tau
+        # complete QR of [I; tau] = Q1 R and the solve against R; no inverse
+        # of tau, and no SVD: K(t) reads the completions' contractions, not
+        # their unitaries
         counts = dict.fromkeys(("eig", "cond", "svdvals", "eigh", "qr", "inv", "solve", "svd"), 0)
         for name in counts:
             def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -233,7 +234,7 @@ class TestSweep:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 1}
+        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 0}
 
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_point_forms_no_hhat(self, scheme, monkeypatch):
@@ -247,6 +248,18 @@ class TestSweep:
         sweep_delta_s([np.pi / 6], [1.0], scheme)
         assert calls == [] and len(built) == 1
         assert not {"_blocks", "hhat_eigh"} & set(vars(built[0]))
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_point_forms_no_completion(self, scheme, monkeypatch):
+        # K(t) reads the stages' contractions: neither a sweep point nor a
+        # simulated run_experiment dilates them into the 2n x 2n unitaries
+        calls = []
+        for module in (completion, pipeline):
+            monkeypatch.setattr(module, "_completion", lambda *args, _fn=completion._completion:
+                                calls.append(args) or _fn(*args))
+        sweep_delta_s([np.pi / 6], [1.0], scheme)
+        run_experiment(ExperimentConfig(alpha=np.pi / 6, t=1.0, scheme=scheme, mode="simulated_eq73"))
+        assert calls == []
 
     def test_rows(self):
         rows = sweep_delta_s([np.pi / 6, np.pi / 4], [1.0], scheme="metric_sandwich")

@@ -24,7 +24,7 @@ from ptsim import (
     sample_successes,
     validate_pt_pair,
 )
-from ptsim import cli, dilation, io, linalg, pipeline
+from ptsim import cli, completion, dilation, io, linalg, pipeline
 from ptsim.completion import _completions, post_select
 from ptsim.linalg import eigen_evolve, psd_power
 from ptsim.metric import scalar_sum_obstruction_demo
@@ -71,6 +71,20 @@ def _count_hhat_blocks(monkeypatch):
     monkeypatch.setattr(dilation, "_hhat_blocks", counted)
     monkeypatch.setattr(pipeline, "_hhat_blocks", counted)
     return sizes
+
+
+def _count_completions(monkeypatch):
+    """The shapes of the contraction stacks that ``completion._completion``
+    dilates into unitaries, through either module that binds it."""
+    shapes = []
+
+    def counted(c, *args, _fn=completion._completion):
+        shapes.append(c.shape)
+        return _fn(c, *args)
+
+    monkeypatch.setattr(completion, "_completion", counted)
+    monkeypatch.setattr(pipeline, "_completion", counted)
+    return shapes
 
 
 def _upper_triangular_system(c):
@@ -380,9 +394,24 @@ class TestReuse:
         stages = cfg.stages()
         d = cfg.dilation
         for a in (d.H, d.eta, d.tau, d.H1, d.H2, d.H4, d.Hhat, stages.rho, stages.rho_prime,
-                  stages.preparation.U, stages.extraction.P_N):
+                  stages.preparation.U, stages.preparation.P_N, stages.extraction.U, stages.extraction.P_N):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
+
+    def test_completions_are_formed_on_first_read(self, monkeypatch):
+        # the stages keep the contractions; the first run dilates both as one
+        # stack of two, and later runs on the same stages reuse them
+        rng = np.random.default_rng(63)
+        sys_ = random_unbroken(rng, 8)
+        cfg = SimulationConfig(sys=sys_, dilation=build_dilation(sys_), t=1.1,
+                               psi=rng.normal(size=8) + 0j, scheme="metric_sandwich")
+        shapes = _count_completions(monkeypatch)
+        st = cfg.stages()
+        assert shapes == []
+        run_simulation(cfg)
+        assert shapes == [(2, 8, 8)]
+        run_simulation(dataclasses.replace(cfg, t=0.4))
+        assert shapes == [(2, 8, 8)] and cfg.stages() is st
 
     def test_build_dilation_leaves_inputs_writable(self):
         sys = gunther_system(np.pi / 6)
@@ -403,12 +432,13 @@ class TestReuse:
 
     def test_factorizations_per_dilation(self, monkeypatch):
         # one eigh of R H R^{-1}, Hhat's block on Y_tau, one complete QR of
-        # [I; tau] = Q1 R, one SVD of the unit-column eigenframe (the canonical
-        # eta and its factors) and one of both completions' contractions as a stack of two
+        # [I; tau] = Q1 R and one SVD of the unit-column eigenframe (the
+        # canonical eta and its factors); the stages' Kraus factors come from
+        # the completions' contractions, so no SVD forms their unitaries
         sys = random_unbroken(np.random.default_rng(56), 8)
         counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "svd")
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 2}
+        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 1}
 
     def test_t_sweep_adds_no_eigh(self, monkeypatch):
         # every t evolves on the dilation's kept eigh of Hhat on Y_tau
@@ -668,6 +698,7 @@ class TestInstrument:
     """A successful run is the Kraus operator K(t) of one quantum instrument."""
 
     NS = [2, 4, 8, 16, 64]
+    CLOSED_FORM_NS = [2, 8, 16, 64, 128]
     TS = [0.0, 0.5, 1.0, 2.0]
     SCHEMES = ["identity", "metric_sandwich"]
 
@@ -718,6 +749,34 @@ class TestInstrument:
         for t in self.TS:
             trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme=scheme))
             assert trace.probability_check <= 1e-12, t
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kraus_is_the_closed_form(self, n, scheme):
+        # K(t) = c rho' e^{-itH} rho with c = preparation.scale * extraction.scale,
+        # within 8 sqrt(n) kappa(eta) eps relative, kappa(eta) from eta - I's
+        # kept eigenvalues (measured: at most 4.8 at n = 2, 0.8 for n >= 16)
+        _, d, _ = _instrument_case(n)
+        st = scheme_stages(d, scheme)
+        c = st.preparation.scale * st.extraction.scale
+        w = d.eta_minus_i_w
+        bound = 8.0 * np.sqrt(n) * (1.0 + w.max()) / (1.0 + w.min()) * np.finfo(float).eps
+        for t in self.TS:
+            expected = c * st.rho_prime @ scipy.linalg.expm(-1j * t * d.H) @ st.rho
+            assert np.linalg.norm(st.kraus(t) - expected) <= bound * np.linalg.norm(expected), t
+
+    @pytest.mark.parametrize("n", CLOSED_FORM_NS)
+    def test_metric_sandwich_succeeds_with_one_over_n_squared(self, n):
+        # R eta^{-1/2} and eta^{1/2} R^{-1} are unitary, so c = 1/n; and
+        # eta^{1/2} e^{-itH} eta^{-1/2} is unitary, so p_total = 1/n^2 for every psi
+        sys_, d, _ = _instrument_case(n)
+        st = scheme_stages(d, "metric_sandwich")
+        assert abs(st.preparation.scale * st.extraction.scale * n - 1.0) <= 1e-12
+        rng = np.random.default_rng(720 + n)
+        for t in self.TS:
+            psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+            trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=psi, scheme="metric_sandwich"))
+            assert abs(trace.p_total * n**2 - 1.0) <= 1e-12, t
 
     @pytest.mark.parametrize("n", NS)
     @pytest.mark.parametrize("scheme", SCHEMES)
