@@ -18,6 +18,7 @@ import numpy as np
 
 from . import errors, io
 from .dilation import build_dilation
+from .linalg import DEFAULT_TOL as TOL
 from .metric import positive_metric, scalar_sum_obstruction_demo, verify_metric
 from .nosignaling import ExperimentConfig, run_experiment, sweep_delta_s
 from .pipeline import (
@@ -177,7 +178,7 @@ def cmd_paper(args) -> int:
     rep = reproduce_gunther_example(*np.array(grid).T, t=1.0)
     for i, (alpha, s, e0) in enumerate(grid):
         for name, resids in rep.items():
-            tol = 1e-8 if name == "evolution_top" else 1e-10
+            tol = TOL.evolution_fixture_tol if name == "evolution_top" else TOL.fixture_tol
             check(f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
                   float(resids[i]), tol, bool(resids[i] <= tol))
     demo = scalar_sum_obstruction_demo()

@@ -31,10 +31,6 @@ __all__ = [
     "in_tau_subspace",
 ]
 
-# An eigenframe of H with a condition number above this is not trusted to
-# evolve a state; ``Dilation.propagate`` then takes ``matrix_exp``.
-_EXPM_COND_LIMIT = 1e8
-
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
@@ -86,14 +82,14 @@ class Dilation:
         return _read_only(np.linalg.inv(self.classification.eigenframe))[0]
 
     def propagate(self, t: float, x) -> np.ndarray:
-        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for a vector x, in
-        O(n^2) work from H's kept eigenframe. A frame with kappa(Psi) above
-        ``_EXPM_COND_LIMIT`` is not trusted: that x goes through
+        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for x of shape (n,)
+        or (n, m), in O(n^2 m) work from H's kept eigenframe. A frame with
+        kappa(Psi) above ``expm_cond`` is not trusted: that x goes through
         ``matrix_exp(-itH)``, Pade scaling-and-squaring."""
         c = self.classification
-        if c.condition_estimate > _EXPM_COND_LIMIT:
+        if c.condition_estimate > TOL.expm_cond:
             return matrix_exp(-1j * t * self.H) @ x
-        return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x))
+        return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x).T).T
 
     @cached_property
     def _blocks(self) -> tuple:

@@ -126,18 +126,13 @@ class SchemeStages:
         return xi1, xi2, xi3, xi4, p_prepare, p_post
 
     def kraus(self, t: float) -> np.ndarray:
-        """K(t), the n x n Kraus operator of a successful run at time t."""
-        return (self.kraus_left * np.exp(-1j * t * self.ytau_eigh[0])) @ self.kraus_right
+        """K(t), the n x n Kraus operator of a successful run at time t.
 
-    def kraus_apply(self, t: float, psi) -> np.ndarray:
-        """K(t) psi for psi of shape (n,) or (n, m), in O(n^2 m) work.
-
-        The m columns of a block are a spectator factor (Bob), so this is
-        K(t) x I_m on its ravel; the squared (Frobenius) norm of the result
-        is the success probability of a unit psi.
+        ``kraus(t) @ psi`` takes a state or an (n, m) block, whose m columns
+        are a spectator factor (Bob); the squared (Frobenius) norm of the
+        result is the success probability of a unit psi.
         """
-        phase = np.exp(-1j * t * self.ytau_eigh[0])
-        return self.kraus_left @ (phase * (self.kraus_right @ psi).T).T
+        return (self.kraus_left * np.exp(-1j * t * self.ytau_eigh[0])) @ self.kraus_right
 
 
 def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeStages:

@@ -13,6 +13,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,21 @@ def test_frozen_array_records_compare_by_identity():
     assert [cls.__name__ for cls in records if cls.__dataclass_params__.eq] == []
     a, b = (ptsim.build_dilation(ptsim.gunther_system(0.3)) for _ in range(2))
     assert a == a and a != b and len({a, b}) == 2
+
+
+@pytest.mark.parametrize("mod_name", MODULES)
+def test_thresholds_live_in_the_tolerance_table(mod_name):
+    # a float written in e-notation is a threshold; each one is a field of
+    # linalg.Tolerances, so the table is the one place to read them all
+    path = SRC / f"{mod_name}.py"
+    table = [node for node in ast.parse(path.read_text()).body
+             if isinstance(node, ast.ClassDef) and node.name == "Tolerances"]
+    inside = {line for node in table for line in range(node.lineno, node.end_lineno + 1)}
+    with tokenize.open(path) as fh:
+        literals = [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(fh.readline)
+                    if tok.type == tokenize.NUMBER and "e" in tok.string.lower()]
+    assert [lit for lit in literals if lit[0] not in inside] == []
+    assert (mod_name == "linalg") == bool(literals)
 
 
 @pytest.mark.parametrize("modules", ["ptsim, ptsim.cli", "corpus"])
