@@ -175,12 +175,12 @@ def cmd_paper(args) -> int:
         checks.append({"check": name, "residual": residual, "tolerance": tolerance, "pass": passed})
 
     grid = [(alpha, s, e0) for alpha in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
-    rep = reproduce_gunther_example(*np.array(grid).T, t=1.0)
+    rep = {name: resids.tolist() for name, resids in reproduce_gunther_example(*np.array(grid).T, t=1.0).items()}
     for i, (alpha, s, e0) in enumerate(grid):
+        label = f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}]"
         for name, resids in rep.items():
             tol = TOL.evolution_fixture_tol if name == "evolution_top" else TOL.fixture_tol
-            check(f"worked_example[alpha={alpha:.6g},s={s:g},E0={e0:g}].{name}",
-                  float(resids[i]), tol, bool(resids[i] <= tol))
+            check(f"{label}.{name}", resids[i], tol, resids[i] <= tol)
     demo = scalar_sum_obstruction_demo()
     entry = demo["obstruction_entry_13"]
     check("scalar_sum_obstruction.entry_13", abs(entry - 1.0), 0.0, entry == 1.0)

@@ -12,8 +12,10 @@ Vector format:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -96,6 +98,37 @@ def _default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+_SCALAR = (str, int, float, type(None))
+# json's C encoder per depth, with line-break item separators: an indent would select its Python one
+_encoder = functools.cache(lambda depth: json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), default=_default))
+
+
+def _text(obj, depth: int, markers: frozenset) -> str:
+    """The indent=2 text of obj, opening at this depth. An encoded scalar holds no raw line break, so
+    the encoder's text splits at its item separators and a bracket before ",\n" closes a member."""
+    while not isinstance(obj, (*_SCALAR, list, tuple, dict)):
+        obj = _default(obj)
+    if isinstance(obj, _SCALAR) or not obj:
+        return _encoder(depth).encode(obj)
+    (o, c), values = ("{}", list(obj.values())) if isinstance(obj, dict) else ("[]", list(obj))
+    pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    (mo, mc), kind = ("{}", dict) if isinstance(values[0], dict) else ("[]", (list, tuple))
+    members = chain.from_iterable(map(dict.values, values) if kind is dict else values)
+    if o == "[" and all(map(isinstance, values, repeat(kind))) and all(values) \
+            and all(map(isinstance, members, repeat(_SCALAR))):  # a list of non-empty flat containers of one kind
+        body = _encoder(depth + 2).encode(obj)[2:-2].replace(f"{mc},{inner}  {mo}", f"{inner}{mc},{inner}{mo}{inner}  ")
+        return f"[{inner}{mo}{inner}  {body}{inner}{mc}{pad}]"
+    if id(obj) in markers:
+        raise ValueError("Circular reference detected")
+    shallow = [v if isinstance(v, _SCALAR) else None for v in values]  # one call for all scalars of obj
+    pieces = _encoder(depth + 1).encode(dict(zip(obj, shallow)) if o == "{" else shallow)[1:-1].split("," + inner)
+    for i, v in enumerate(values):
+        if not isinstance(v, _SCALAR):
+            pieces[i] = pieces[i][:-len("null")] + _text(v, depth + 1, markers | {id(obj)})
+    return o + inner + ("," + inner).join(pieces) + pad + c
+
+
 def dumps(obj) -> str:
-    """Deterministic JSON text: fixed field order, floats in shortest round-trip form."""
-    return json.dumps(obj, indent=2, default=_default)
+    """Deterministic JSON text, the bytes of ``json.dumps(obj, indent=2, default=_default)``: json's
+    C encoder writes it one flat container, or list of flat containers, per call."""
+    return _text(obj, 0, frozenset())

@@ -258,8 +258,10 @@ def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
     for name, value in (("samples", samples), ("seed", seed)):
         if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
             raise errors.ParseError(f"sample_successes: {name} must be an integer >= 0, got {value!r}")
+    if not trace.p_total <= 1.0 + TOL.unit_tol:  # below, one that rounded above 1 is drawn at 1
+        raise errors.NumericalFailureError(f"sample_successes: p_total {trace.p_total!r} exceeds 1")
     rng = np.random.default_rng(seed)
-    successes = int(rng.binomial(samples, trace.p_total))
+    successes = int(rng.binomial(samples, min(trace.p_total, 1.0)))
     return {"samples": samples, "successes": successes, "p_total": trace.p_total}
 
 

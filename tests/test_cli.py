@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ptsim import io
+from ptsim import cli, io
 from ptsim.cli import main
 from ptsim.linalg import SIGMA_X
 from ptsim.pipeline import gunther_eta, gunther_hamiltonian
@@ -195,6 +196,33 @@ class TestSimulate:
         assert rc == 0
         obj = json.loads(out.read_text())
         assert obj["sampling"]["samples"] == 1000
+
+    def certain_success_configs(self, tmp_path):
+        """Custom schemes rho = u u^dag, rho' = w (eta u)^dag with psi = u at t = 0:
+        each succeeds with probability 1."""
+        eta = gunther_eta(np.pi / 6)
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            u, w = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            yield self.make_config(tmp_path, scheme="custom", t=0.0, psi=io.vector_to_obj(u),
+                                   rho=io.matrix_to_obj(np.outer(u, u.conj())),
+                                   rho_prime=io.matrix_to_obj(np.outer(w, (eta @ u).conj())))
+
+    def test_certain_success_samples_every_time(self, tmp_path):
+        out, p_totals = tmp_path / "sim.json", []
+        for cfgp in self.certain_success_configs(tmp_path):
+            assert main(["simulate", cfgp, "--samples", "10", "--out", str(out)]) == 0
+            obj = json.loads(out.read_text())
+            assert obj["sampling"]["successes"] == 10
+            p_totals.append(obj["p_total"])
+        assert max(p_totals) > 1.0  # rounded above 1, and drawn at 1
+
+    def test_p_total_beyond_rounding_above_one_is_5(self, tmp_path, capsys, monkeypatch):
+        run = cli.run_simulation
+        monkeypatch.setattr(cli, "run_simulation", lambda cfg: dataclasses.replace(run(cfg), p_total=1.5))
+        cfgp = next(self.certain_success_configs(tmp_path))
+        assert main(["simulate", cfgp, "--samples", "10"]) == 5
+        assert capsys.readouterr().err.startswith("error: sample_successes: p_total 1.5 exceeds 1")
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "x", True])
     def test_bad_seed_is_2(self, seed, tmp_path, capsys):

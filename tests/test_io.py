@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from corpus import random_unbroken
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptsim import errors, io
+from ptsim.cli import main
 
 # Doubles whose text a lossy float format would change: a signed zero, the
 # smallest subnormal, a sum with a 17th significant digit, an integer beyond
@@ -115,3 +120,100 @@ def test_bad_envelope_is_parse_error(reader, obj):
 def test_matrix_to_obj_of_a_vector_is_dimension_error():
     with pytest.raises(errors.DimensionMismatchError):
         io.matrix_to_obj(np.ones(3))
+
+
+# -- dumps writes json.dumps(..., indent=2)'s bytes ------------------------------
+
+def reference_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, default=io._default)
+
+
+TEXTS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", '\\"', "\n", "\x00\x1f\x7f", "é∑ — 😀", "},\n", "],\n", "]", "},\n  {", "null"]))
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, 1e22, 0.1 + 0.2, float("nan"), float("inf"),
+                                                 float("-inf")]))
+NUMPY_SCALARS = st.one_of(
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32), st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_), st.complex_numbers(width=64).map(np.complex64),
+    st.complex_numbers().map(np.complex128))
+ARRAYS = st.one_of(st.lists(st.complex_numbers(), min_size=1, max_size=3).map(np.array),
+                   st.tuples(st.integers(1, 3), st.integers(1, 3)).map(lambda shape: np.ones(shape)))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**200, 2**200), FLOATS, TEXTS,
+                    st.complex_numbers(), NUMPY_SCALARS, ARRAYS)
+KEYS = st.one_of(TEXTS, st.integers(), FLOATS, st.booleans(), st.none())
+DOCS = st.recursive(
+    SCALARS,
+    lambda docs: st.one_of(
+        st.lists(docs, max_size=4), st.lists(docs, max_size=3).map(tuple),
+        st.dictionaries(KEYS, docs, max_size=4),
+        st.lists(st.dictionaries(TEXTS, SCALARS, max_size=3), max_size=4),  # records
+        st.lists(st.tuples(SCALARS, SCALARS) | st.lists(FLOATS, min_size=2, max_size=2), max_size=4)),  # pairs
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCS)
+def test_dumps_is_json_dumps_with_indent(doc):
+    assert io.dumps(doc) == reference_dumps(doc)
+
+
+def cli_documents(*argv):
+    """The objects the CLI hands to io.dumps while it runs argv."""
+    docs, dumps = [], io.dumps
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "dumps", lambda obj: docs.append(obj) or dumps(obj))
+        assert main(list(argv)) == 0
+    return docs
+
+
+def test_dumps_of_the_recorded_cli_outputs():
+    for doc in json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text()).values():
+        assert io.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_of_the_paper_and_a_dilation_document(tmp_path):
+    rng = np.random.default_rng(16)
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps(io.matrix_to_obj(random_unbroken(rng, 16).H)))
+    docs = cli_documents("paper", "--json", str(tmp_path / "paper.json"))
+    docs += cli_documents("dilate", str(h), "--out", str(tmp_path / "dilate.json"))
+    for doc in docs:
+        assert io.dumps(doc) == reference_dumps(doc)
+    assert docs[1]["Hhat"].shape == (32, 32)
+
+
+@pytest.mark.parametrize("doc", [[{"a": 1}, [1]], [[1], {"a": 1}], [(1, 2), [3]], [[1], []], [{}, {"a": 1}],
+                                 [[1, [2]], [3]], [[np.int64(1)], [2]], [[1 + 2j], [3]], [np.eye(2), np.ones(2)]])
+def test_dumps_of_lists_of_containers_that_are_not_all_flat_or_of_one_kind(doc):
+    assert io.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_refuses_a_container_that_holds_itself():
+    a_list, a_dict = [], {}
+    a_list.append(a_list)
+    a_dict["x"] = [1, a_dict]
+    for doc in (a_list, a_dict):
+        with pytest.raises(ValueError, match="^Circular reference detected$"):
+            io.dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [{1: 2.5, 1.5: None, True: "t", None: [1], float("nan"): {}},
+                                 {-0.0: [{False: 0}], float("inf"): [[1, 2]], 10**20: "big"}])
+def test_dumps_writes_non_str_keys_as_json_does(doc):
+    assert io.dumps(doc) == reference_dumps(doc)
+
+
+def test_dumps_refuses_unserializable_values_and_keys():
+    for doc in ({"x": [object()]}, [[1], {"x": object()}], {(1, 2): [1]}):
+        with pytest.raises(TypeError):
+            io.dumps(doc)
+
+
+def test_paper_document_takes_a_fixed_number_of_encoder_calls(tmp_path, monkeypatch):
+    doc, = cli_documents("paper", "--json", str(tmp_path / "paper.json"))
+    calls, encode = [], json.JSONEncoder.encode
+    monkeypatch.setattr(json.JSONEncoder, "encode", lambda self, obj: calls.append(obj) or encode(self, obj))
+    for checks in (doc["checks"], doc["checks"] * 3):
+        calls.clear()
+        io.dumps({**doc, "checks": checks})
+        assert len(calls) == 2  # the top-level record, then the list of check records

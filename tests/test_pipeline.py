@@ -937,6 +937,30 @@ class TestSampling:
         rate = out["successes"] / out["samples"]
         assert abs(rate - trace.p_total) <= 5e-3
 
+    def test_a_certain_success_is_drawn_every_time(self):
+        # rho = u u^dag, rho' = w (eta u)^dag and psi = u succeed with probability 1 at t = 0,
+        # and p_total rounds above 1 on some of these systems
+        rng = np.random.default_rng(0)
+        p_totals = []
+        for n in (2, 3, 4) * 4:
+            sys_ = random_unbroken(rng, n)
+            d = build_dilation(sys_)
+            u, w = (v / np.linalg.norm(v) for v in rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n)))
+            trace = run_simulation(SimulationConfig(
+                sys=sys_, dilation=d, t=0.0, psi=u, scheme="custom", rho=np.outer(u, u.conj()),
+                rho_prime=np.outer(w, (d.eta @ u).conj())))
+            out = sample_successes(trace, 10, seed=0)
+            assert out == {"samples": 10, "successes": 10, "p_total": trace.p_total}
+            p_totals.append(trace.p_total)
+        assert max(p_totals) > 1.0
+
+    def test_p_total_beyond_rounding_above_one_is_numerical_failure(self):
+        trace = run_simulation(make_cfg())
+        assert sample_successes(dataclasses.replace(trace, p_total=1 + 1e-9), 10, seed=0)["successes"] == 10
+        for p in (1 + 1e-7, 1.5, float("nan")):
+            with pytest.raises(errors.NumericalFailureError, match="^sample_successes: p_total"):
+                sample_successes(dataclasses.replace(trace, p_total=p), 10, seed=0)
+
 
 class TestExtractionStage:
     def test_extraction_action_matches_rho_prime(self):
