@@ -3,12 +3,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from corpus import random_unbroken
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptsim import errors, io
 from ptsim.cli import main
+
+from corpus import random_unbroken
 
 # Doubles whose text a lossy float format would change: a signed zero, the
 # smallest subnormal, a sum with a 17th significant digit, an integer beyond
