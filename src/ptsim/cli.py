@@ -77,7 +77,7 @@ def _load_system(args) -> PTSystem:
 
 def cmd_classify(args) -> int:
     c = classify(io.load_matrix(args.matrix), _pt_pair(*_pair_files(args)))
-    _emit({"kind": c.kind.value, "spectrum": list(c.spectrum)}, args.out)
+    _emit({"kind": c.kind.value, "spectrum": np.stack([c.spectrum.real, c.spectrum.imag], -1).tolist()}, args.out)
     return EXIT_OK
 
 

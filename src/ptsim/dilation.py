@@ -19,7 +19,7 @@ import numpy as np
 
 from . import errors
 from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _read_only, _require_finite, _require_square,
-                     eigen_evolve, eigen_power, fro, matrix_exp)
+                     eigen_evolve, eigen_power, fro)
 from .metric import _check_metric_equations, positive_metric
 from .ptcore import Classification, Kind, PTSystem, classify
 
@@ -82,13 +82,9 @@ class Dilation:
         return _read_only(np.linalg.inv(self.classification.eigenframe))[0]
 
     def propagate(self, t: float, x) -> np.ndarray:
-        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for x of shape (n,)
-        or (n, m), in O(n^2 m) work from H's kept eigenframe. A frame with
-        kappa(Psi) above ``expm_cond`` is not trusted: that x goes through
-        ``matrix_exp(-itH)``, Pade scaling-and-squaring."""
+        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for x of shape (n,) or (n, m),
+        in O(n^2 m) work from H's kept eigenframe, at every kappa(Psi) that ``classify`` accepts."""
         c = self.classification
-        if c.condition_estimate > TOL.expm_cond:
-            return matrix_exp(-1j * t * self.H) @ x
         return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x).T).T
 
     @cached_property
@@ -244,6 +240,7 @@ def embedding_membership(hhat, h, x) -> bool:
     n = h.shape[0]
     if hhat.shape != (2 * n, 2 * n) or x.shape[0] != 2 * n:
         raise errors.DimensionMismatchError("embedding_membership: shape mismatch")
+    _require_finite("embedding_membership", hhat=hhat, h=h, x=x)
     y = x.copy()
     z = x[:n].copy()
     for _ in range(2 * n + 1):

@@ -42,7 +42,6 @@ class Tolerances:
     branch_tol: float = 1e-14  # norm at or below which a unit state's simulated branch has vanished
     target_tol: float = 1e-12  # norm at or below which rho' e^{-itH} rho annihilates a unit state
     unit_tol: float = 1e-8  # distance of a norm from 1 beyond which post_select refuses a state as not unit
-    expm_cond: float = 1e8  # kappa(Psi) above which Dilation.propagate takes matrix_exp, not the eigenframe
     fixture_tol: float = 1e-10  # residual bound of each closed-form check of ``ptsim paper``
     evolution_fixture_tol: float = 1e-8  # ... and of its top-block evolution check
 

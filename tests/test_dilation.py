@@ -425,3 +425,15 @@ class TestEmbeddingMembership:
         d = build_dilation(sys, eta=gunther_eta(np.pi / 6))
         with pytest.raises(errors.DimensionMismatchError):
             embedding_membership(d.Hhat, d.H, np.zeros(3))
+
+    @pytest.mark.parametrize("name, where, value",
+                             [("x", ..., np.nan), ("hhat", ..., np.nan), ("x", 2, np.inf), ("h", (0, 1), np.inf)])
+    def test_non_finite_input_is_refused(self, name, where, value):
+        # a NaN norm compares False with the tolerance, so unchecked such an
+        # input would pass every power as a member
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
+        args = {"hhat": np.array(d.Hhat), "h": np.array(d.H), "x": np.array([0.3, 0.7j, 0.1, -0.2])}
+        args[name][where] = value
+        with pytest.raises(errors.ParseError, match=f"embedding_membership: {name} must be finite") as info:
+            embedding_membership(args["hhat"], args["h"], args["x"])
+        assert info.value.exit_code == 2

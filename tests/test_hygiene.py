@@ -3,8 +3,9 @@ import of a ptsim module goes unused. Deleting code leaves both behind
 unnoticed, since neither makes an import fail; so does an error class whose
 last raiser was deleted, or one that only the library itself catches. Also the program's one output
 edge: only the CLI imports ``ptsim.io``, and no record serializes itself. And
-the import cost: importing ptsim, its CLI or the test corpus does not load
-``scipy.linalg``, which only ``matrix_exp`` needs."""
+the import cost: importing ptsim, its CLI or the test corpus, or simulating
+past kappa(Psi) = 1e8, does not load ``scipy.linalg``, which only
+``matrix_exp`` needs. And every tolerance in the table has a reader."""
 
 import ast
 import dataclasses
@@ -149,11 +150,34 @@ def test_thresholds_live_in_the_tolerance_table(mod_name):
     assert (mod_name == "linalg") == bool(literals)
 
 
-@pytest.mark.parametrize("modules", ["ptsim, ptsim.cli", "corpus"])
-def test_import_does_not_load_scipy_linalg(modules):
+def test_every_tolerance_is_read():
+    # each field of linalg.Tolerances is read as TOL.<field> or
+    # DEFAULT_TOL.<field> in some module, so a deleted check leaves no cutoff
+    fields = {f.name for f in dataclasses.fields(ptsim.linalg.Tolerances)}
+    trees = [ast.parse((SRC / f"{mod_name}.py").read_text()) for mod_name in MODULES]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in ("TOL", "DEFAULT_TOL")}
+    assert sorted(fields - read) == []
+
+
+# H = [[1, 1e8], [0, 2]], kappa(Psi) ~ 2e8: e^{-itH} comes from the eigenframe
+# at every condition, so the simulation path never needs scipy
+SIMULATE_PAST_KAPPA_1E8 = """import numpy as np
+from ptsim import PTSystem, SimulationConfig, build_dilation, run_simulation, validate_pt_pair
+eye = np.eye(2, dtype=complex)
+system = PTSystem(np.array([[1.0, 1e8], [0.0, 2.0]], dtype=complex), validate_pt_pair(eye, eye))
+d = build_dilation(system)
+assert d.classification.condition_estimate > 1e8
+run_simulation(SimulationConfig(sys=system, dilation=d, t=1.3, psi=np.array([0.3, 0.7j])))"""
+
+
+@pytest.mark.parametrize("code", [pytest.param("import ptsim, ptsim.cli", id="ptsim, ptsim.cli"),
+                                  pytest.param("import corpus", id="corpus"),
+                                  pytest.param(SIMULATE_PAST_KAPPA_1E8, id="simulate past kappa 1e8")])
+def test_import_does_not_load_scipy_linalg(code):
     tests = Path(__file__).parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), str(tests)]))
-    code = f"import sys\nimport {modules}\nassert 'scipy.linalg' not in sys.modules"
+    code = f"import sys\n{code}\nassert 'scipy.linalg' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

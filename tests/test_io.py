@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptsim import errors, io
+from ptsim import classify, errors, io
 from ptsim.cli import main
 
 from corpus import random_unbroken
@@ -218,3 +218,18 @@ def test_paper_document_takes_a_fixed_number_of_encoder_calls(tmp_path, monkeypa
         calls.clear()
         io.dumps({**doc, "checks": checks})
         assert len(calls) == 2  # the top-level record, then the list of check records
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_classify_document_is_one_list_of_pairs(n, tmp_path, monkeypatch, capsys):
+    # the spectrum goes out as [re, im] pairs from one tolist: the bytes of
+    # the list of complex eigenvalues that _default writes one by one, in
+    # 2 encoder calls where that list takes n + 2
+    path = tmp_path / "h.json"
+    path.write_text(io.dumps(io.matrix_to_obj(random_unbroken(np.random.default_rng(n), n).H)))
+    c = classify(io.load_matrix(path))
+    calls, encode = [], json.JSONEncoder.encode
+    monkeypatch.setattr(json.JSONEncoder, "encode", lambda self, obj: calls.append(obj) or encode(self, obj))
+    assert main(["classify", str(path)]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == reference_dumps({"kind": c.kind.value, "spectrum": list(c.spectrum)}) + "\n"

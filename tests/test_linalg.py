@@ -58,11 +58,10 @@ def test_no_callable_takes_a_tol_argument():
 def test_module_cutoffs_are_in_the_table():
     # orthonormal_extension's rank test, the eigenvalue-cluster window and
     # rank test, a vanished experiment branch, a vanished simulation target,
-    # post_select's unit-norm test, Dilation.propagate's frame condition and
-    # the two fixture tolerances of ``ptsim paper``
+    # post_select's unit-norm test and the two fixture tolerances of ``ptsim paper``
     assert (DEFAULT_TOL.rank_tol, DEFAULT_TOL.cluster_tol, DEFAULT_TOL.branch_tol, DEFAULT_TOL.target_tol,
-            DEFAULT_TOL.unit_tol, DEFAULT_TOL.expm_cond, DEFAULT_TOL.fixture_tol,
-            DEFAULT_TOL.evolution_fixture_tol) == (1e-10, 1e-6, 1e-14, 1e-12, 1e-8, 1e8, 1e-10, 1e-8)
+            DEFAULT_TOL.unit_tol, DEFAULT_TOL.fixture_tol,
+            DEFAULT_TOL.evolution_fixture_tol) == (1e-10, 1e-6, 1e-14, 1e-12, 1e-8, 1e-10, 1e-8)
 
 
 class TestEig:

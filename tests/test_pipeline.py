@@ -87,6 +87,17 @@ def _count_completions(monkeypatch):
     return shapes
 
 
+def _similar_to_diagonal(rng, n, kappa_s):
+    """H = S D S^{-1} with P = T = I: S = U diag(s) V^T for real orthogonal U, V
+    and s geometric from 1 down to 1/kappa_s, D a sorted real spectrum in
+    [-2, 2]. Real and, while eig keeps the spectrum real, unbroken."""
+    u, v = (np.linalg.qr(rng.normal(size=(n, n)))[0] for _ in range(2))
+    s = u @ np.diag(np.geomspace(1.0, 1.0 / kappa_s, n)) @ v.T
+    h = s @ np.diag(np.sort(rng.uniform(-2.0, 2.0, size=n))) @ np.linalg.inv(s)
+    eye = np.eye(n, dtype=complex)
+    return PTSystem(h.astype(complex), validate_pt_pair(eye, eye))
+
+
 def _upper_triangular_system(c):
     """H = [[1, c], [0, 2]] with P = T = I: real, unbroken, and kappa(Psi) ~ 2c."""
     eye = np.eye(2, dtype=complex)
@@ -587,9 +598,10 @@ def _assert_propagates(d, h, t, x, rng):
 class TestTarget:
     """rho' e^{-itH} rho psi from H's eigenframe, kept on the dilation."""
 
-    @pytest.mark.parametrize("c, kappa, calls", [(1e3, (1e3, 1e4), 0), (1e8, (1e8, 1e12), 1)])
-    def test_route_follows_the_frame_condition(self, monkeypatch, c, kappa, calls):
-        # a frame beyond expm_cond keeps the matrix_exp(-itH) route
+    @pytest.mark.parametrize("c, kappa", [(1e3, (1e3, 1e4)), (1e8, (1e8, 1e12))])
+    def test_one_route_at_every_frame_condition(self, monkeypatch, c, kappa):
+        # the eigenframe route alone, also past kappa = 1e8, where it is
+        # within 1e-12 of scipy's expm on this triangular family
         sys_ = _upper_triangular_system(c)
         d = build_dilation(sys_)
         assert kappa[0] < d.classification.condition_estimate <= kappa[1]
@@ -597,9 +609,30 @@ class TestTarget:
         x = np.array([0.3, 0.7j])
         for t in (0.4, 1.3):
             _assert_propagates(d, sys_.H, t, x, np.random.default_rng(63))
-            before = counts["matrix_exp"]
             run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=x))
-            assert counts["matrix_exp"] - before == calls
+        assert counts["matrix_exp"] == 0
+
+    @pytest.mark.parametrize("seed, n", [(0, 3), (2, 4), (1, 5), (3, 6), (4, 4), (0, 6)])
+    def test_ill_conditioned_frame_against_a_50_digit_expm(self, monkeypatch, seed, n):
+        # past kappa = 1e8 the eigenframe route stays within its forward error
+        # bound kappa(Psi) eps max(1, t ||H||_F); scaling and squaring on
+        # these non-normal H of large norm loses every digit there
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(700 + seed)
+        sys_ = _similar_to_diagonal(rng, n, 3e8)
+        d = build_dilation(sys_)
+        kappa = d.classification.condition_estimate
+        assert 1e8 < kappa <= 1.5e9
+        t, x = 0.9, rng.normal(size=n) + 1j * rng.normal(size=n)
+        with mpmath.workdps(50):
+            y = mpmath.expm(mpmath.matrix((-1j * t * sys_.H).tolist())) * mpmath.matrix(x.tolist())
+            expected = np.array([complex(y[i]) for i in range(n)])
+        bound = kappa * np.finfo(float).eps * max(1.0, t * np.linalg.norm(sys_.H))
+        assert np.linalg.norm(d.propagate(t, x) - expected) <= bound * np.linalg.norm(expected)
+        counts = _count_matrix_exp(monkeypatch)
+        trace = run_simulation(SimulationConfig(sys=sys_, dilation=d, t=t, psi=x))
+        assert np.isfinite(trace.probability_check)
+        assert counts["matrix_exp"] == 0
 
     def test_well_conditioned_runs_exponentiate_nothing(self, monkeypatch):
         rng = np.random.default_rng(61)
