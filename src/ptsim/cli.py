@@ -61,9 +61,8 @@ def _pt_pair(p, t):
 
 
 def _system(h, p, t) -> PTSystem:
-    """H with its (P, T) pair, or with a pair built from H's eigenframe."""
-    pair = _pt_pair(p, t)
-    return PTSystem.from_hamiltonian(h) if pair is None else PTSystem(h, pair)
+    """H with its (P, T) pair, or with None: then its spectrum alone decides."""
+    return PTSystem(h, _pt_pair(p, t))
 
 
 def _pair_files(args):

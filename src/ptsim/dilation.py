@@ -36,12 +36,13 @@ __all__ = [
 class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
-    ``classification`` is the ``classify`` of H that the build ran: H's
+    ``classification`` is the ``classify`` of H that the build ran, against
+    the system's PT pair or, without one, by the spectrum alone: H's
     spectrum Lambda, eigenframe Psi and kappa(Psi), which give every
     e^{-itH} (``propagate``). eta - I = V diag(w) V^dag is kept as
     (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
-    factors, shifted, or one eigh of a supplied eta - I. [I; tau] = Q1 R, with
-    R = ``ytau_r`` (R^dag R = eta) and ``ytau_q`` = [Q1 | Q2] the complete Q:
+    factors, shifted, or one eigh of a supplied eta - I. [I; tau] = Q1 R
+    (R^dag R = eta), and ``ytau_q`` = [Q1 | Q2], the complete Q, holds
     orthonormal bases of Y_tau (Q1, ``ytau_frame``) and Y_tau-perp, both
     invariant under Hhat. Q1^dag Hhat Q1 = R H R^{-1} for every H1, the
     equivalent Hermitian Hamiltonian (Mostafazadeh, J. Math. Phys. 43, 205
@@ -59,7 +60,6 @@ class Dilation:
     eta_minus_i_v: np.ndarray
     tau: np.ndarray
     ytau_q: np.ndarray
-    ytau_r: np.ndarray
     ytau_eigh: tuple
     h1_choice: str
     h1_supplied: np.ndarray | None
@@ -185,8 +185,8 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     hy = np.linalg.solve(r.mT, (r @ h).mT).mT  # R H R^{-1}: a solve is more accurate than R H Q1[:n]
     wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
     vy = ytau_q[:, :, :n] @ vy
-    _read_only(h, eta, w, v, tau, ytau_q, r, wy, vy, *(c.spectrum for c in cs), *(c.eigenframe for c in cs))
-    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], (wy[i], vy[i]), h1_choice,
+    _read_only(h, eta, w, v, tau, ytau_q, wy, vy, *(c.spectrum for c in cs), *(c.eigenframe for c in cs))
+    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], (wy[i], vy[i]), h1_choice,
                     None if h1 is None else h1[i]) for i, c in enumerate(cs)]
     return out[0] if single else out
 

@@ -55,14 +55,6 @@ class NonCommutingError(PTSimError):
     pass
 
 
-class NotPTSymmetricError(PTSimError):
-    pass
-
-
-class DefectiveInputError(PTSimError):
-    pass
-
-
 class NotUnbrokenError(PTSimError):
     pass
 

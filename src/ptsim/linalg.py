@@ -120,21 +120,12 @@ def eig(a) -> EigenDecomposition:
     ill-conditioned to trust, or when a cluster of nearly equal eigenvalues
     comes with nearly dependent eigenvectors (geometric multiplicity
     deficit). We refuse to classify such inputs further rather than
-    silently mis-handle a Jordan block.
+    silently mis-handle a Jordan block. A stack (b, n, n) is factored in one
+    LAPACK pass, and the fields are stacked.
     """
     a = _require_square(a, "eig", stack=True)
-    if a.ndim == 3:
-        return _eig(a)
-    d = _eig(a[None])
-    return EigenDecomposition(d.eigenvalues[0], d.eigenvector_matrix[0], float(d.condition_estimate[0]),
-                              bool(d.defective[0]))
-
-
-def _eig(stack: np.ndarray) -> EigenDecomposition:
-    """``eig`` of a stack (b, n, n) that its caller has checked to be finite,
-    in one LAPACK pass; the fields are stacked."""
     try:
-        lam, psi = np.linalg.eig(stack)
+        lam, psi = np.linalg.eig(a if a.ndim == 3 else a[None])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise errors.NumericalFailureError(f"eig did not converge: {exc}") from exc
     for _, where in _failures(np.isfinite(lam).all(axis=-1) & np.isfinite(psi).all(axis=(-2, -1)), "eig"):
@@ -143,7 +134,9 @@ def _eig(stack: np.ndarray) -> EigenDecomposition:
     with np.errstate(divide="ignore"):  # so s_min = 0 gives inf, with no warning
         cond = s[:, 0] / s[:, -1]
     defective = ~(cond <= DEFAULT_TOL.defect_cond) | _has_clustered_rank_deficit(lam, psi)
-    return EigenDecomposition(lam, psi, cond, defective)
+    if a.ndim == 3:
+        return EigenDecomposition(lam, psi, cond, defective)
+    return EigenDecomposition(lam[0], psi[0], float(cond[0]), bool(defective[0]))
 
 
 def _has_clustered_rank_deficit(lam, psi):

@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import errors
-from .linalg import DEFAULT_TOL as TOL, _eig, _norms, _require_finite, _require_square, fro, rel_scale
+from .linalg import DEFAULT_TOL as TOL, _norms, _require_finite, _require_square, eig, fro, rel_scale
 
 __all__ = ["PTPair", "PTSystem", "Kind", "Classification", "validate_pt_pair", "is_pt_symmetric", "classify"]
 
@@ -31,32 +31,14 @@ class PTPair:
 
 @dataclass(frozen=True, eq=False)
 class PTSystem:
+    """H with the PT pair its caller supplies, or with None: a system without
+    a pair is judged by its spectrum alone, since a diagonalizable H whose
+    spectrum is closed under conjugation is pseudo-Hermitian whether or not
+    its antilinear symmetry is written down (Mostafazadeh, J. Math. Phys. 43,
+    205 (2002))."""
+
     H: np.ndarray
-    pt: PTPair
-
-    @staticmethod
-    def from_hamiltonian(h) -> "PTSystem":
-        """Build a PT pair for a diagonalizable H from its eigenframe.
-
-        Takes P = I and T = Psi K conj(Psi^{-1}), which is a valid
-        time-reversal matrix whenever the spectrum is closed under
-        conjugation. K swaps the eigenvectors of each conjugate pair, so T
-        is Psi[:, swapped] conj(Psi^{-1})[order, :]: one inv of the frame
-        that ``classify`` kept, whose kappa(Psi) it has already held to
-        ``defect_cond``.
-        """
-        c = classify(h)
-        if c.kind is Kind.DEFECTIVE:
-            raise errors.DefectiveInputError("from_hamiltonian: H is defective")
-        if c.kind is Kind.NOT_PT_SYMMETRIC:
-            raise errors.NotPTSymmetricError("from_hamiltonian: spectrum not conjugation-closed")
-        pairs, reals = c.pairing or ([], list(range(len(c.spectrum))))
-        order = [i for pair in pairs for i in pair] + reals
-        swapped = [i for pair in pairs for i in pair[::-1]] + reals
-        psi = c.eigenframe
-        ptm = psi[:, swapped] @ np.linalg.inv(psi).conj()[order, :]
-        pair = validate_pt_pair(np.eye(len(c.spectrum), dtype=complex), ptm)
-        return PTSystem(np.asarray(h, dtype=complex), pair)
+    pt: PTPair | None
 
 
 class Kind(Enum):
@@ -70,15 +52,13 @@ class Kind(Enum):
 class Classification:
     """``condition_estimate`` is the 2-norm condition number of the eigenframe
     that ``eig`` computed, kept whether or not the frame is. ``h_norm`` is
-    ||H||_F, the scale of the PT-symmetry test, kept for the later tests of H.
-    ``pairing`` is ``_pair_spectrum`` of a spectrum not all real, else None."""
+    ||H||_F, the scale of the PT-symmetry test, kept for the later tests of H."""
 
     kind: Kind
     spectrum: np.ndarray
     eigenframe: np.ndarray | None
     condition_estimate: float
     h_norm: float
-    pairing: tuple | None = None
 
 
 def validate_pt_pair(p, t) -> PTPair:
@@ -105,8 +85,11 @@ def is_pt_symmetric(h, pt: PTPair) -> bool:
 
 
 def _pt_verdict(hs, pts) -> tuple:
-    """``is_pt_symmetric`` of a stack hs with a pair each, and ||H||_F per member."""
-    m = np.array([p.PT for p in pts])
+    """``is_pt_symmetric`` of a stack hs with a pair or None each (pts None: no
+    pairs), and ||H||_F per member. A member without a pair is tested against
+    PT = 0, which every H commutes with, so its spectrum alone decides."""
+    zero = np.zeros(hs.shape[1:], dtype=complex)
+    m = np.array([zero if p is None else p.PT for p in ([None] * len(hs) if pts is None else pts)])
     if hs.shape[-2] != hs.shape[-1] or m.shape != hs.shape:
         raise errors.DimensionMismatchError("is_pt_symmetric: order mismatch")
     commutator, h_norm = _norms(hs @ m - m @ hs.conj(), hs)
@@ -119,52 +102,36 @@ def classify(h, pt: PTPair | None = None):
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
     complete criterion for unbrokenness. If the spectrum is not closed under
     conjugation the matrix cannot be PT-symmetric at all. This is the
-    module's only eig of H; from_hamiltonian reads it. A stack h (b, n, n),
-    with pt None or a pair per member, gives b Classifications from one eig;
-    H is checked for finiteness once, before the symmetry test and eig.
+    module's only eig of H. A stack h (b, n, n), with pt None or a pair or
+    None per member, gives b Classifications from one eig; H is checked for
+    finiteness before the symmetry test and eig.
     """
     h = _require_square(h, "classify", stack=True)
     hs, pts = (h, pt) if h.ndim == 3 else (h[None], None if pt is None else [pt])
-    symmetric, h_norm = (np.ones(len(hs), dtype=bool), _norms(hs)[0]) if pts is None else _pt_verdict(hs, pts)
-    d = _eig(hs)
+    symmetric, h_norm = _pt_verdict(hs, pts)
+    d = eig(hs)
     lam = d.eigenvalues
     real = np.logical_and.reduce(np.abs(lam.imag) <= TOL.real_tol * np.maximum(1.0, np.abs(lam)), axis=-1)
     out = []
     for i, (sym, defective, unbroken, cond, norm) in enumerate(zip(
             symmetric.tolist(), d.defective.tolist(), real.tolist(), d.condition_estimate.tolist(), h_norm.tolist())):
-        pairing = None if not sym or defective or unbroken else _pair_spectrum(lam[i])
         kind = (Kind.NOT_PT_SYMMETRIC if not sym else Kind.DEFECTIVE if defective else Kind.UNBROKEN if unbroken
-                else Kind.NOT_PT_SYMMETRIC if pairing is None else Kind.BROKEN_DIAGONALIZABLE)
+                else Kind.BROKEN_DIAGONALIZABLE if _conjugation_closed(lam[i]) else Kind.NOT_PT_SYMMETRIC)
         frame = d.eigenvector_matrix[i] if kind in (Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE) else None
-        out.append(Classification(kind, lam[i], frame, cond, norm, pairing))
+        out.append(Classification(kind, lam[i], frame, cond, norm))
     return out if h.ndim == 3 else out[0]
 
 
-def _pair_spectrum(spectrum):
-    """Indices of conjugate pairs (Im > 0 first) and of real eigenvalues;
-    None if a complex eigenvalue has no conjugate partner."""
-    pairs, reals = [], []
+def _conjugation_closed(spectrum) -> bool:
+    """Has every complex eigenvalue a conjugate partner of its own?"""
     used = [False] * len(spectrum)
     for i, lam in enumerate(spectrum):
-        if used[i]:
-            continue
-        if abs(lam.imag) <= TOL.real_tol * max(1.0, abs(lam)):
-            reals.append(i)
-            used[i] = True
-            continue
-        match = None
-        for j in range(len(spectrum)):
-            if j == i or used[j]:
-                continue
-            if abs(spectrum[j] - np.conj(lam)) <= TOL.real_tol * max(1.0, abs(lam)):
-                match = j
-                break
-        if match is None:
-            return None
-        used[i] = used[match] = True
-        if lam.imag > 0:
-            pairs.append((i, match))
-        else:
-            pairs.append((match, i))
-    return pairs, reals
-
+        tol = TOL.real_tol * max(1.0, abs(lam))
+        if not used[i] and abs(lam.imag) > tol:
+            match = next((j for j in range(len(spectrum))
+                          if j != i and not used[j] and abs(spectrum[j] - np.conj(lam)) <= tol), None)
+            if match is None:
+                return False
+            used[match] = True
+        used[i] = True
+    return True

@@ -165,6 +165,49 @@ class TestDilate:
         assert_parse_error(main(["dilate", h0_file, f"--margin={margin}"]), capsys)
 
 
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    return calls
+
+
+class TestWithoutPair:
+    """With no --P/--T, H is judged by its spectrum alone, from the one eig
+    of the classification that the command runs."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6])
+    @pytest.mark.parametrize("command", ["metric", "dilate"])
+    def test_near_the_exceptional_point(self, command, k, tmp_path):
+        # kappa(Psi) = 2e4..2e6 at alpha = pi/2 - 10^-k; the family's pair gives the same output
+        h = write_matrix(tmp_path / "h.json", gunther_hamiltonian(np.pi / 2 - 10.0**-k))
+        p = write_matrix(tmp_path / "p.json", SIGMA_X)
+        t = write_matrix(tmp_path / "t.json", np.eye(2))
+        outs = [tmp_path / "pairless.json", tmp_path / "paired.json"]
+        assert main([command, h, "--out", str(outs[0])]) == 0
+        assert main([command, h, "--P", p, "--T", t, "--out", str(outs[1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+
+    @pytest.mark.parametrize("command, who", [("metric", "positive_metric"), ("dilate", "build_dilation")])
+    def test_past_the_exceptional_point_cutoff(self, command, who, tmp_path, capsys):
+        # at alpha = pi/2 - 1e-7 the two eigenvalues and eigenvectors fall in one cluster
+        h = write_matrix(tmp_path / "h.json", gunther_hamiltonian(np.pi / 2 - 1e-7))
+        assert main([command, h]) == 4
+        assert capsys.readouterr().err == f"error: {who}: classification is Defective\n"
+
+    @pytest.mark.parametrize("command", ["metric", "dilate"])
+    def test_one_eig(self, command, h0_file, tmp_path, eig_calls):
+        assert main([command, h0_file, "--out", str(tmp_path / "o.json")]) == 0
+        assert len(eig_calls) == 1
+
+    @pytest.mark.parametrize("command", ["metric", "dilate"])
+    def test_not_pt_symmetric_is_4(self, command, tmp_path, capsys):
+        h = write_matrix(tmp_path / "h.json", np.diag([1.0, 1j]))
+        assert main([command, h]) == 4
+        assert capsys.readouterr().err.endswith("classification is NotPTSymmetric\n")
+
+
 class TestSimulate:
     def make_config(self, tmp_path, **overrides):
         cfg = {
@@ -294,6 +337,13 @@ class TestSimulate:
         obj = json.loads(self.run_to_text(self.hamiltonian_config(tmp_path), tmp_path / "b.json"))
         assert obj["p_prepare"] == pytest.approx(0.5, abs=1e-12)
         assert obj["final_formula_check"] <= 1e-10
+
+    @pytest.mark.parametrize("eta", [None, "supplied"])
+    def test_hamiltonian_without_pt_pair_makes_one_eig(self, eta, tmp_path, eig_calls):
+        h = io.matrix_to_obj(gunther_hamiltonian(np.pi / 6))
+        cfgp = self.make_config(tmp_path, alpha_params=None, hamiltonian=h, **({} if eta else {"eta": None}))
+        assert main(["simulate", cfgp, "--out", str(tmp_path / "o.json")]) == 0
+        assert len(eig_calls) == 1
 
     @pytest.mark.parametrize("field", ["P", "T"])
     def test_hamiltonian_with_half_pt_pair_is_2(self, field, tmp_path, capsys):

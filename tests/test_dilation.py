@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from ptsim import (
+    Kind,
     PTSystem,
     build_dilation,
     dilated_evolution,
@@ -14,6 +15,7 @@ from ptsim import (
     gunther_system,
     in_tau_subspace,
     matrix_exp,
+    validate_pt_pair,
 )
 from ptsim.linalg import eigen_evolve, psd_power
 
@@ -208,12 +210,18 @@ class TestYtauFactor:
 
     EPS = np.finfo(float).eps
 
+    @staticmethod
+    def graph_factor(d) -> tuple:
+        """[I; tau] and R = Q1^dag [I; tau], formed from the kept frame Q1."""
+        graph = np.vstack([np.eye(d.dim), d.tau])
+        return graph, d.ytau_frame.conj().T @ graph
+
     @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
     def test_r_factors_the_graph_and_the_metric(self, i):
         d = _blocked_cases()[i]
-        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
-        assert np.array_equal(r, np.triu(r))
-        graph = np.vstack([np.eye(n), d.tau])
+        n, q1 = d.dim, d.ytau_frame
+        graph, r = self.graph_factor(d)
+        assert np.linalg.norm(np.tril(r, -1)) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(graph)
         assert np.linalg.norm(q1 @ r - graph) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(graph)
         assert np.linalg.norm(r.conj().T @ r - d.eta) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.eta)
 
@@ -221,7 +229,7 @@ class TestYtauFactor:
     def test_q1_hhat_q1_is_r_h_r_inverse(self, i):
         # the dense Hhat in the frame Q1, against a product with an explicit R^{-1}
         d = _blocked_cases()[i]
-        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
+        n, q1, r = d.dim, d.ytau_frame, self.graph_factor(d)[1]
         equivalent = r @ d.H @ np.linalg.inv(r)
         bound = 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.H)
         assert np.linalg.norm(q1.conj().T @ d.Hhat @ q1 - equivalent) <= bound
@@ -237,7 +245,7 @@ class TestYtauFactor:
 
 def assert_same_dilation(a, b):
     """Every array field, the classification and the residuals, bit for bit."""
-    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "ytau_r", "H1", "H2", "H4", "Hhat"):
+    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "H1", "H2", "H4", "Hhat"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for pair in ("ytau_eigh", "hhat_eigh"):
         assert all(np.array_equal(x, y) for x, y in zip(getattr(a, pair), getattr(b, pair), strict=True)), pair
@@ -286,6 +294,28 @@ class TestStackedBuild:
         etas = [gunther_eta(0.3), 0.5 * gunther_eta(0.5) / np.linalg.eigvalsh(gunther_eta(0.5))[0]]
         with pytest.raises(errors.EtaNotGreaterThanIError, match="^build_dilation: member 1: lambda_min"):
             build_dilation([gunther_system(0.3), gunther_system(0.5)], eta=etas)
+
+    def test_members_with_and_without_pairs(self):
+        # each member gets the classification, and the dilation, it gets alone
+        systems = [gunther_system(0.3), PTSystem(gunther_system(0.5).H, None)]
+        for d, sys in zip(build_dilation(systems), systems, strict=True):
+            assert d.classification.kind is Kind.UNBROKEN
+            assert_same_dilation(d, build_dilation(sys))
+
+    def test_member_failing_its_supplied_pair_is_named(self):
+        # the same H passes without a pair; conj(H) != H, so it fails the pair (I, I)
+        h, eye = gunther_system(0.5).H, np.eye(2, dtype=complex)
+        systems = [PTSystem(h, None), PTSystem(h, validate_pt_pair(eye, eye))]
+        with pytest.raises(errors.NotUnbrokenError,
+                           match="^build_dilation: member 1: classification is NotPTSymmetric$"):
+            build_dilation(systems)
+
+    @pytest.mark.parametrize("h, kind", [(defective_corpus()[0].H, "Defective"),
+                                         (np.diag([1.0, 1j]), "NotPTSymmetric"),
+                                         (broken_corpus()[0].H, "BrokenDiagonalizable")])
+    def test_pairless_system_that_is_not_unbroken_is_refused(self, h, kind):
+        with pytest.raises(errors.NotUnbrokenError, match=f"^build_dilation: classification is {kind}$"):
+            build_dilation(PTSystem(h, None))
 
     def test_mixed_orders_refused(self):
         with pytest.raises(errors.DimensionMismatchError):

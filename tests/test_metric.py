@@ -70,6 +70,15 @@ class TestPositiveMetric:
             with pytest.raises(errors.NotUnbrokenError):
                 positive_metric(sys)
 
+    def test_without_a_pair(self):
+        # the spectrum alone decides, and the metric comes from the same eigenframe
+        for sys in unbroken_corpus():
+            m, pairless = positive_metric(sys), positive_metric(PTSystem(sys.H, None))
+            assert np.array_equal(m.eta, pairless.eta) and m.min_eigenvalue == pairless.min_eigenvalue
+        for sys in broken_corpus() + defective_corpus():
+            with pytest.raises(errors.NotUnbrokenError):
+                positive_metric(PTSystem(sys.H, None))
+
     @pytest.mark.parametrize("n", [2, 16, 64])
     def test_svd_metric_matches_inverse_gram(self, n):
         # eta = X S^-2 X^dag from the SVD of the unit-column frame, against

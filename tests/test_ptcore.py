@@ -151,12 +151,62 @@ class TestFactorizations:
         monkeypatch.setattr(np.linalg, "eig", counted)
         return calls
 
-    @pytest.mark.parametrize("sys", [unbroken_corpus()[0], broken_corpus()[0]],
-                             ids=["unbroken", "broken"])
-    def test_one_eig_per_hamiltonian(self, sys, eig_calls):
-        # classify runs the one eig; from_hamiltonian reads it
-        PTSystem.from_hamiltonian(sys.H)
+    @pytest.mark.parametrize("with_pair", [False, True])
+    @pytest.mark.parametrize("sys", [unbroken_corpus()[0], broken_corpus()[0]], ids=["unbroken", "broken"])
+    def test_one_eig_per_classify(self, sys, with_pair, eig_calls):
+        classify(sys.H, sys.pt if with_pair else None)
         assert len(eig_calls) == 1
+
+    def test_one_eig_per_stack(self, eig_calls):
+        rng = np.random.default_rng(41)
+        systems = [random_unbroken(rng, 3) for _ in range(3)]
+        classify(np.array([s.H for s in systems]), [systems[0].pt, None, systems[2].pt])
+        assert len(eig_calls) == 1
+
+    def test_classify_goes_through_linalg_eig(self, monkeypatch):
+        # the one eig entry point, so a wrapper around linalg.eig sees classify's call
+        calls, eig = [], linalg.eig
+        monkeypatch.setattr(ptcore, "eig", lambda a: calls.append(a.shape) or eig(a))
+        classify(np.array([unbroken_corpus()[0].H] * 2))
+        assert calls == [(2, 2, 2)]
+
+    def test_one_condition_number(self, monkeypatch):
+        # kappa(Psi) comes from one svdvals of the frame, with or without a pair
+        calls = []
+        svdvals = np.linalg.svdvals
+        monkeypatch.setattr(np.linalg, "svdvals", lambda *a, **k: calls.append(1) or svdvals(*a, **k))
+        for sys in (broken_2x2(), unbroken_corpus()[0]):
+            for pt in (None, sys.pt):
+                calls.clear()
+                classify(sys.H, pt)
+                assert len(calls) == 1
+
+
+class TestPairless:
+    """Without a PT pair, the spectrum alone gives the verdict (the corpus
+    kinds are in ``TestClassify.test_corpus_kinds``)."""
+
+    @pytest.mark.parametrize("h", [np.diag([1.0, 1j]), np.diag([1j, 2.0]), np.diag([1.0 + 1j, 1.0 + 1j])])
+    def test_spectrum_not_conjugation_closed(self, h):
+        c = classify(h)
+        assert c.kind is Kind.NOT_PT_SYMMETRIC and c.eigenframe is None
+
+    def test_conjugate_pair_and_real_eigenvalue(self):
+        assert classify(np.diag([2.0, 1.0 - 1j, 1.0 + 1j])).kind is Kind.BROKEN_DIAGONALIZABLE
+
+    def test_broken_spectrum_is_paired_once(self, monkeypatch):
+        # the conjugation test runs once for a spectrum not all real, never for an all-real one
+        calls = []
+        closed = ptcore._conjugation_closed
+        monkeypatch.setattr(ptcore, "_conjugation_closed", lambda lam: calls.append(1) or closed(lam))
+        for sys, expected in ((broken_2x2(), 1), (unbroken_corpus()[0], 0)):
+            calls.clear()
+            classify(sys.H)
+            assert len(calls) == expected
+
+    def test_nested_list(self):
+        c = classify([[1.0, 0.0], [0.0, 2.0]])
+        assert c.kind is Kind.UNBROKEN and c.spectrum.dtype == complex
 
 
 class TestClassifyStack:
@@ -177,6 +227,27 @@ class TestClassifyStack:
             assert (c.eigenframe is None) == (one.eigenframe is None)
             assert c.eigenframe is None or np.array_equal(c.eigenframe, one.eigenframe)
 
+    def test_members_with_and_without_pairs_match_single_calls(self):
+        # None stands for a member without a pair, which its spectrum alone judges;
+        # diag(1, 2j, 3, 4) fails the identity pair, and without one 2j has no conjugate
+        rng = np.random.default_rng(37)
+        eye = np.eye(4, dtype=complex)
+        unbroken, broken = random_unbroken(rng, 4), random_broken(rng, 4)
+        h = [unbroken.H, unbroken.H, broken.H, broken.H, np.diag([1.0, 2j, 3.0, 4.0]), np.diag([1.0, 2j, 3.0, 4.0])]
+        pts = [unbroken.pt, None, broken.pt, None, validate_pt_pair(eye, eye), None]
+        stacked = classify(np.array(h), pts)
+        assert [c.kind for c in stacked] == [Kind.UNBROKEN] * 2 + [Kind.BROKEN_DIAGONALIZABLE] * 2 + [
+            Kind.NOT_PT_SYMMETRIC] * 2
+        for c, hi, pt in zip(stacked, h, pts, strict=True):
+            one = classify(hi, pt)
+            assert c.kind is one.kind and c.h_norm == one.h_norm
+            assert np.array_equal(c.spectrum, one.spectrum)
+
+    def test_pair_count_must_match_the_stack(self):
+        sys = gunther_system(np.pi / 6)
+        with pytest.raises(errors.DimensionMismatchError, match="order mismatch"):
+            classify(np.array([sys.H] * 3), [sys.pt, None])
+
     def test_non_finite_member_is_named(self):
         h = np.array([np.eye(2), [[1.0, np.nan], [0.0, 2.0]]])
         with pytest.raises(errors.ParseError, match="^classify: member 1: matrix must be finite$"):
@@ -191,101 +262,17 @@ class TestClassifyStack:
             classify(h, [sys.pt] * 3)
 
     @pytest.mark.parametrize("stacked", [False, True])
-    def test_input_is_checked_once(self, stacked, monkeypatch):
-        # classify checks H and hands the checked stack to eig's LAPACK pass,
-        # which does not check it again
+    def test_input_is_checked_before_eig(self, stacked, monkeypatch):
+        # classify checks H, naming itself, before its symmetry test and eig;
+        # eig, the one entry point to the LAPACK pass, checks what it is given
         whos, check = [], linalg._require_square
         for module in (linalg, ptcore):
             monkeypatch.setattr(module, "_require_square",
                                 lambda a, who, stack=False: whos.append(who) or check(a, who, stack))
         sys = gunther_system(np.pi / 6)
         c = classify(np.array([sys.H]), [sys.pt])[0] if stacked else classify(sys.H, sys.pt)
-        assert whos == ["classify"] and c.kind is Kind.UNBROKEN
+        assert whos == ["classify", "eig"] and c.kind is Kind.UNBROKEN
 
     def test_h_norm_is_the_frobenius_norm(self):
         for sys in unbroken_corpus() + broken_corpus():
             assert classify(sys.H, sys.pt).h_norm == np.linalg.norm(sys.H)
-
-
-class TestFromHamiltonian:
-    def test_real_diagonal(self):
-        # an orthonormal real eigenframe gives T = I
-        sys = PTSystem.from_hamiltonian(np.diag([1.0, 2.0, 3.0]))
-        assert sys.pt.PT == pytest.approx(np.eye(3), abs=1e-12)
-        assert classify(sys.H, sys.pt).kind is Kind.UNBROKEN
-
-    def test_broken_keeps_its_kind(self):
-        # a complex-conjugate pair is swapped by the built T, so H stays
-        # PT-symmetric and classifies as broken under its new pair
-        for sys in broken_corpus():
-            built = PTSystem.from_hamiltonian(sys.H)
-            assert is_pt_symmetric(built.H, built.pt)
-            assert classify(built.H, built.pt).kind is Kind.BROKEN_DIAGONALIZABLE
-
-    def test_broken_spectrum_is_paired_once(self, monkeypatch):
-        # the pairing that told broken from not PT-symmetric in classify is
-        # the one the pair is built from; an all-real spectrum needs none
-        calls = []
-        pair = ptcore._pair_spectrum
-        monkeypatch.setattr(ptcore, "_pair_spectrum", lambda lam: calls.append(1) or pair(lam))
-        for sys, expected in ((broken_2x2(), 1), (unbroken_corpus()[0], 0)):
-            calls.clear()
-            PTSystem.from_hamiltonian(sys.H)
-            assert len(calls) == expected
-
-    def test_defective_refused(self):
-        with pytest.raises(errors.DefectiveInputError):
-            PTSystem.from_hamiltonian(defective_corpus()[0].H)
-
-    def test_not_pt_symmetric_refused(self):
-        with pytest.raises(errors.NotPTSymmetricError):
-            PTSystem.from_hamiltonian(np.diag([1.0, 1j]))
-
-    def test_nested_list(self):
-        # a list classifies like an array, and the pair is built from its order
-        sys = PTSystem.from_hamiltonian([[1.0, 0.0], [0.0, 2.0]])
-        assert isinstance(sys.H, np.ndarray) and sys.H.dtype == complex
-        assert sys.pt.PT == pytest.approx(np.eye(2), abs=1e-12)
-
-
-class TestConstructPT:
-    """PT = Psi K conj(Psi^{-1}) as from_hamiltonian builds it from H's eigenframe."""
-
-    def test_identity(self):
-        # a diagonal real H has the frame I, so K = I gives PT = I
-        assert PTSystem.from_hamiltonian(np.diag([1.0, 2.0, 3.0])).pt.PT == pytest.approx(np.eye(3))
-
-    def test_h3_frame(self):
-        # H3's eigenframe is the unit-triangular Q3 up to column scaling
-        pair = PTSystem.from_hamiltonian(H3).pt
-        t, ptm = pair.T, pair.PT
-        assert t @ t.conj() == pytest.approx(np.eye(3), abs=1e-10)
-        assert H3 @ ptm == pytest.approx(ptm @ H3.conj(), abs=1e-10)
-
-    def test_real_frame_collapses(self):
-        # a real H with a real spectrum has a real frame: PT = Psi Psi^{-1} = I
-        rng = np.random.default_rng(2)
-        psi = rng.normal(size=(3, 3))
-        while np.linalg.cond(psi) > 50:
-            psi = rng.normal(size=(3, 3))
-        h = psi @ np.diag([1.0, 2.0, 3.5]) @ np.linalg.inv(psi)
-        assert PTSystem.from_hamiltonian(h).pt.PT == pytest.approx(np.eye(3), abs=1e-12)
-
-    def test_round_trip_gives_valid_pt(self):
-        # the pair from_hamiltonian builds, conjugate pairs swapped
-        for sys in unbroken_corpus()[:4] + [broken_2x2()]:
-            ptm = PTSystem.from_hamiltonian(sys.H).pt.PT
-            assert ptm @ ptm.conj() == pytest.approx(np.eye(ptm.shape[0]), abs=1e-8)
-            res = sys.H @ ptm - ptm @ sys.H.conj()
-            assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(sys.H))
-
-    def test_one_condition_number(self, monkeypatch):
-        # classify's kappa(Psi), from one svdvals of the frame, is the only
-        # one: the pair is not checked twice
-        calls = []
-        svdvals = np.linalg.svdvals
-        monkeypatch.setattr(np.linalg, "svdvals", lambda *a, **k: calls.append(1) or svdvals(*a, **k))
-        for sys in (broken_2x2(), unbroken_corpus()[0]):
-            calls.clear()
-            PTSystem.from_hamiltonian(sys.H)
-            assert len(calls) == 1
