@@ -28,7 +28,7 @@ from .pipeline import (
     run_simulation,
     sample_successes,
 )
-from .ptcore import PTSystem, classify, validate_pt_pair
+from .ptcore import Kind, PTSystem, classify, is_pt_symmetric, validate_pt_pair
 
 EXIT_OK = 0
 EXIT_NUMERICAL = errors.NumericalFailureError.exit_code
@@ -53,42 +53,34 @@ def _emit(obj, out_path=None) -> None:
         print(text)
 
 
-def _pt_pair(p, t):
-    """The validated (P, T) pair, or None if neither matrix is given."""
+def _load_system(read, h, p, t) -> PTSystem:
+    """H with its validated (P, T) pair, or with None if neither is given: then
+    H's spectrum alone decides. ``read`` makes a matrix of each given source,
+    a file path or a config entry."""
+    h, p, t = read(h), *(read(x) if x else None for x in (p, t))
     if (p is None) != (t is None):
         raise errors.ParseError("a PT pair needs both P and T, not one of them")
-    return None if p is None else validate_pt_pair(p, t)
-
-
-def _system(h, p, t) -> PTSystem:
-    """H with its (P, T) pair, or with None: then its spectrum alone decides."""
-    return PTSystem(h, _pt_pair(p, t))
-
-
-def _pair_files(args):
-    """The --P/--T matrices, each None if its file is not given."""
-    return [io.load_matrix(path) if path else None for path in (args.P, args.T)]
-
-
-def _load_system(args) -> PTSystem:
-    return _system(io.load_matrix(args.matrix), *_pair_files(args))
+    return PTSystem(h, None if p is None else validate_pt_pair(p, t))
 
 
 def cmd_classify(args) -> int:
-    c = classify(io.load_matrix(args.matrix), _pt_pair(*_pair_files(args)))
+    sys = _load_system(io.load_matrix, args.matrix, args.P, args.T)
+    c = classify(sys.H, sys.pt)
     _emit({"kind": c.kind.value, "spectrum": np.stack([c.spectrum.real, c.spectrum.imag], -1).tolist()}, args.out)
     return EXIT_OK
 
 
 def cmd_metric(args) -> int:
-    sys = _load_system(args)
+    sys = _load_system(io.load_matrix, args.matrix, args.P, args.T)
+    if args.eta and sys.pt is not None and not is_pt_symmetric(sys.H, sys.pt):
+        raise errors.NotUnbrokenError(f"metric: classification is {Kind.NOT_PT_SYMMETRIC.value}")
     m = verify_metric(sys.H, io.load_matrix(args.eta)) if args.eta else positive_metric(sys)
     _emit({"eta": m.eta, "positive_definite": m.positive_definite, "min_eigenvalue": m.min_eigenvalue}, args.out)
     return EXIT_OK
 
 
 def cmd_dilate(args) -> int:
-    sys = _load_system(args)
+    sys = _load_system(io.load_matrix, args.matrix, args.P, args.T)
     eta = io.load_matrix(args.eta) if args.eta else None
     h1_choice, h1 = args.h1, None
     if h1_choice not in ("zero", "paper"):
@@ -113,9 +105,7 @@ def cmd_simulate(args) -> int:
             ap = {"s": 1.0, "E0": 0.0, **cfgobj["alpha_params"]}
             sys = gunther_system(*(float(ap[k]) for k in ("alpha", "s", "E0")))
         else:
-            h = io.matrix_from_obj(cfgobj["hamiltonian"])
-            pt = [io.matrix_from_obj(cfgobj[k]) if cfgobj.get(k) else None for k in ("P", "T")]
-            sys = _system(h, *pt)
+            sys = _load_system(io.matrix_from_obj, cfgobj["hamiltonian"], cfgobj.get("P"), cfgobj.get("T"))
         scheme = cfgobj.get("scheme", "identity")
         rho = io.matrix_from_obj(cfgobj["rho"]) if cfgobj.get("rho") else None
         rho_prime = io.matrix_from_obj(cfgobj["rho_prime"]) if cfgobj.get("rho_prime") else None

@@ -137,14 +137,25 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
         raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
-    if h1 is not None and h1_choice != "supplied":
-        raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
     single = isinstance(sys, PTSystem)
     systems = [sys] if single else list(sys)
     if not systems or len({np.shape(m.H) for m in systems}) != 1:
         raise errors.DimensionMismatchError("build_dilation: expected one or more systems of one order")
     h = np.array([m.H for m in systems], dtype=complex)
     b, n = h.shape[0], h.shape[-1]
+    if h1_choice == "supplied":
+        if h1 is None:
+            raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
+        (h1,) = _read_only(np.array([h1] if single else h1, dtype=complex))
+        for _, where in _failures(np.isfinite(h1.reshape(len(h1), -1)).all(axis=1), "build_dilation"):
+            raise errors.ParseError(f"{where}: H1 must be finite")
+        skew, h1_norm = _norms(h1 - h1.conj().mT, h1) if h1.shape == h.shape else ([np.inf], [1.0])
+        for _, where in _failures(skew <= TOL.eq_tol * np.maximum(1.0, h1_norm), "build_dilation"):
+            raise errors.SuppliedH1NotHermitianError(f"{where}: supplied H1 is not Hermitian")
+    elif h1 is not None:
+        raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
+    elif h1_choice not in ("zero", "paper"):
+        raise errors.ParseError(f"build_dilation: unknown h1_choice {h1_choice!r}")
     cs = classify(h, [m.pt for m in systems])
     for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], "build_dilation"):
         raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
@@ -165,17 +176,6 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
 
     for _, where in _failures(np.sqrt(w[:, 0]) > TOL.psd_tol, "build_dilation"):
         raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
-    if h1_choice == "supplied":
-        if h1 is None:
-            raise errors.ParseError("build_dilation: h1_choice 'supplied' needs an H1 matrix")
-        (h1,) = _read_only(np.array([h1] if single else h1, dtype=complex))
-        for _, where in _failures(np.isfinite(h1.reshape(len(h1), -1)).all(axis=1), "build_dilation"):
-            raise errors.ParseError(f"{where}: H1 must be finite")
-        skew, h1_norm = _norms(h1 - h1.conj().mT, h1) if h1.shape == h.shape else ([np.inf], [1.0])
-        for _, where in _failures(skew <= TOL.eq_tol * np.maximum(1.0, h1_norm), "build_dilation"):
-            raise errors.SuppliedH1NotHermitianError(f"{where}: supplied H1 is not Hermitian")
-    elif h1_choice not in ("zero", "paper"):
-        raise errors.ParseError(f"unknown h1_choice {h1_choice!r}")
 
     tau = eigen_power(w, v, 0.5)
     i_tau = np.zeros((b, 2 * n, n), dtype=complex)

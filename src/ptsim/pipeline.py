@@ -67,10 +67,11 @@ class SchemeStages:
     """The stage operators of a scheme on one dilation: (rho, rho'), the
     contractions C of the two stage actions with their scales and frames, and
     ``ytau_eigh`` = (w_Y, Q1 V_Y), Hhat's eigenpairs on Y_tau, where every
-    prepared state lies, which evolve every t. The dense completions
-    ``preparation`` and ``extraction`` (U, P_N, scale) are formed from these,
-    as one stack, on first read. No reference to the dilation is held, so a
-    dilation that keeps its stages forms no reference cycle.
+    prepared state lies, which evolve every t. ``run`` forms the dense
+    completions (U, P_N, scale) of ``preparation_completion`` and
+    ``extraction_completion`` from these, as one stack, on its first call. No
+    reference to the dilation is held, so a dilation that keeps its stages
+    forms no reference cycle.
 
     A successful run is one Kraus operator of a quantum instrument (Nielsen
     & Chuang, ch. 8) on Y_tau: K(t) = L diag(e^{-itw_Y}) R, with the n x n
@@ -95,8 +96,6 @@ class SchemeStages:
         _read_only(*(a for c in out for a in (c.U, c.P_N)))
         return out
 
-    preparation, extraction = (property(lambda self, i=i: self._completed[i]) for i in range(2))
-
     def run(self, psi, t: float):
         """The stage sequence on a unit state psi of shape (n,) or (n, m).
 
@@ -111,7 +110,8 @@ class SchemeStages:
         xi1 = np.concatenate([psi, np.zeros_like(psi)])
 
         # stage 2: unitary + post-selection onto Y_tau
-        xi2, p_prepare = post_select(self.preparation.U @ xi1, self.preparation.P_N)
+        prep, extr = self._completed
+        xi2, p_prepare = post_select(prep.U @ xi1, prep.P_N)
         if p_prepare == 0.0:
             raise errors.ZeroFinalStateError("preparation branch vanished")
 
@@ -119,8 +119,8 @@ class SchemeStages:
         xi3 = eigen_evolve(*self.ytau_eigh, t, xi2)
 
         # stage 4: unitary + post-selection onto X1, which is the ancilla
-        # measurement: extraction.P_N is the projector onto ancilla |0>
-        xi4, p_post = post_select(self.extraction.U @ xi3, self.extraction.P_N)
+        # measurement: extr.P_N is the projector onto ancilla |0>
+        xi4, p_post = post_select(extr.U @ xi3, extr.P_N)
         if p_post == 0.0:
             raise errors.ZeroFinalStateError("extraction branch vanished")
         return xi1, xi2, xi3, xi4, p_prepare, p_post
@@ -179,9 +179,6 @@ class SimulationConfig:
     rho: np.ndarray | None = None
     rho_prime: np.ndarray | None = None
 
-    def stages(self) -> SchemeStages:
-        return scheme_stages(self.dilation, self.scheme, self.rho, self.rho_prime)
-
 
 @dataclass(frozen=True, eq=False)
 class SimulationTrace:
@@ -231,7 +228,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
     _require_finite("run_simulation", t=cfg.t, psi=psi)
     d = cfg.dilation
     n = d.dim
-    st = cfg.stages()
+    st = scheme_stages(d, cfg.scheme, cfg.rho, cfg.rho_prime)
     if psi.shape[0] != n:
         raise errors.DimensionMismatchError("run_simulation: psi has the wrong length")
     nrm = np.linalg.norm(psi)

@@ -24,10 +24,6 @@ class PTPair:
     T: np.ndarray
     PT: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.P.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class PTSystem:

@@ -112,15 +112,26 @@ class TestMetric:
         assert np.linalg.norm(h.conj().T @ eta - eta @ h) <= 1e-10
 
     def test_verify_supplied(self, h0_file, tmp_path):
+        # with no pair, or with the family's (sigma_x, I), which H passes
         eta = write_matrix(tmp_path / "eta.json", gunther_eta(np.pi / 6))
-        out = tmp_path / "m.json"
-        assert main(["metric", h0_file, "--eta", eta, "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
-        assert obj["min_eigenvalue"] == pytest.approx(4.0 / 3.0)
+        p = write_matrix(tmp_path / "p.json", SIGMA_X)
+        t = write_matrix(tmp_path / "t.json", np.eye(2))
+        outs = [tmp_path / "pairless.json", tmp_path / "paired.json"]
+        assert main(["metric", h0_file, "--eta", eta, "--out", str(outs[0])]) == 0
+        assert main(["metric", h0_file, "--P", p, "--T", t, "--eta", eta, "--out", str(outs[1])]) == 0
+        assert outs[0].read_text() == outs[1].read_text()
+        assert json.loads(outs[0].read_text())["min_eigenvalue"] == pytest.approx(4.0 / 3.0)
 
     def test_verify_rejects_wrong_eta(self, h0_file, tmp_path, capsys):
         eta = write_matrix(tmp_path / "eta.json", np.diag([1.0, -1.0]))
         assert main(["metric", h0_file, "--eta", eta]) == 4
+
+    def test_verify_tests_h_against_the_supplied_pair(self, h0_file, tmp_path, capsys):
+        # (I, I) is no pair of H at alpha = pi/6, as classify and dilate --eta say too
+        eta = write_matrix(tmp_path / "eta.json", gunther_eta(np.pi / 6))
+        eye = write_matrix(tmp_path / "i.json", np.eye(2))
+        assert main(["metric", h0_file, "--P", eye, "--T", eye, "--eta", eta]) == 4
+        assert capsys.readouterr().err == "error: metric: classification is NotPTSymmetric\n"
 
     def test_verify_names_verify_metric(self, h0_file, tmp_path, capsys):
         eta = write_matrix(tmp_path / "eta.json", [[3, 1], [0, 3]])
@@ -305,6 +316,13 @@ class TestSimulate:
     def test_unknown_choice_is_2(self, field, tmp_path, capsys):
         cfgp = self.make_config(tmp_path, **{field: "bogus"})
         assert_parse_error(main(["simulate", cfgp]), capsys)
+
+    def test_unknown_h1_with_a_defective_hamiltonian_is_2(self, tmp_path, capsys):
+        # the bad argument is named before H is classified
+        h = io.matrix_to_obj(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        cfgp = self.make_config(tmp_path, alpha_params=None, hamiltonian=h, eta=None, h1="bogus")
+        assert main(["simulate", cfgp]) == 2
+        assert capsys.readouterr().err == "error: build_dilation: unknown h1_choice 'bogus'\n"
 
     def test_supplied_h1_without_a_matrix_is_2(self, tmp_path):
         # the config format has no H1 field, so "supplied" names a missing input

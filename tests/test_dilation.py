@@ -98,6 +98,17 @@ class TestBuildDilation:
         with pytest.raises(errors.ParseError, match="h1_choice 'supplied'"):
             build_dilation(gunther_system(np.pi / 6), h1_choice=h1_choice, h1=h1)
 
+    @pytest.mark.parametrize("case", ["unbroken", "defective"])
+    def test_unknown_h1_choice_is_refused_before_any_eig(self, case, monkeypatch):
+        # the arguments are checked before classify: a defective H gets the
+        # ParseError (exit 2), not NotUnbrokenError, and a good H no eig
+        sys = gunther_system(np.pi / 6) if case == "unbroken" else defective_corpus()[0]
+        calls, eig = [], np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+        with pytest.raises(errors.ParseError, match="build_dilation: unknown h1_choice 'bogus'"):
+            build_dilation(sys, h1_choice="bogus")
+        assert calls == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_supplied_h1_non_finite_is_parse_error(self, value):
         h1 = np.array([[0.3, value], [value, -0.2]], dtype=complex)

@@ -24,6 +24,7 @@ import scipy.linalg
 import corpus
 import ptsim
 from ptsim import PTSystem, validate_pt_pair
+from ptsim.pipeline import SchemeStages, SimulationConfig
 
 SRC = Path(ptsim.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ptsim.__path__))
@@ -133,6 +134,16 @@ def test_frozen_array_records_compare_by_identity():
     assert [cls.__name__ for cls in records if cls.__dataclass_params__.eq] == []
     a, b = (ptsim.build_dilation(ptsim.gunther_system(0.3)) for _ in range(2))
     assert a == a and a != b and len({a, b}) == 2
+
+
+def test_one_route_to_each_stage_operator():
+    # SchemeStages holds its instrument alone: the dense completions come from
+    # pipeline.preparation_completion / extraction_completion, and the stages
+    # of a config from scheme_stages
+    public = {f.name for f in dataclasses.fields(SchemeStages)} | set(dir(SchemeStages))
+    assert {name for name in public if not name.startswith("_")} == {
+        "rho", "rho_prime", "ytau_eigh", "kraus_left", "kraus_right", "kraus", "run"}
+    assert not hasattr(SimulationConfig, "stages")
 
 
 @pytest.mark.parametrize("mod_name", MODULES)

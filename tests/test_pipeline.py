@@ -87,6 +87,11 @@ def _count_completions(monkeypatch):
     return shapes
 
 
+def _stage_completions(d, st):
+    """The (preparation, extraction) completions of the stages st on d, from the public builders."""
+    return preparation_completion(d, st.rho), extraction_completion(d, st.rho_prime)
+
+
 def _similar_to_diagonal(rng, n, kappa_s):
     """H = S D S^{-1} with P = T = I: S = U diag(s) V^T for real orthogonal U, V
     and s geometric from 1 down to 1/kappa_s, D a sorted real spectrum in
@@ -402,10 +407,11 @@ class TestReuse:
     def test_dilation_and_cached_stages_are_read_only(self):
         cfg = make_cfg(scheme="metric_sandwich")
         run_simulation(cfg)
-        stages = cfg.stages()
         d = cfg.dilation
+        stages = scheme_stages(d, cfg.scheme)
+        prep, extr = stages._completed
         for a in (d.H, d.eta, d.tau, d.H1, d.H2, d.H4, d.Hhat, stages.rho, stages.rho_prime,
-                  stages.preparation.U, stages.preparation.P_N, stages.extraction.U, stages.extraction.P_N):
+                  prep.U, prep.P_N, extr.U, extr.P_N):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
 
@@ -417,12 +423,12 @@ class TestReuse:
         cfg = SimulationConfig(sys=sys_, dilation=build_dilation(sys_), t=1.1,
                                psi=rng.normal(size=8) + 0j, scheme="metric_sandwich")
         shapes = _count_completions(monkeypatch)
-        st = cfg.stages()
+        st = scheme_stages(cfg.dilation, cfg.scheme)
         assert shapes == []
         run_simulation(cfg)
         assert shapes == [(2, 8, 8)]
         run_simulation(dataclasses.replace(cfg, t=0.4))
-        assert shapes == [(2, 8, 8)] and cfg.stages() is st
+        assert shapes == [(2, 8, 8)] and scheme_stages(cfg.dilation, cfg.scheme) is st
 
     def test_build_dilation_leaves_inputs_writable(self):
         sys = gunther_system(np.pi / 6)
@@ -531,6 +537,18 @@ class TestReuse:
         assert np.linalg.norm(st.rho - psd_power(d.eta, -0.5)) <= 1e-12
         assert np.linalg.norm(st.rho_prime - psd_power(d.eta, 0.5)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 5, 16, 64])
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_run_completes_as_the_public_builders(self, n, scheme):
+        # the stack that run forms is the two builders' completions, bit for bit
+        for seed in (60, 61, 62):
+            d = build_dilation(random_unbroken(np.random.default_rng(seed), n))
+            st = scheme_stages(d, scheme)
+            for got, expected in zip(st._completed, _stage_completions(d, st)):
+                assert np.array_equal(got.U, expected.U)
+                assert np.array_equal(got.P_N, expected.P_N)
+                assert got.scale == expected.scale
+
     @pytest.mark.parametrize("n", [2, 5, 16, 32])
     def test_coordinate_frame_is_never_formed(self, n):
         # the completions skip the identity frame, bit for bit
@@ -539,7 +557,7 @@ class TestReuse:
         eye = np.eye(2 * n, dtype=complex)
         (prep,) = _completions([(d.ytau_frame.conj().T @ np.vstack([st.rho, d.tau @ st.rho]), (eye, d.ytau_q))])
         (extr,) = _completions([(st.rho_prime @ d.ytau_frame[:n, :], (d.ytau_q, eye))])
-        for got, expected in ((st.preparation, prep), (st.extraction, extr)):
+        for got, expected in zip(_stage_completions(d, st), (prep, extr)):
             assert np.array_equal(got.U, expected.U)
             assert np.array_equal(got.P_N, expected.P_N)
             assert got.scale == expected.scale
@@ -551,9 +569,10 @@ class TestReuse:
         st = scheme_stages(d, "metric_sandwich")
         x1 = np.eye(2 * n, n)
         ytau = d.ytau_frame
+        prep, extr = _stage_completions(d, st)
         maps = (
-            (st.preparation, x1, np.vstack([st.rho, d.tau @ st.rho])),
-            (st.extraction, ytau, np.vstack([st.rho_prime @ ytau[:n], np.zeros((n, n))])),
+            (prep, x1, np.vstack([st.rho, d.tau @ st.rho])),
+            (extr, ytau, np.vstack([st.rho_prime @ ytau[:n], np.zeros((n, n))])),
         )
         for comp, m, image in maps:
             assert np.linalg.norm(comp.U.conj().T @ comp.U - np.eye(2 * n)) <= 1e-12
@@ -701,9 +720,10 @@ class TestStageSequence:
             return np.kron(op, np.eye(2))
 
         x1 = np.concatenate([block.ravel(), np.zeros(4)])
-        x2, q_prepare = post_select(lift(st.preparation.U) @ x1, lift(st.preparation.P_N))
+        prep, extr = _stage_completions(d, st)
+        x2, q_prepare = post_select(lift(prep.U) @ x1, lift(prep.P_N))
         x3 = lift(matrix_exp(-1j * t * d.Hhat)) @ x2
-        x4a, q1 = post_select(lift(st.extraction.U) @ x3, lift(st.extraction.P_N))
+        x4a, q1 = post_select(lift(extr.U) @ x3, lift(extr.P_N))
         p0 = np.zeros((8, 8))
         p0[:4, :4] = np.eye(4)
         x4, q2 = post_select(x4a, p0)
@@ -759,7 +779,7 @@ class TestInstrument:
         # K^dag K plus the failed preparation and the failed extraction is I
         _, d, _ = _instrument_case(n)
         st = scheme_stages(d, scheme)
-        prep, extr = st.preparation, st.extraction
+        prep, extr = _stage_completions(d, st)
         prepared = prep.P_N @ prep.U[:, :n]
         k_f1 = prep.U[:, :n] - prepared
         for t in self.TS:
@@ -803,12 +823,13 @@ class TestInstrument:
     @pytest.mark.parametrize("n", CLOSED_FORM_NS)
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_kraus_is_the_closed_form(self, n, scheme):
-        # K(t) = c rho' e^{-itH} rho with c = preparation.scale * extraction.scale,
+        # K(t) = c rho' e^{-itH} rho with c = prep.scale * extr.scale,
         # within 8 sqrt(n) kappa(eta) eps relative, kappa(eta) from eta - I's
         # kept eigenvalues (measured: at most 4.8 at n = 2, 0.8 for n >= 16)
         _, d, _ = _instrument_case(n)
         st = scheme_stages(d, scheme)
-        c = st.preparation.scale * st.extraction.scale
+        prep, extr = _stage_completions(d, st)
+        c = prep.scale * extr.scale
         w = d.eta_minus_i_w
         bound = 8.0 * np.sqrt(n) * (1.0 + w.max()) / (1.0 + w.min()) * np.finfo(float).eps
         for t in self.TS:
@@ -848,7 +869,8 @@ class TestInstrument:
         # eta^{1/2} e^{-itH} eta^{-1/2} is unitary, so p_total = 1/n^2 for every psi
         sys_, d, _ = _instrument_case(n)
         st = scheme_stages(d, "metric_sandwich")
-        assert abs(st.preparation.scale * st.extraction.scale * n - 1.0) <= 1e-12
+        prep, extr = _stage_completions(d, st)
+        assert abs(prep.scale * extr.scale * n - 1.0) <= 1e-12
         rng = np.random.default_rng(720 + n)
         for t in self.TS:
             psi = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -866,8 +888,9 @@ class TestInstrument:
         assert st.kraus_left.shape == st.kraus_right.shape == (n, n)
         w, v = np.linalg.eigh(d.Hhat)
         q1 = d.ytau_frame
-        left = st.extraction.U[:n, :] @ v
-        right = v.conj().T @ (q1 @ (q1.conj().T @ st.preparation.U[:, :n]))
+        prep, extr = _stage_completions(d, st)
+        left = extr.U[:n, :] @ v
+        right = v.conj().T @ (q1 @ (q1.conj().T @ prep.U[:, :n]))
         for t in self.TS:
             assert np.linalg.norm(st.kraus(t) - (left * np.exp(-1j * t * w)) @ right) <= 1e-13, t
 
