@@ -21,7 +21,7 @@ from . import errors
 from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _read_only, _require_finite, _require_square,
                      eigen_evolve, eigen_power, fro)
 from .metric import _check_metric_equations, positive_metric
-from .ptcore import Classification, Kind, PTSystem, classify
+from .ptcore import Classification, PTPair, PTSystem, _pt_verdict, _require_unbroken, classify
 
 __all__ = [
     "Dilation",
@@ -36,10 +36,11 @@ __all__ = [
 class Dilation:
     """The dilation record. ``build_dilation`` makes its arrays read-only.
 
-    ``classification`` is the ``classify`` of H that the build ran, against
-    the system's PT pair or, without one, by the spectrum alone: H's
-    spectrum Lambda, eigenframe Psi and kappa(Psi), which give every
-    e^{-itH} (``propagate``). eta - I = V diag(w) V^dag is kept as
+    ``classification`` is ``classify(H, pt)``, H's spectrum Lambda, eigenframe
+    Psi and kappa(Psi), which give every e^{-itH} (``propagate``): the one a
+    canonical build made eta from, or after a supplied eta one eig on first
+    read, which raises NotUnbrokenError unless H is UNBROKEN. ``h_norm`` =
+    ||H||_F scales ``residuals``. eta - I = V diag(w) V^dag is kept as
     (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
     factors, shifted, or one eigh of a supplied eta - I. [I; tau] = Q1 R
     (R^dag R = eta), and ``ytau_q`` = [Q1 | Q2], the complete Q, holds
@@ -54,7 +55,8 @@ class Dilation:
     """
 
     H: np.ndarray
-    classification: Classification
+    pt: PTPair | None
+    h_norm: float
     eta: np.ndarray
     eta_minus_i_w: np.ndarray
     eta_minus_i_v: np.ndarray
@@ -63,6 +65,14 @@ class Dilation:
     ytau_eigh: tuple
     h1_choice: str
     h1_supplied: np.ndarray | None
+    built_classification: Classification | None
+
+    @cached_property
+    def classification(self) -> Classification:
+        c = classify(self.H, self.pt) if self.built_classification is None else self.built_classification
+        _require_unbroken([c], "Dilation.classification")
+        _read_only(c.spectrum, c.eigenframe)
+        return c
 
     @property
     def dim(self) -> int:
@@ -109,7 +119,7 @@ class Dilation:
         # hhat - hhat^dag vanishes off its diagonal blocks: its norm is the hypot of theirs
         norms = _norms(h1 - h1.conj().mT, h4 - h4.conj().mT, h1 + h2 @ tau - h, h2.conj().mT + h4 @ tau - tau @ h,
                        tau @ tau - (eta - np.eye(self.dim)), eta)[:, 0]
-        norms[1], h_scale = np.hypot(norms[0], norms[1]), max(1.0, self.classification.h_norm)
+        norms[1], h_scale = np.hypot(norms[0], norms[1]), max(1.0, self.h_norm)
         scaled = norms[1:5] / np.array([h_scale, h_scale, h_scale, max(1.0, norms[5])])
         return dict(zip(("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq"), scaled.tolist()))
 
@@ -130,10 +140,13 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     A single system is the batch of one; an error about one system of a
     longer sequence names it ("build_dilation: member 3: ...").
 
-    eta=None takes the canonical metric rescaled to lambda_min = ``margin``
-    (> 1 keeps tau invertible); a supplied eta must have lambda_min > 1 (pass
-    c * eta to rescale). h1_choice is "zero", "paper" (H1 = tau H tau eta^{-1}
-    + H eta^{-1}) or "supplied", the one choice that takes the matrix h1.
+    eta=None takes the canonical metric, from classify's eigenframe, rescaled to
+    lambda_min = ``margin`` (> 1 keeps tau invertible). A supplied eta needs
+    lambda_min > 1 (pass c * eta to rescale); passing H's PT test, H^dag eta =
+    eta H and a Hermitian R H R^{-1}, it makes H quasi-Hermitian, and no eig of
+    H is made but to name a broken or defective H as the cause of a refusal.
+    h1_choice is "zero", "paper" (H1 = tau H tau eta^{-1} + H eta^{-1}) or
+    "supplied", the one choice that takes the matrix h1.
     """
     if not (isinstance(margin, Real) and 1.0 < margin < np.inf):
         raise errors.ParseError(f"build_dilation: margin must be finite and > 1, got {margin!r}")
@@ -156,25 +169,32 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
     elif h1_choice not in ("zero", "paper"):
         raise errors.ParseError(f"build_dilation: unknown h1_choice {h1_choice!r}")
-    cs = classify(h, [m.pt for m in systems])
-    for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], "build_dilation"):
-        raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
-    eye = np.eye(n)
+    pts, eye, supplied = [m.pt for m in systems], np.eye(n), eta is not None
+    cs = [None] * b if supplied else _require_unbroken(classify(h, pts), "build_dilation")
 
-    if eta is None:
+    def failures(ok, who="build_dilation") -> list:  # with eta supplied, a broken or defective H is named first
+        if supplied and not all(ok):
+            _require_unbroken(classify(h, pts), who)
+        return _failures(ok, who)
+
+    if not supplied:
+        h_norm = np.array([c.h_norm for c in cs])
         base = positive_metric(systems, cs)
         scale = margin / base.min_eigenvalue
         eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array([eta] if single else eta, dtype=complex)
-        _check_metric_equations(h, eta, "build_dilation", np.maximum(1.0, [c.h_norm for c in cs]))
+        symmetric, h_norm = _pt_verdict(_require_square(h, "build_dilation", stack=True), pts)
+        _check_metric_equations(h, eta, "build_dilation", np.maximum(1.0, h_norm), failures)
+        for _, where in failures(symmetric):
+            raise errors.NotUnbrokenError(f"{where}: classification is NotPTSymmetric")
         # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
         shifted = eta - eye
         w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().mT))
-        for i, where in _failures(w[:, 0] > 0.0, "build_dilation"):
+        for i, where in failures(w[:, 0] > 0.0):
             raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w[i, 0]:.6g} <= 1")
 
-    for _, where in _failures(np.sqrt(w[:, 0]) > TOL.psd_tol, "build_dilation"):
+    for _, where in failures(np.sqrt(w[:, 0]) > TOL.psd_tol):
         raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
 
     tau = eigen_power(w, v, 0.5)
@@ -183,11 +203,14 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     ytau_q, r = np.linalg.qr(i_tau, mode="complete")
     r = r[:, :n]
     hy = np.linalg.solve(r.mT, (r @ h).mT).mT  # R H R^{-1}: a solve is more accurate than R H Q1[:n]
+    if supplied:  # H is quasi-Hermitian once R H R^{-1} is Hermitian: H^dag eta = eta H in the R frame
+        for _, where in failures(_norms(hy - hy.conj().mT)[0] <= TOL.eq_tol * np.maximum(1.0, h_norm)):
+            raise errors.NotIntertwiningError(f"{where}: R H R^{{-1}} is not Hermitian")
     wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
     vy = ytau_q[:, :, :n] @ vy
-    _read_only(h, eta, w, v, tau, ytau_q, wy, vy, *(c.spectrum for c in cs), *(c.eigenframe for c in cs))
-    out = [Dilation(h[i], c, eta[i], w[i], v[i], tau[i], ytau_q[i], (wy[i], vy[i]), h1_choice,
-                    None if h1 is None else h1[i]) for i, c in enumerate(cs)]
+    _read_only(h, eta, w, v, tau, ytau_q, wy, vy)
+    out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], (wy[i], vy[i]),
+                    h1_choice, None if h1 is None else h1[i], c) for i, c in enumerate(cs)]
     return out[0] if single else out
 
 

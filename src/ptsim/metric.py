@@ -11,7 +11,7 @@ import numpy as np
 
 from . import errors
 from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro, rel_scale
-from .ptcore import Classification, Kind, PTSystem, classify
+from .ptcore import Classification, PTSystem, _require_unbroken, classify
 
 __all__ = ["MetricOperator", "positive_metric", "verify_metric", "scalar_sum_metric_2d", "scalar_sum_obstruction_demo",
            "H3", "Q3"]
@@ -50,9 +50,7 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     systems, cs = ([sys], [classification]) if single else (list(sys), classification)
     if classification is None:
         cs = classify(np.array([m.H for m in systems]), [m.pt for m in systems])
-    for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], "positive_metric"):
-        raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
-    frames = np.array([c.eigenframe for c in cs])
+    frames = np.array([c.eigenframe for c in _require_unbroken(cs, "positive_metric")])
     x, s, _ = np.linalg.svd(frames / np.linalg.norm(frames, axis=-2, keepdims=True))
     w = s**-2.0  # s descending, so w ascending
     eta, lo = eigen_power(w, x, 1.0), w[:, 0]
@@ -61,11 +59,12 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
 
 
-def _check_metric_equations(h, eta, who: str, h_scale) -> None:
+def _check_metric_equations(h, eta, who: str, h_scale, failures=_failures) -> None:
     """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
     naming the caller ``who``, for each member of the stacks h and eta
     (b, n, n); h_scale is max(1, ||H||_F) per member, which the caller has
-    already formed. Positivity is left to the caller, which factors eta once:
+    already formed; a caller's ``failures`` may name a deeper cause before the
+    last two. Positivity is left to the caller, which factors eta once:
     ``verify_metric`` by eigvalsh, ``build_dilation`` by the eigh of eta - I.
     """
     if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
@@ -74,9 +73,9 @@ def _check_metric_equations(h, eta, who: str, h_scale) -> None:
         raise errors.ParseError(f"{where}: eta must be finite")
     eta_norm, skew, intertwining = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h)
     eta_scale = np.maximum(1.0, eta_norm)
-    for _, where in _failures(skew <= TOL.eq_tol * eta_scale, who):
+    for _, where in failures(skew <= TOL.eq_tol * eta_scale, who):
         raise errors.NotHermitianError(f"{where}: eta is not Hermitian")
-    for _, where in _failures(intertwining <= TOL.eq_tol * h_scale * eta_scale, who):
+    for _, where in failures(intertwining <= TOL.eq_tol * h_scale * eta_scale, who):
         raise errors.NotIntertwiningError(f"{where}: H^dag eta != eta H")
 
 

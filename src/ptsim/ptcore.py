@@ -13,7 +13,7 @@ from enum import Enum
 import numpy as np
 
 from . import errors
-from .linalg import DEFAULT_TOL as TOL, _norms, _require_finite, _require_square, eig, fro, rel_scale
+from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, _require_square, eig, fro, rel_scale
 
 __all__ = ["PTPair", "PTSystem", "Kind", "Classification", "validate_pt_pair", "is_pt_symmetric", "classify"]
 
@@ -98,9 +98,10 @@ def classify(h, pt: PTPair | None = None):
     A PT pair is optional: diagonalizability plus an all-real spectrum is a
     complete criterion for unbrokenness. If the spectrum is not closed under
     conjugation the matrix cannot be PT-symmetric at all. This is the
-    module's only eig of H. A stack h (b, n, n), with pt None or a pair or
-    None per member, gives b Classifications from one eig; H is checked for
-    finiteness before the symmetry test and eig.
+    package's only eig of H, which a supplied-metric dilation runs only to
+    read H's eigenframe or to name a refusal's cause. A stack h (b, n, n),
+    with pt None or a pair or None per member, gives b Classifications from
+    one eig; H is checked for finiteness before the symmetry test and eig.
     """
     h = _require_square(h, "classify", stack=True)
     hs, pts = (h, pt) if h.ndim == 3 else (h[None], None if pt is None else [pt])
@@ -116,6 +117,13 @@ def classify(h, pt: PTPair | None = None):
         frame = d.eigenvector_matrix[i] if kind in (Kind.UNBROKEN, Kind.BROKEN_DIAGONALIZABLE) else None
         out.append(Classification(kind, lam[i], frame, cond, norm))
     return out if h.ndim == 3 else out[0]
+
+
+def _require_unbroken(cs, who: str) -> list:
+    """The Classifications cs; NotUnbrokenError, naming ``who`` (and the member), at the first not UNBROKEN."""
+    for i, where in _failures([c.kind is Kind.UNBROKEN for c in cs], who):
+        raise errors.NotUnbrokenError(f"{where}: classification is {cs[i].kind.value}")
+    return cs
 
 
 def _conjugation_closed(spectrum) -> bool:

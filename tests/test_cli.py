@@ -219,6 +219,16 @@ class TestWithoutPair:
         assert capsys.readouterr().err.endswith("classification is NotPTSymmetric\n")
 
 
+class TestSuppliedMetric:
+    """A supplied eta builds without an eig of H, and ``ptsim dilate`` writes
+    nothing that reads H's eigenframe."""
+
+    def test_dilate_with_eta_makes_no_eig(self, h0_file, tmp_path, eig_calls):
+        eta = write_matrix(tmp_path / "eta.json", gunther_eta(np.pi / 6))
+        assert main(["dilate", h0_file, "--eta", eta, "--out", str(tmp_path / "o.json")]) == 0
+        assert eig_calls == []
+
+
 class TestSimulate:
     def make_config(self, tmp_path, **overrides):
         cfg = {

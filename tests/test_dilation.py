@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -8,6 +9,7 @@ from ptsim import (
     Kind,
     PTSystem,
     build_dilation,
+    classify,
     dilated_evolution,
     embedding_membership,
     errors,
@@ -15,6 +17,7 @@ from ptsim import (
     gunther_system,
     in_tau_subspace,
     matrix_exp,
+    reproduce_gunther_example,
     validate_pt_pair,
 )
 from ptsim.linalg import eigen_evolve, psd_power
@@ -165,6 +168,89 @@ class TestBuildDilation:
         assert np.linalg.norm(q[:, n:].conj().T @ graph) <= 1e-12 * np.linalg.norm(graph)
         for col in q[:, :n].T:
             assert in_tau_subspace(col, d.tau)
+
+
+def _count_eig(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: calls.append(1) or eig(*a, **k))
+    return calls
+
+
+class TestSuppliedMetric:
+    """A supplied eta that passes H's PT test, the metric equations,
+    lambda_min > 1 and a Hermitian R H R^{-1} makes H quasi-Hermitian, so the
+    build makes no eig of H. ``classify`` runs on a refusal, to name a broken
+    or defective H as the cause, and on the first read of ``classification``."""
+
+    @pytest.mark.parametrize("k, error", [(1, None), (2, None), (3, None),
+                                          (4, errors.EtaNotGreaterThanIError), (5, errors.EtaNotGreaterThanIError),
+                                          (6, errors.EtaNotGreaterThanIError), (7, errors.NotUnbrokenError),
+                                          (8, errors.NotUnbrokenError), (9, errors.NotUnbrokenError)])
+    def test_outcome_towards_the_exceptional_point(self, k, error):
+        # scripts/ep_probe.py --k-max 9: past k = 6 the supplied eta also fails
+        # lambda_min > 1, and the eigenvalue cluster is named as the cause
+        alpha = np.pi / 2 - 10.0**-k
+        if error is None:
+            assert max(reproduce_gunther_example(alpha).values()) <= 1e-6
+            return
+        with pytest.raises(error) as exc:
+            reproduce_gunther_example(alpha)
+        assert exc.value.exit_code == 4
+        if error is errors.NotUnbrokenError:
+            assert str(exc.value) == "build_dilation: classification is Defective"
+
+    @pytest.mark.parametrize("sys_", broken_corpus() + defective_corpus(),
+                             ids=[f"broken{i}" for i in range(5)] + [f"defective{i}" for i in range(5)])
+    def test_broken_or_defective_h_is_named(self, sys_):
+        # 2 I is positive, but no H here is quasi-Hermitian: classify names the kind
+        kind = classify(sys_.H, sys_.pt).kind
+        assert kind in (Kind.BROKEN_DIAGONALIZABLE, Kind.DEFECTIVE)
+        with pytest.raises(errors.NotUnbrokenError, match=f"^build_dilation: classification is {kind.value}$"):
+            build_dilation(sys_, eta=2.0 * np.eye(sys_.H.shape[0]))
+
+    @pytest.mark.parametrize("sys_", [defective_corpus()[0], gunther_system(0.5)], ids=["defective", "unbroken"])
+    def test_non_finite_eta_is_refused_before_any_eig(self, sys_, monkeypatch):
+        calls = _count_eig(monkeypatch)
+        with pytest.raises(errors.ParseError, match="^build_dilation: eta must be finite$") as exc:
+            build_dilation(sys_, eta=np.full((2, 2), np.nan))
+        assert exc.value.exit_code == 2 and calls == []
+
+    def test_no_eig_until_classification_is_read(self, monkeypatch):
+        calls = _count_eig(monkeypatch)
+        d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6), h1_choice="paper")
+        assert d.residuals and d.Hhat.shape == (4, 4) and len(d.hhat_eigh) == 2
+        assert calls == []
+        d.propagate(1.0, np.array([1.0, 0.0]))
+        assert d.classification is d.classification and calls == [1]
+
+    @pytest.mark.parametrize("i", range(len(unbroken_corpus())))
+    def test_read_classification_is_classify(self, i):
+        sys_ = unbroken_corpus()[i]
+        d = build_dilation(sys_, eta=build_dilation(sys_).eta)
+        c, ref = d.classification, classify(sys_.H, sys_.pt)
+        assert c.kind is ref.kind is Kind.UNBROKEN
+        assert np.array_equal(c.spectrum, ref.spectrum) and np.array_equal(c.eigenframe, ref.eigenframe)
+        assert c.condition_estimate == ref.condition_estimate and c.h_norm == ref.h_norm == d.h_norm
+        assert not c.spectrum.flags.writeable and not c.eigenframe.flags.writeable
+
+    def test_read_refuses_an_h_that_is_not_unbroken(self):
+        d = build_dilation(gunther_system(0.5), eta=gunther_eta(0.5))
+        bad = dataclasses.replace(d, H=defective_corpus()[0].H, pt=None)
+        with pytest.raises(errors.NotUnbrokenError, match="^Dilation.classification: classification is Defective$"):
+            bad.classification
+
+    def test_skew_in_the_r_frame_is_refused(self):
+        # eta = diag(1.5, 1e6) misses H^dag eta = eta H by 1.4e-2, inside its
+        # tolerance eq_tol ||H||_F ||eta||_F = 6.7e-2, but R H R^{-1} is then
+        # 1.2e-5 from Hermitian, against eq_tol ||H||_F = 6.7e-8; the Hhat such
+        # a build kept was 3e-8 from Hermitian. H itself is unbroken.
+        eye = np.eye(2, dtype=complex)
+        h = np.array([[1.0, (1e3 + 1e-2) / 1.5], [1e-3, 2.0]], dtype=complex)
+        sys_ = PTSystem(h, validate_pt_pair(eye, eye))
+        assert classify(sys_.H, sys_.pt).kind is Kind.UNBROKEN
+        with pytest.raises(errors.NotIntertwiningError, match=r"^build_dilation: R H R\^\{-1\} is not Hermitian$"):
+            build_dilation(sys_, eta=np.diag([1.5, 1e6]).astype(complex))
 
 
 BLOCKED_NS = (2, 8, 16, 64, 128)

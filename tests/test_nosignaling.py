@@ -222,10 +222,11 @@ class TestWholeSystem:
 class TestSweep:
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_lapack_calls_per_point(self, scheme, monkeypatch):
-        # a simulated point: classify's eig and the singular values of its
-        # frame (kappa, no cond), the eigh of eta - I and of R H R^{-1}, the
-        # complete QR of [I; tau] = Q1 R and the solve against R; no inverse
-        # of tau, and no SVD: K(t) reads the completions' contractions, not
+        # a simulated point: the eigh of eta - I and of R H R^{-1}, the
+        # complete QR of [I; tau] = Q1 R and the solve against R; no eig of H
+        # and no singular values of its frame (the supplied eta makes H
+        # quasi-Hermitian, and nothing reads its eigenframe), no inverse of
+        # tau, and no SVD: K(t) reads the completions' contractions, not
         # their unitaries
         counts = dict.fromkeys(("eig", "cond", "svdvals", "eigh", "qr", "inv", "solve", "svd"), 0)
         for name in counts:
@@ -234,7 +235,7 @@ class TestSweep:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert counts == {"eig": 1, "cond": 0, "svdvals": 1, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 0}
+        assert counts == {"eig": 0, "cond": 0, "svdvals": 0, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 0}
 
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_point_forms_no_hhat(self, scheme, monkeypatch):

@@ -200,13 +200,13 @@ class TestWorkedExample:
 
 class TestPaperChecks:
     def test_closed_forms_only(self, monkeypatch, tmp_path):
-        # the 12 worked examples factor their stack of H once (classify) and
-        # exponentiate nothing; the obstruction demo inverts no matrix
+        # the 12 worked examples, built on their supplied metrics, make no eig
+        # of H and exponentiate nothing; the obstruction demo inverts no matrix
         calls = _count_matrix_exp(monkeypatch)
         counts = TestReuse.count_linalg(monkeypatch, "eig", "inv")
         assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
         assert calls["matrix_exp"] == 0
-        assert counts["eig"] == 1
+        assert counts["eig"] == 0
         counts["inv"] = 0
         scalar_sum_obstruction_demo()
         assert counts["inv"] == 0
@@ -218,11 +218,12 @@ class TestPaperBatch:
     GRID = [(a, s, e0) for a in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
 
     def test_one_eig_and_one_qr(self, monkeypatch):
-        # counted as in test_ptcore.py::TestFactorizations
+        # counted as in test_ptcore.py::TestFactorizations: the supplied
+        # metrics leave no eig of H, and the one QR serves the whole stack
         counts = TestReuse.count_linalg(monkeypatch, "eig", "qr")
         build_dilation([gunther_system(a, s, e0) for a, s, e0 in self.GRID],
                        eta=[gunther_eta(a) for a, _, _ in self.GRID], h1_choice="paper")
-        assert counts == {"eig": 1, "qr": 1}
+        assert counts == {"eig": 0, "qr": 1}
 
     def test_one_stacked_hhat_assembly(self, monkeypatch, tmp_path):
         # the residuals of H1, H2, H4 and Hhat read one assembly of all 12
@@ -481,12 +482,20 @@ class TestReuse:
             assert counts == {"eigh": 2, "eigvalsh": 0}
 
     def test_supplied_eta_factorizations_at_n2(self, monkeypatch):
-        # the worked example's build: classify's eig, the eigh of eta - I and
-        # of R H R^{-1}, the complete QR of [I; tau] = Q1 R and the solve
-        # against R; tau is not inverted
+        # the worked example's build: the eigh of eta - I and of R H R^{-1},
+        # the complete QR of [I; tau] = Q1 R and the solve against R; no eig
+        # of H until its eigenframe is read, and tau is not inverted
         counts = self.count_linalg(monkeypatch, "eig", "eigh", "inv", "solve", "qr", "svd")
         build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6), h1_choice="paper")
-        assert counts == {"eig": 1, "eigh": 2, "inv": 0, "solve": 1, "qr": 1, "svd": 0}
+        assert counts == {"eig": 0, "eigh": 2, "inv": 0, "solve": 1, "qr": 1, "svd": 0}
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_supplied_eta_factorizations_at_large_n(self, m, monkeypatch):
+        # n = 64 and 128: the same factorizations as at n = 2, no eig of H
+        sys_, eta, _, _ = gunther_tensor(np.random.default_rng(900 + m), m)
+        counts = self.count_linalg(monkeypatch, "eig", "eigh", "qr", "solve")
+        build_dilation(sys_, eta=eta)
+        assert counts == {"eig": 0, "eigh": 2, "qr": 1, "solve": 1}
 
     def test_simulation_forms_nothing_else_of_hhat(self, monkeypatch):
         # a build and a run read only Hhat's factor on Y_tau: no tau^{-1}, no
