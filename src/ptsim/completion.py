@@ -90,22 +90,26 @@ def _completion(c: np.ndarray, frames: list, scales) -> list:
     return out
 
 
-def _contractions(actions) -> tuple:
+def _contractions(actions, who: str, zero, a_norm=None) -> tuple:
     """(C, scales) of the actions A_j (each k x k, or a stack of them) as one stack:
-    C_j = A_j/||A_j||_F and scale 1/||A_j||_F, with one norm each and one zero-map
-    verdict. A zero map of one member of a longer stack is named by its index, not by j."""
-    actions = np.array(actions, dtype=complex)
-    (a_norm,) = _norms(actions.reshape((-1,) + actions.shape[-2:]))
-    a_norm = a_norm.reshape(actions.shape[:-2])
-    for _, where in _failures((a_norm != 0.0).reshape(len(actions), -1).all(axis=0), "unitary_completion"):
-        raise errors.ZeroMapError(f"{where}: zero map; use zero_map_completion")
+    C_j = A_j/||A_j||_F and scale 1/||A_j||_F, with one norm each (a_norm, if
+    the caller's wider pass has formed them) and one zero-map verdict, which
+    names ``who``, the member of a longer stack by its index, and zero[j]."""
+    actions = np.asarray(actions, dtype=complex)
+    if a_norm is None:
+        (a_norm,) = _norms(actions.reshape((-1,) + actions.shape[-2:]))
+        a_norm = a_norm.reshape(actions.shape[:-2])
+    ok = (a_norm != 0.0).reshape(len(actions), -1)
+    for i, where in _failures(ok.all(axis=0), who):
+        raise errors.ZeroMapError(f"{where}: {zero[ok[:, i].argmin()]}")
     return actions / a_norm[..., None, None], 1.0 / a_norm
 
 
-def _completions(sides: list) -> list:
-    """``_completion`` of each side (A_j, frames[j]) at the ``_contractions`` of the A_j: one SVD."""
-    c, scales = _contractions([a for a, _ in sides])
-    return _completion(c, [f for _, f in sides], scales)
+def _completions(sides: list, who: str) -> list:
+    """``_completion`` of each side (A_j, frames[j], zero[j]) at the ``_contractions`` of the A_j: one SVD."""
+    actions, frames, zero = zip(*sides)
+    c, scales = _contractions(actions, who, zero)
+    return _completion(c, frames, scales)
 
 
 def unitary_completion(m: SubspaceMap) -> CompletionResult:
@@ -114,7 +118,8 @@ def unitary_completion(m: SubspaceMap) -> CompletionResult:
     Columns of A, scaled to unit total energy, give the N-components of the
     images; the deficit goes into N-perp.
     """
-    return _completions([(m.action, (_frame(m.m_basis), _frame(m.n_basis)))])[0]
+    frames = (_frame(m.m_basis), _frame(m.n_basis))
+    return _completions([(m.action, frames, "zero map; use zero_map_completion")], "unitary_completion")[0]
 
 
 def zero_map_completion(m: SubspaceMap) -> CompletionResult:

@@ -21,7 +21,7 @@ from . import errors
 from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _read_only, _require_finite, _require_square,
                      eigen_evolve, eigen_power, fro)
 from .metric import _check_metric_equations, positive_metric
-from .ptcore import Classification, PTPair, PTSystem, _pt_verdict, _require_unbroken, classify
+from .ptcore import Classification, PTPair, PTSystem, _pt_commutator, _require_unbroken, classify
 
 __all__ = [
     "Dilation",
@@ -42,16 +42,17 @@ class Dilation:
     read, which raises NotUnbrokenError unless H is UNBROKEN. ``h_norm`` =
     ||H||_F scales ``residuals``. eta - I = V diag(w) V^dag is kept as
     (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
-    factors, shifted, or one eigh of a supplied eta - I. [I; tau] = Q1 R
-    (R^dag R = eta), and ``ytau_q`` = [Q1 | Q2], the complete Q, holds
-    orthonormal bases of Y_tau (Q1, ``ytau_frame``) and Y_tau-perp, both
-    invariant under Hhat. Q1^dag Hhat Q1 = R H R^{-1} for every H1, the
-    equivalent Hermitian Hamiltonian (Mostafazadeh, J. Math. Phys. 43, 205
-    (2002)); the build keeps its eigh through Q1, ``ytau_eigh`` = (w_Y, Q1 V_Y),
-    w_Y being H's spectrum, and forms nothing else of Hhat. H1 (by ``h1_choice``;
-    ``h1_supplied`` holds a supplied one), H2, H4, Hhat, ``hhat_eigh`` =
-    (w, [Q1 V_Y | Q2 V_perp]) (w ascends within each half, not across them) and
-    ``residuals`` are formed on first read.
+    factors, shifted, or one eigh of a supplied eta - I. One reduced QR
+    gives [I; tau] = Q1 R, R = ``ytau_r`` (R^dag R = eta); ``ytau_q`` =
+    [Q1 | J Q1], J = [[0, -I], [I, 0]], holds orthonormal bases of Y_tau (Q1,
+    ``ytau_frame``) and Y_tau-perp, both invariant under Hhat. Q1^dag Hhat Q1
+    = R H R^{-1} for every H1, the equivalent Hermitian Hamiltonian
+    (Mostafazadeh, J. Math. Phys. 43, 205 (2002)), whose eigh (w_Y, V_Y),
+    w_Y being H's spectrum, the build keeps as ``ytau_v`` = V_Y and
+    ``ytau_eigh`` = (w_Y, Q1 V_Y); it forms nothing else of Hhat. H1 (by
+    ``h1_choice``; ``h1_supplied`` holds a supplied one), H2, H4, Hhat,
+    ``hhat_eigh`` = (w, [Q1 V_Y | Q2 V_perp]) (w ascends within each half,
+    not across them) and ``residuals`` are formed on first read.
     """
 
     H: np.ndarray
@@ -62,6 +63,8 @@ class Dilation:
     eta_minus_i_v: np.ndarray
     tau: np.ndarray
     ytau_q: np.ndarray
+    ytau_r: np.ndarray
+    ytau_v: np.ndarray
     ytau_eigh: tuple
     h1_choice: str
     h1_supplied: np.ndarray | None
@@ -81,10 +84,6 @@ class Dilation:
     @property
     def ytau_frame(self) -> np.ndarray:
         return self.ytau_q[:, :self.dim]
-
-    def eta_power(self, p: float) -> np.ndarray:
-        """eta^p = V diag((w + 1)^p) V^dag."""
-        return eigen_power(self.eta_minus_i_w + 1.0, self.eta_minus_i_v, p)
 
     @cached_property
     def eigenframe_inverse(self) -> np.ndarray:
@@ -173,9 +172,10 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     cs = [None] * b if supplied else _require_unbroken(classify(h, pts), "build_dilation")
 
     def failures(ok, who="build_dilation") -> list:  # with eta supplied, a broken or defective H is named first
-        if supplied and not all(ok):
+        found = _failures(ok, who)
+        if found and supplied:
             _require_unbroken(classify(h, pts), who)
-        return _failures(ok, who)
+        return found
 
     if not supplied:
         h_norm = np.array([c.h_norm for c in cs])
@@ -184,13 +184,13 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array([eta] if single else eta, dtype=complex)
-        symmetric, h_norm = _pt_verdict(_require_square(h, "build_dilation", stack=True), pts)
-        _check_metric_equations(h, eta, "build_dilation", np.maximum(1.0, h_norm), failures)
-        for _, where in failures(symmetric):
+        # H's PT test joins the metric equations' norm pass, and is judged after them
+        commutator = _pt_commutator(_require_square(h, "build_dilation", stack=True), pts)
+        h_norm, commutator = _check_metric_equations(h, eta, "build_dilation", failures, commutator)
+        for _, where in failures(commutator <= TOL.eq_tol * np.maximum(1.0, h_norm)):
             raise errors.NotUnbrokenError(f"{where}: classification is NotPTSymmetric")
         # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
-        shifted = eta - eye
-        w, v = np.linalg.eigh(0.5 * (shifted + shifted.conj().mT))
+        w, v = np.linalg.eigh(0.5 * (eta + eta.conj().mT) - eye)
         for i, where in failures(w[:, 0] > 0.0):
             raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w[i, 0]:.6g} <= 1")
 
@@ -198,19 +198,20 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
 
     tau = eigen_power(w, v, 0.5)
-    i_tau = np.zeros((b, 2 * n, n), dtype=complex)
+    i_tau = np.empty((b, 2 * n, n), dtype=complex)
     i_tau[:, :n], i_tau[:, n:] = eye, tau
-    ytau_q, r = np.linalg.qr(i_tau, mode="complete")
-    r = r[:, :n]
+    q1, r = np.linalg.qr(i_tau)  # reduced: [I; tau] = Q1 R
+    # Q2 = J Q1, J = [[0, -I], [I, 0]]: J (x; tau x) = (-tau x; x) is orthogonal to Y_tau, as tau is Hermitian
+    ytau_q = np.concatenate([q1, np.concatenate([-q1[:, n:], q1[:, :n]], axis=1)], axis=2)
     hy = np.linalg.solve(r.mT, (r @ h).mT).mT  # R H R^{-1}: a solve is more accurate than R H Q1[:n]
     if supplied:  # H is quasi-Hermitian once R H R^{-1} is Hermitian: H^dag eta = eta H in the R frame
         for _, where in failures(_norms(hy - hy.conj().mT)[0] <= TOL.eq_tol * np.maximum(1.0, h_norm)):
             raise errors.NotIntertwiningError(f"{where}: R H R^{{-1}} is not Hermitian")
     wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
-    vy = ytau_q[:, :, :n] @ vy
-    _read_only(h, eta, w, v, tau, ytau_q, wy, vy)
-    out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], (wy[i], vy[i]),
-                    h1_choice, None if h1 is None else h1[i], c) for i, c in enumerate(cs)]
+    q1vy = q1 @ vy
+    _read_only(h, eta, w, v, tau, ytau_q, r, vy, wy, q1vy)
+    out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], vy[i],
+                    (wy[i], q1vy[i]), h1_choice, None if h1 is None else h1[i], c) for i, c in enumerate(cs)]
     return out[0] if single else out
 
 

@@ -179,7 +179,8 @@ def psd_power(a, p: float) -> np.ndarray:
     """A^p for Hermitian PSD A via a single eigenframe.
 
     Using one eigh call per matrix keeps powers mutually consistent, e.g.
-    psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding. Eigenvalues in
+    psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding, and a column
+    (k, 1) of powers gives the stack of them from that one eigh. Eigenvalues in
     [-psd_tol, 0) are clamped to zero; anything below the window is rejected.
     """
     a = _require_square(a, "psd_power")
@@ -189,7 +190,7 @@ def psd_power(a, p: float) -> np.ndarray:
     if np.min(w) < -DEFAULT_TOL.psd_tol:
         raise errors.NotPSDError(f"psd_power: eigenvalue {np.min(w):.3e} below -psd_tol")
     w = np.clip(w, 0.0, None)
-    if p < 0 and np.min(w) == 0.0:
+    if np.min(p) < 0 and np.min(w) == 0.0:
         raise errors.NotPositiveDefiniteError("psd_power: negative power of a singular matrix")
     return eigen_power(w, v, p)
 

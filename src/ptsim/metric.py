@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro, rel_scale
+from .linalg import DEFAULT_TOL as TOL, _failures, _norms, _require_finite, eigen_power, fro
 from .ptcore import Classification, PTSystem, _require_unbroken, classify
 
 __all__ = ["MetricOperator", "positive_metric", "verify_metric", "scalar_sum_metric_2d", "scalar_sum_obstruction_demo",
@@ -59,31 +59,33 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
 
 
-def _check_metric_equations(h, eta, who: str, h_scale, failures=_failures) -> None:
+def _check_metric_equations(h, eta, who: str, failures=_failures, *more) -> list:
     """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
     naming the caller ``who``, for each member of the stacks h and eta
-    (b, n, n); h_scale is max(1, ||H||_F) per member, which the caller has
-    already formed; a caller's ``failures`` may name a deeper cause before the
-    last two. Positivity is left to the caller, which factors eta once:
-    ``verify_metric`` by eigvalsh, ``build_dilation`` by the eigh of eta - I.
+    (b, n, n); a caller's ``failures`` may name a deeper cause before the last
+    two. Returns ||H||_F per member and the norms of the stacks ``more``, all
+    from the equations' one ``_norms`` pass. Positivity is left to the
+    caller, which factors eta once: ``verify_metric`` by eigvalsh,
+    ``build_dilation`` by the eigh of eta - I.
     """
     if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
     for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):  # H is the caller's to check
         raise errors.ParseError(f"{where}: eta must be finite")
-    eta_norm, skew, intertwining = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h)
+    eta_norm, skew, intertwining, *norms = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h, h, *more)
     eta_scale = np.maximum(1.0, eta_norm)
     for _, where in failures(skew <= TOL.eq_tol * eta_scale, who):
         raise errors.NotHermitianError(f"{where}: eta is not Hermitian")
-    for _, where in failures(intertwining <= TOL.eq_tol * h_scale * eta_scale, who):
+    for _, where in failures(intertwining <= TOL.eq_tol * np.maximum(1.0, norms[0]) * eta_scale, who):
         raise errors.NotIntertwiningError(f"{where}: H^dag eta != eta H")
+    return norms
 
 
 def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     _require_finite("verify_metric", H=h)
-    _check_metric_equations(h[None], eta[None], "verify_metric", rel_scale(h))
+    _check_metric_equations(h[None], eta[None], "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import errors
 from .dilation import build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _failures, _norms, _require_finite, eigen_evolve
+from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _failures, _require_finite, eigen_evolve
 from .pipeline import (gunther_eta, gunther_propagator, gunther_system, preparation_completion,
                        resolve_rho, scheme_stages)
 
@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _Y_BASIS = np.array([[1.0, 1.0], [1j, -1j]], dtype=complex) / np.sqrt(2.0)  # columns |+y>, |-y>
+_Y_DAG, _Y_CONJ = _Y_BASIS.conj().T, _Y_BASIS.conj()
 _ALICE_UNITARIES = (np.eye(2, dtype=complex), SIGMA_X)
 _ALICE_STATES = np.array(_ALICE_UNITARIES) @ (np.eye(2, dtype=complex) / np.sqrt(2.0))  # u_a x I on the Bell state
 
@@ -66,7 +67,7 @@ def bell_plus_x_state() -> np.ndarray:
 
 def _measure_joint(state: np.ndarray) -> np.ndarray:
     """2x2 table of |<a b|state>|^2 over a, b in {+y, -y} for an (Alice, Bob) block."""
-    return np.abs(_Y_BASIS.conj().T @ state @ _Y_BASIS.conj()) ** 2
+    return np.abs(_Y_DAG @ state @ _Y_CONJ) ** 2
 
 
 def _paper_dilation(cfg):
@@ -96,15 +97,14 @@ def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
         channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
     else:
         channel = stages.kraus(cfg.t)
-    finals = channel @ _ALICE_STATES
-    (nrm,) = _norms(finals)
-    p_success = nrm**2 if stages is not None else np.ones(2)  # stays 1 in direct mode
-    for k, _ in _failures((nrm > TOL.branch_tol) & (p_success > TOL.psd_tol), "run_experiment"):
+    weights = _measure_joint(channel @ _ALICE_STATES)  # [k, a, b], unnormalized
+    norm_sq = weights.sum(axis=(1, 2))  # ||final_k||^2, as the y basis is orthonormal
+    p_success = norm_sq if stages is not None else np.ones(2)  # stays 1 in direct mode
+    for k, _ in _failures((np.sqrt(norm_sq) > TOL.branch_tol) & (p_success > TOL.psd_tol), "run_experiment"):
         raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
-    table = _measure_joint(finals / nrm[:, None, None])
+    table = weights / norm_sq[:, None, None]
     bob = table.sum(axis=1)  # [k, b]
-    delta_s = float(abs(bob[0, 0] - bob[1, 0]))
-    return JointStats(table, bob, delta_s, p_success)
+    return JointStats(table, bob, float(abs(bob[0, 0] - bob[1, 0])), p_success)
 
 
 def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:

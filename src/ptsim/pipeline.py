@@ -16,7 +16,8 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, _completion, _completions, _contractions, post_select
 from .dilation import Dilation, _hhat_blocks, build_dilation
-from .linalg import DEFAULT_TOL as TOL, SIGMA_X, _norms, _read_only, _require_finite, eigen_evolve, fro, psd_power
+from .linalg import (DEFAULT_TOL as TOL, SIGMA_X, _norms, _read_only, _require_finite, eigen_evolve, eigen_power,
+                     psd_power)
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -39,17 +40,18 @@ __all__ = [
 def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
     """(rho, rho') of a scheme: identity | metric_sandwich | custom.
 
-    eta is a metric, or a Dilation, whose factors of eta - I give its powers.
+    eta is a metric, or a Dilation, whose factors of eta - I give its powers;
+    metric_sandwich forms both as one stack.
     """
-    if isinstance(eta, Dilation):
-        n, eta_power = eta.dim, eta.eta_power
-    else:
-        n, eta_power = eta.shape[0], lambda p: psd_power(eta, p)
+    dilated = isinstance(eta, Dilation)
+    n = eta.dim if dilated else eta.shape[0]
     if scheme == "identity":
         eye = np.eye(n, dtype=complex)
         return eye, eye
     if scheme == "metric_sandwich":
-        return eta_power(-0.5), eta_power(0.5)
+        p = np.array([[-0.5], [0.5]])
+        powers = eigen_power(eta.eta_minus_i_w + 1.0, eta.eta_minus_i_v, p) if dilated else psd_power(eta, p)
+        return powers[0], powers[1]
     if scheme == "custom":
         if rho is None or rho_prime is None:
             raise errors.ParseError("custom scheme requires rho and rho_prime")
@@ -132,6 +134,7 @@ class SchemeStages:
         are a spectator factor (Bob); the squared (Frobenius) norm of the
         result is the success probability of a unit psi.
         """
+        _require_finite("SchemeStages.kraus", t=t)
         return (self.kraus_left * np.exp(-1j * t * self.ytau_eigh[0])) @ self.kraus_right
 
 
@@ -146,22 +149,24 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
 
     P_prep = Q1 Q1^dag, with Q1 = ``d.ytau_frame``, is an orthogonal
     projection exactly when Q1 has orthonormal columns; that is checked here,
-    once, so the Kraus factors need no per-call projector test. Only the
-    custom scheme takes rho and rho'; a built-in one refuses them before its
-    cached stages are read.
+    once, in the actions' norm pass, so no run needs a projector test. Only
+    the custom scheme takes rho and rho'; a built-in one refuses them before
+    its cached stages are read.
     """
     if scheme != "custom" and (rho is not None or rho_prime is not None):
         raise errors.ParseError(f"scheme {scheme!r} takes no rho or rho_prime; use scheme 'custom'")
     if scheme in d.stage_cache:
         return d.stage_cache[scheme]
     n, q1 = d.dim, d.ytau_frame
-    if fro(q1.conj().T @ q1 - np.eye(n)) > TOL.eq_tol * max(1.0, np.sqrt(n)):
-        raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
-    actions, frames = zip(*_stage_sides(d, r, r_prime))
-    c, scales = _contractions(actions)
-    vy = q1.conj().T @ d.ytau_eigh[1]  # V_Y, as Q1 V_Y seen in the basis Q1
-    kraus_right, kraus_left = vy.conj().T @ c[0], c[1] @ vy
+    actions, frames, zero = zip(*_stage_sides(d, r, r_prime))
+    # one norm pass: both actions and the frame's distance from orthonormal
+    stack = np.array([*actions, q1.conj().T @ q1 - np.eye(n)])
+    (norms,) = _norms(stack)
+    if norms[2] > TOL.eq_tol * max(1.0, np.sqrt(n)):
+        raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
+    c, scales = _contractions(stack[:2], "scheme_stages", zero, norms[:2])
+    kraus_right, kraus_left = d.ytau_v.conj().T @ c[0], c[1] @ d.ytau_v
     st = SchemeStages(r, r_prime, c, scales, frames, d.ytau_eigh, kraus_left, kraus_right)
     if scheme != "custom":
         _read_only(r, r_prime, c, scales, kraus_left, kraus_right)
@@ -195,32 +200,31 @@ class SimulationTrace:
 
 
 def _stage_sides(d, rho=None, rho_prime=None) -> list:
-    """The sides (action, frames) of ``completion._completions`` for (phi; 0) ->
-    (rho phi; tau rho phi) and (phi; tau phi) -> (rho' phi; 0), for the factors
-    given, on the coordinate frame I (None, so never formed) and the complete Q
-    of [I; tau]. A sequence of same-order dilations gives stacked fields."""
-    q, tau = (d.ytau_q, d.tau) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
-                                                                np.array([x.tau for x in d]))
-    n, sides = tau.shape[-1], []
+    """The sides (action, frames, zero-map text) of ``completion._completions``
+    for (phi; 0) -> (rho phi; tau rho phi) and (phi; tau phi) -> (rho' phi; 0),
+    on the coordinate frame I (None, so never formed) and ``ytau_q``. In the
+    basis Q1 of [I; tau] = Q1 R the actions are R rho = Q1^dag (rho; tau rho)
+    and rho' Q1_top = rho' R^{-1}. Dilations in a sequence give stacks."""
+    q, r = (d.ytau_q, d.ytau_r) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
+                                                                 np.array([x.ytau_r for x in d]))
+    n, sides = r.shape[-1], []
     if rho is not None:
-        image = np.empty(tau.shape[:-2] + (2 * n, n), dtype=complex)  # (rho; tau rho)
-        image[..., :n, :], image[..., n:, :] = rho, tau @ rho
-        sides.append((q[..., :n].conj().mT @ image, (None, q)))
+        sides.append((r @ rho, (None, q), "the preparation stage is a zero map (rho = 0)"))
     if rho_prime is not None:
-        sides.append((rho_prime @ q[..., :n, :n], (q, None)))
+        sides.append((rho_prime @ q[..., :n, :n], (q, None), "the extraction stage is a zero map (rho' = 0)"))
     return sides
 
 
 def preparation_completion(d, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi), of a
     dilation or of each of a sequence of them (``_stage_sides``)."""
-    return _completions(_stage_sides(d, rho=rho))[0]
+    return _completions(_stage_sides(d, rho=rho), "preparation_completion")[0]
 
 
 def extraction_completion(d: Dilation, rho_prime) -> CompletionResult:
     """Completion for the induced map (phi; tau phi) -> (rho' phi; 0), on the
     frames of ``preparation_completion`` in reverse (``_stage_sides``)."""
-    return _completions(_stage_sides(d, rho_prime=rho_prime))[0]
+    return _completions(_stage_sides(d, rho_prime=rho_prime), "extraction_completion")[0]
 
 
 def run_simulation(cfg: SimulationConfig) -> SimulationTrace:
@@ -270,6 +274,8 @@ def sample_successes(trace: SimulationTrace, samples: int, seed: int) -> dict:
 def _matrix(*rows) -> np.ndarray:
     """The complex matrix with these rows of entries; array entries broadcast to
     a stack (..., r, c). So the family's closed forms below take arrays too."""
+    if all(isinstance(e, (int, float, complex)) for row in rows for e in row):  # numbers: one matrix
+        return np.array(rows, dtype=complex)
     out = np.empty(np.broadcast(*(e for row in rows for e in row)).shape + (len(rows), len(rows[0])), dtype=complex)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):

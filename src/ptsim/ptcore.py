@@ -80,15 +80,20 @@ def is_pt_symmetric(h, pt: PTPair) -> bool:
     return _pt_verdict(h, pt)[0] if h.ndim == 3 else bool(_pt_verdict(h[None], [pt])[0][0])
 
 
-def _pt_verdict(hs, pts) -> tuple:
-    """``is_pt_symmetric`` of a stack hs with a pair or None each (pts None: no
-    pairs), and ||H||_F per member. A member without a pair is tested against
-    PT = 0, which every H commutes with, so its spectrum alone decides."""
-    zero = np.zeros(hs.shape[1:], dtype=complex)
-    m = np.array([zero if p is None else p.PT for p in ([None] * len(hs) if pts is None else pts)])
+def _pt_commutator(hs, pts) -> np.ndarray:
+    """H PT - PT conj(H) per member of a stack hs with a pair or None each
+    (pts None: no pairs). A member without a pair is tested against PT = 0,
+    which every H commutes with, so its spectrum alone decides."""
+    m = np.array([np.zeros(hs.shape[1:], dtype=complex) if p is None else p.PT
+                  for p in ([None] * len(hs) if pts is None else pts)])
     if hs.shape[-2] != hs.shape[-1] or m.shape != hs.shape:
         raise errors.DimensionMismatchError("is_pt_symmetric: order mismatch")
-    commutator, h_norm = _norms(hs @ m - m @ hs.conj(), hs)
+    return hs @ m - m @ hs.conj()
+
+
+def _pt_verdict(hs, pts) -> tuple:
+    """``is_pt_symmetric`` of a stack hs with a pair or None each, and ||H||_F per member."""
+    commutator, h_norm = _norms(_pt_commutator(hs, pts), hs)
     return commutator <= TOL.eq_tol * np.maximum(1.0, h_norm), h_norm
 
 

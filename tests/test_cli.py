@@ -298,6 +298,12 @@ class TestSimulate:
                                 rho_prime=io.matrix_to_obj(np.eye(2)))
         assert main(["simulate", cfgp]) == 3
 
+    def test_zero_custom_rho_is_4_and_names_the_stage(self, tmp_path, capsys):
+        cfgp = self.make_config(tmp_path, scheme="custom", rho=io.matrix_to_obj(np.zeros((2, 2))),
+                                rho_prime=io.matrix_to_obj(np.eye(2)))
+        assert main(["simulate", cfgp]) == 4
+        assert capsys.readouterr().err == "error: scheme_stages: the preparation stage is a zero map (rho = 0)\n"
+
     @pytest.mark.parametrize("field", ["rho", "rho_prime"])
     def test_rho_with_a_built_in_scheme_is_2(self, field, tmp_path, capsys):
         # the identity scheme would ignore the matrix; it refuses it instead

@@ -21,6 +21,7 @@ from ptsim import (
     validate_pt_pair,
 )
 from ptsim.linalg import eigen_evolve, psd_power
+from ptsim.pipeline import _stage_sides, scheme_stages
 
 from corpus import broken_corpus, defective_corpus, random_broken, random_unbroken, unbroken_corpus
 
@@ -240,6 +241,21 @@ class TestSuppliedMetric:
         with pytest.raises(errors.NotUnbrokenError, match="^Dilation.classification: classification is Defective$"):
             bad.classification
 
+    @pytest.mark.parametrize("eta, error, text", [
+        ([[3, 1], [0, 3]], errors.NotHermitianError, "eta is not Hermitian"),
+        (np.diag([3, 4]), errors.NotIntertwiningError, "H^dag eta != eta H"),
+        (np.diag([0.5, 0.7]), errors.NotIntertwiningError, "H^dag eta != eta H"),
+        (np.diag([1 + 1e-30, 4]), errors.NotIntertwiningError, "H^dag eta != eta H"),
+        (0.1 * gunther_eta(np.pi / 6), errors.EtaNotGreaterThanIError, "lambda_min(eta) = 0.133333 <= 1"),
+    ], ids=["not_hermitian", "diag_3_4", "diag_below_1", "diag_at_1", "scaled_below_1"])
+    def test_refusal_order(self, eta, error, text):
+        # the first eta fails the Hermitian and intertwining tests, the next
+        # three the intertwining test and, but for diag(3, 4), lambda_min > 1;
+        # the first failing test in the build's order is the one named
+        with pytest.raises(error) as exc:
+            build_dilation(gunther_system(np.pi / 6), eta=np.asarray(eta, dtype=complex))
+        assert str(exc.value) == f"build_dilation: {text}" and exc.value.exit_code == 4
+
     def test_skew_in_the_r_frame_is_refused(self):
         # eta = diag(1.5, 1e6) misses H^dag eta = eta H by 1.4e-2, inside its
         # tolerance eq_tol ||H||_F ||eta||_F = 6.7e-2, but R H R^{-1} is then
@@ -307,17 +323,11 @@ class TestYtauFactor:
 
     EPS = np.finfo(float).eps
 
-    @staticmethod
-    def graph_factor(d) -> tuple:
-        """[I; tau] and R = Q1^dag [I; tau], formed from the kept frame Q1."""
-        graph = np.vstack([np.eye(d.dim), d.tau])
-        return graph, d.ytau_frame.conj().T @ graph
-
     @pytest.mark.parametrize("i", range(len(BLOCKED_IDS)), ids=BLOCKED_IDS)
     def test_r_factors_the_graph_and_the_metric(self, i):
         d = _blocked_cases()[i]
-        n, q1 = d.dim, d.ytau_frame
-        graph, r = self.graph_factor(d)
+        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
+        graph = np.vstack([np.eye(n), d.tau])
         assert np.linalg.norm(np.tril(r, -1)) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(graph)
         assert np.linalg.norm(q1 @ r - graph) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(graph)
         assert np.linalg.norm(r.conj().T @ r - d.eta) <= 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.eta)
@@ -326,7 +336,7 @@ class TestYtauFactor:
     def test_q1_hhat_q1_is_r_h_r_inverse(self, i):
         # the dense Hhat in the frame Q1, against a product with an explicit R^{-1}
         d = _blocked_cases()[i]
-        n, q1, r = d.dim, d.ytau_frame, self.graph_factor(d)[1]
+        n, q1, r = d.dim, d.ytau_frame, d.ytau_r
         equivalent = r @ d.H @ np.linalg.inv(r)
         bound = 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.H)
         assert np.linalg.norm(q1.conj().T @ d.Hhat @ q1 - equivalent) <= bound
@@ -340,9 +350,69 @@ class TestYtauFactor:
         assert np.linalg.norm(d.Hhat @ v_y - v_y * w_y) <= 8 * np.sqrt(d.dim) * self.EPS * np.linalg.norm(d.Hhat)
 
 
+class TestKeptFactors:
+    """The build keeps R of [I; tau] = Q1 R and V_Y, and completes Q1 to
+    [Q1 | J Q1]; the stage actions read R. Bounds are multiples of eps."""
+
+    EPS = np.finfo(float).eps
+    NS = (2, 3, 5, 8, 16, 32, 64, 128)
+
+    @staticmethod
+    @functools.cache
+    def dilation(n, supplied):
+        """A canonical dilation of order n, or the one of 2 eta, a supplied metric."""
+        sys_ = random_unbroken(np.random.default_rng(700 + n), n)
+        d = build_dilation(sys_)
+        return build_dilation(sys_, eta=2.0 * d.eta) if supplied else d
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
+    @pytest.mark.parametrize("n", NS)
+    def test_r_factors_the_metric_and_the_graph(self, n, supplied):
+        d = self.dilation(n, supplied)
+        r, bound = d.ytau_r, 8 * np.sqrt(n) * self.EPS * max(1.0, np.linalg.norm(d.eta))
+        assert np.linalg.norm(r.conj().T @ r - d.eta) <= bound
+        assert np.linalg.norm(d.ytau_frame @ r - np.vstack([np.eye(n), d.tau])) <= bound
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
+    @pytest.mark.parametrize("n", NS)
+    def test_j_q1_completes_q1_to_a_unitary(self, n, supplied):
+        d = self.dilation(n, supplied)
+        q, q1 = d.ytau_q, d.ytau_frame
+        assert np.array_equal(q[:, n:], np.vstack([-q1[n:], q1[:n]]))  # Q2 = J Q1
+        assert np.linalg.norm(q.conj().T @ q - np.eye(2 * n)) <= 8 * n * self.EPS
+        # Y_tau-perp, the span of Q2, is invariant under Hhat
+        bound = 8 * np.sqrt(n) * self.EPS * np.linalg.norm(d.Hhat)
+        assert np.linalg.norm(q[:, n:].conj().T @ d.Hhat @ q1) <= bound
+
+    @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
+    @pytest.mark.parametrize("n", NS)
+    def test_v_y_is_the_kept_eigenframe_in_y_tau_coordinates(self, n, supplied):
+        d = self.dilation(n, supplied)
+        w_y, q1v_y = d.ytau_eigh
+        assert np.array_equal(q1v_y, d.ytau_frame @ d.ytau_v)
+        # eigenpairs of R H R^{-1}, whose norm is at most kappa(eta)^{1/2} ||H||
+        hy, bound = d.ytau_r @ d.H @ np.linalg.inv(d.ytau_r), 8 * n * self.EPS * np.linalg.cond(d.eta)
+        assert np.linalg.norm(hy @ d.ytau_v - d.ytau_v * w_y) <= bound * np.linalg.norm(d.H)
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich", "custom"])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
+    @pytest.mark.parametrize("n", NS)
+    def test_stage_actions_read_r(self, n, supplied, scheme):
+        # R rho and rho' Q1_top against the actions in the basis Q1, Q1^dag (rho; tau rho)
+        d, rng = self.dilation(n, supplied), np.random.default_rng(800 + n)
+        factors = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2)]
+        st = scheme_stages(d, scheme, *(factors if scheme == "custom" else ()))
+        q1, kappa = d.ytau_frame, np.linalg.cond(d.eta)
+        for (action, _, _), expected in zip(_stage_sides(d, st.rho, st.rho_prime), (
+                q1.conj().T @ np.vstack([st.rho, d.tau @ st.rho]), st.rho_prime @ q1[:n])):
+            bound = 8 * np.sqrt(n) * kappa * self.EPS * np.linalg.norm(expected)
+            assert np.linalg.norm(action - expected) <= bound
+
+
 def assert_same_dilation(a, b):
     """Every array field, the classification and the residuals, bit for bit."""
-    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "H1", "H2", "H4", "Hhat"):
+    for field in ("H", "eta", "eta_minus_i_w", "eta_minus_i_v", "tau", "ytau_q", "ytau_r", "ytau_v",
+                  "H1", "H2", "H4", "Hhat"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     for pair in ("ytau_eigh", "hhat_eigh"):
         assert all(np.array_equal(x, y) for x, y in zip(getattr(a, pair), getattr(b, pair), strict=True)), pair

@@ -378,15 +378,18 @@ class TestRunSimulation:
     @pytest.mark.parametrize("zero", ["rho", "rho_prime"])
     def test_zero_stage_action_keeps_the_single_system_text(self, zero):
         # the two completions are one stack of two, but a zero action is still
-        # one system's error, with no member index
+        # one system's error, with no member index; it names its caller and stage
         d = build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6))
         factors = {"rho": np.eye(2, dtype=complex), "rho_prime": np.eye(2, dtype=complex), zero: np.zeros((2, 2))}
-        text = "^unitary_completion: zero map; use zero_map_completion$"
-        with pytest.raises(errors.ZeroMapError, match=text):
+        text = {"rho": "the preparation stage is a zero map (rho = 0)",
+                "rho_prime": "the extraction stage is a zero map (rho' = 0)"}[zero]
+        with pytest.raises(errors.ZeroMapError) as exc:
             scheme_stages(d, "custom", **factors)
+        assert str(exc.value) == f"scheme_stages: {text}"
         build = preparation_completion if zero == "rho" else extraction_completion
-        with pytest.raises(errors.ZeroMapError, match=text):
+        with pytest.raises(errors.ZeroMapError) as exc:
             build(d, factors[zero])
+        assert str(exc.value) == f"{build.__name__}: {text}"
 
 
 class TestReuse:
@@ -564,8 +567,8 @@ class TestReuse:
         d = build_dilation(random_unbroken(np.random.default_rng(59), n))
         st = scheme_stages(d, "metric_sandwich")
         eye = np.eye(2 * n, dtype=complex)
-        (prep,) = _completions([(d.ytau_frame.conj().T @ np.vstack([st.rho, d.tau @ st.rho]), (eye, d.ytau_q))])
-        (extr,) = _completions([(st.rho_prime @ d.ytau_frame[:n, :], (d.ytau_q, eye))])
+        (prep,) = _completions([(d.ytau_r @ st.rho, (eye, d.ytau_q), "")], "")
+        (extr,) = _completions([(st.rho_prime @ d.ytau_frame[:n, :], (d.ytau_q, eye), "")], "")
         for got, expected in zip(_stage_completions(d, st), (prep, extr)):
             assert np.array_equal(got.U, expected.U)
             assert np.array_equal(got.P_N, expected.P_N)
@@ -927,6 +930,13 @@ class TestInstrument:
         for a in (st.kraus_left, st.kraus_right):
             with pytest.raises(ValueError):
                 a[0, 0] = 0.0
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_kraus_refuses_a_non_finite_t(self, t):
+        st = scheme_stages(_instrument_case(4)[1], "identity")
+        with pytest.raises(errors.ParseError, match="^SchemeStages.kraus: t must be finite$") as exc:
+            st.kraus(t)
+        assert exc.value.exit_code == 2
 
     def test_non_orthonormal_frame_is_refused_at_stage_build(self):
         # Q1 Q1^dag is a projection only for orthonormal Q1; the Kraus route
