@@ -99,9 +99,10 @@ def _contractions(actions, who: str, zero, a_norm=None) -> tuple:
     if a_norm is None:
         (a_norm,) = _norms(actions.reshape((-1,) + actions.shape[-2:]))
         a_norm = a_norm.reshape(actions.shape[:-2])
-    ok = (a_norm != 0.0).reshape(len(actions), -1)
-    for i, where in _failures(ok.all(axis=0), who):
-        raise errors.ZeroMapError(f"{where}: {zero[ok[:, i].argmin()]}")
+    if not a_norm.all():  # a zero norm: name the first member with one, and its side
+        ok = (a_norm != 0.0).reshape(len(actions), -1)
+        for i, where in _failures(ok.all(axis=0), who):
+            raise errors.ZeroMapError(f"{where}: {zero[ok[:, i].argmin()]}")
     return actions / a_norm[..., None, None], 1.0 / a_norm
 
 

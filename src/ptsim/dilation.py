@@ -18,9 +18,9 @@ from numbers import Real
 import numpy as np
 
 from . import errors
-from .linalg import (DEFAULT_TOL as TOL, _failures, _norms, _read_only, _require_finite, _require_square,
-                     eigen_evolve, eigen_power, fro)
-from .metric import _check_metric_equations, positive_metric
+from .linalg import (DEFAULT_TOL as TOL, _failures, _identity, _norms, _read_only, _require_finite,
+                     _require_square, eigen_evolve, eigen_power, fro)
+from .metric import _metric_verdicts, _refuse_metric, positive_metric
 from .ptcore import Classification, PTPair, PTSystem, _pt_commutator, _require_unbroken, classify
 
 __all__ = [
@@ -168,15 +168,8 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         raise errors.ParseError(f"build_dilation: an H1 matrix needs h1_choice 'supplied', not {h1_choice!r}")
     elif h1_choice not in ("zero", "paper"):
         raise errors.ParseError(f"build_dilation: unknown h1_choice {h1_choice!r}")
-    pts, eye, supplied = [m.pt for m in systems], np.eye(n), eta is not None
+    pts, eye, supplied = [m.pt for m in systems], _identity(n), eta is not None
     cs = [None] * b if supplied else _require_unbroken(classify(h, pts), "build_dilation")
-
-    def failures(ok, who="build_dilation") -> list:  # with eta supplied, a broken or defective H is named first
-        found = _failures(ok, who)
-        if found and supplied:
-            _require_unbroken(classify(h, pts), who)
-        return found
-
     if not supplied:
         h_norm = np.array([c.h_norm for c in cs])
         base = positive_metric(systems, cs)
@@ -184,30 +177,39 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array([eta] if single else eta, dtype=complex)
-        # H's PT test joins the metric equations' norm pass, and is judged after them
+        # H's PT test joins the metric equations' norm pass; one eigh of eta - I tests lambda_min(eta) > 1
         commutator = _pt_commutator(_require_square(h, "build_dilation", stack=True), pts)
-        h_norm, commutator = _check_metric_equations(h, eta, "build_dilation", failures, commutator)
-        for _, where in failures(commutator <= TOL.eq_tol * np.maximum(1.0, h_norm)):
-            raise errors.NotUnbrokenError(f"{where}: classification is NotPTSymmetric")
-        # one eigh of eta - I both tests lambda_min(eta) > 1 and factors tau
+        (hermitian, intertwining), h_norm, (commutator,) = _metric_verdicts(h, eta, "build_dilation", commutator)
         w, v = np.linalg.eigh(0.5 * (eta + eta.conj().mT) - eye)
-        for i, where in failures(w[:, 0] > 0.0):
-            raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w[i, 0]:.6g} <= 1")
 
-    for _, where in failures(np.sqrt(w[:, 0]) > TOL.psd_tol):
-        raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
-
+    # every verdict waits for the factors, to be judged in one pass, so tau is factored at w clamped to 0
+    w_min, w = w[:, 0], np.maximum(w, 0.0)
     tau = eigen_power(w, v, 0.5)
     i_tau = np.empty((b, 2 * n, n), dtype=complex)
     i_tau[:, :n], i_tau[:, n:] = eye, tau
     q1, r = np.linalg.qr(i_tau)  # reduced: [I; tau] = Q1 R
     # Q2 = J Q1, J = [[0, -I], [I, 0]]: J (x; tau x) = (-tau x; x) is orthogonal to Y_tau, as tau is Hermitian
     ytau_q = np.concatenate([q1, np.concatenate([-q1[:, n:], q1[:, :n]], axis=1)], axis=2)
-    hy = np.linalg.solve(r.mT, (r @ h).mT).mT  # R H R^{-1}: a solve is more accurate than R H Q1[:n]
+    # R H R^{-1} = R H Q1_top, with sqrt(lambda_min(eta)) times a solve's error: Q1_top is R^{-1} to eps absolute
+    hy = r @ h @ q1[:, :n] if max(w_min.tolist()) <= 63.0 else np.linalg.solve(r.mT, (r @ h).mT).mT  # solved above 64 I
+    hy_dag = hy.conj().mT
+    tau_ok = np.sqrt(w[:, 0]) > TOL.psd_tol
+    ok = [tau_ok]
     if supplied:  # H is quasi-Hermitian once R H R^{-1} is Hermitian: H^dag eta = eta H in the R frame
-        for _, where in failures(_norms(hy - hy.conj().mT)[0] <= TOL.eq_tol * np.maximum(1.0, h_norm)):
+        h_tol = TOL.eq_tol * np.maximum(1.0, h_norm)
+        quasi_hermitian = _norms(hy - hy_dag)[0] <= h_tol
+        ok += [hermitian, intertwining, commutator <= h_tol, w_min > 0.0, quasi_hermitian]
+    if not all(np.concatenate(ok).tolist()):  # one verdict pass; the first failure is refused in this order
+        if supplied:  # a broken, defective or (by the same PT test, bit for bit) not PT-symmetric H first
+            _require_unbroken(classify(h, pts), "build_dilation")
+            _refuse_metric(hermitian, intertwining, "build_dilation")
+            for i, where in _failures(w_min > 0.0, "build_dilation"):
+                raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w_min[i]:.6g} <= 1")
+        for _, where in _failures(tau_ok, "build_dilation"):
+            raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
+        for _, where in _failures(quasi_hermitian, "build_dilation"):
             raise errors.NotIntertwiningError(f"{where}: R H R^{{-1}} is not Hermitian")
-    wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
+    wy, vy = np.linalg.eigh(0.5 * (hy + hy_dag))
     q1vy = q1 @ vy
     _read_only(h, eta, w, v, tau, ytau_q, r, vy, wy, q1vy)
     out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], vy[i],

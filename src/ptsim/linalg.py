@@ -10,6 +10,7 @@ names it ("eig: member 3: ...").
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ __all__ = [
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_identity = functools.lru_cache(maxsize=1)(lambda n: _read_only(np.eye(n))[0])  # I of the last order, read-only
 
 
 @dataclass(frozen=True)

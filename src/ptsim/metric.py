@@ -59,33 +59,36 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
 
 
-def _check_metric_equations(h, eta, who: str, failures=_failures, *more) -> list:
-    """Refuse an eta that is not Hermitian or does not satisfy H^dag eta = eta H,
-    naming the caller ``who``, for each member of the stacks h and eta
-    (b, n, n); a caller's ``failures`` may name a deeper cause before the last
-    two. Returns ||H||_F per member and the norms of the stacks ``more``, all
-    from the equations' one ``_norms`` pass. Positivity is left to the
-    caller, which factors eta once: ``verify_metric`` by eigvalsh,
-    ``build_dilation`` by the eigh of eta - I.
-    """
+def _metric_verdicts(h, eta, who: str, *more) -> tuple:
+    """Refuse, naming ``who``, an eta that is not a finite stack of h's shape (b, n, n) (H is the caller's
+    to check); then whether each member's eta is Hermitian and satisfies H^dag eta = eta H (judged by
+    ``_refuse_metric``), ||H||_F per member and the norms of the stacks ``more``, from one ``_norms``
+    pass. Positivity is left to the caller, which factors eta once: by eigvalsh or the eigh of eta - I."""
     if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
-    for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):  # H is the caller's to check
-        raise errors.ParseError(f"{where}: eta must be finite")
-    eta_norm, skew, intertwining, *norms = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h, h, *more)
+    if not np.isfinite(eta).all():
+        for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):
+            raise errors.ParseError(f"{where}: eta must be finite")
+    eta_norm, skew, intertwining, h_norm, *norms = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h, h,
+                                                         *more)
     eta_scale = np.maximum(1.0, eta_norm)
-    for _, where in failures(skew <= TOL.eq_tol * eta_scale, who):
+    hermitian = skew <= TOL.eq_tol * eta_scale
+    return (hermitian, intertwining <= TOL.eq_tol * np.maximum(1.0, h_norm) * eta_scale), h_norm, norms
+
+
+def _refuse_metric(hermitian, intertwining, who: str) -> None:
+    """Refuse, naming ``who``, the first member whose eta fails a verdict of ``_metric_verdicts``."""
+    for _, where in _failures(hermitian, who):
         raise errors.NotHermitianError(f"{where}: eta is not Hermitian")
-    for _, where in failures(intertwining <= TOL.eq_tol * np.maximum(1.0, norms[0]) * eta_scale, who):
+    for _, where in _failures(intertwining, who):
         raise errors.NotIntertwiningError(f"{where}: H^dag eta != eta H")
-    return norms
 
 
 def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     _require_finite("verify_metric", H=h)
-    _check_metric_equations(h[None], eta[None], "verify_metric")
+    _refuse_metric(*_metric_verdicts(h[None], eta[None], "verify_metric")[0], "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

@@ -60,22 +60,13 @@ class JointStats:
 
 def bell_plus_x_state() -> np.ndarray:
     """(|+x +x> + |-x -x>)/sqrt(2) = (|00> + |11>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0] = v[3] = 1.0 / np.sqrt(2.0)
-    return v
+    return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def _measure_joint(state: np.ndarray) -> np.ndarray:
-    """2x2 table of |<a b|state>|^2 over a, b in {+y, -y} for an (Alice, Bob) block."""
-    return np.abs(_Y_DAG @ state @ _Y_CONJ) ** 2
-
-
-def _paper_dilation(cfg):
-    """The paper's dilation of cfg, or of each of a list of configs from one stacked build."""
-    cfgs = cfg if isinstance(cfg, list) else [cfg]
-    ds = build_dilation([gunther_system(c.alpha, c.s) for c in cfgs], eta=[gunther_eta(c.alpha) for c in cfgs],
-                        h1_choice="paper")
-    return ds if isinstance(cfg, list) else ds[0]
+def _paper_dilations(cfgs) -> list:
+    """The paper's dilation of each of the configs, from one stacked build."""
+    return build_dilation([gunther_system(c.alpha, c.s) for c in cfgs], eta=[gunther_eta(c.alpha) for c in cfgs],
+                          h1_choice="paper")
 
 
 def run_experiment(cfg: ExperimentConfig) -> JointStats:
@@ -86,25 +77,30 @@ def run_experiment(cfg: ExperimentConfig) -> JointStats:
     squared norm is the branch's success probability. The energy offset E0 and
     Bob's trivial evolution are global phases, which no outcome depends on.
     """
-    stages = scheme_stages(_paper_dilation(cfg), cfg.scheme) if cfg.mode == "simulated_eq73" else None
-    return _experiment_stats(cfg, stages)
+    return _experiment_stats(cfg, _channels([cfg])[0](cfg.t))
 
 
-def _experiment_stats(cfg: ExperimentConfig, stages) -> JointStats:
-    """``run_experiment`` on cfg's stages, built once per alpha; None in direct mode."""
-    if stages is None:
-        rho, rho_prime = resolve_rho(cfg.scheme, gunther_eta(cfg.alpha))
-        channel = rho_prime @ gunther_propagator(cfg.alpha, cfg.s, t=cfg.t) @ rho
-    else:
-        channel = stages.kraus(cfg.t)
-    weights = _measure_joint(channel @ _ALICE_STATES)  # [k, a, b], unnormalized
+def _channels(cfgs) -> list:
+    """t -> Alice's operator at each config's alpha: K(t) of its stages, one stacked build for all of
+    them, or rho' e^{-itH} rho with (rho, rho') formed once."""
+    if cfgs[0].mode == "simulated_eq73":
+        return [scheme_stages(d, c.scheme).kraus for c, d in zip(cfgs, _paper_dilations(cfgs))]
+    return [lambda t, c=c, rhos=resolve_rho(c.scheme, gunther_eta(c.alpha)):
+            rhos[1] @ gunther_propagator(c.alpha, c.s, t=t) @ rhos[0] for c in cfgs]
+
+
+def _experiment_stats(cfg: ExperimentConfig, channel: np.ndarray) -> JointStats:
+    """``run_experiment`` with Alice's operator at cfg.t."""
+    weights = np.abs(_Y_DAG @ (channel @ _ALICE_STATES) @ _Y_CONJ) ** 2  # [k, a, b] = |<a b|final_k>|^2
     norm_sq = weights.sum(axis=(1, 2))  # ||final_k||^2, as the y basis is orthonormal
-    p_success = norm_sq if stages is not None else np.ones(2)  # stays 1 in direct mode
-    for k, _ in _failures((np.sqrt(norm_sq) > TOL.branch_tol) & (p_success > TOL.psd_tol), "run_experiment"):
+    simulated = cfg.mode == "simulated_eq73"  # p_success is norm_sq; it stays 1 in direct mode
+    # a branch vanishes at norm <= branch_tol or, simulated, at the larger bound p_success <= psd_tol
+    ok = norm_sq > TOL.psd_tol if simulated else np.sqrt(norm_sq) > TOL.branch_tol
+    for k, _ in _failures(ok, "run_experiment"):
         raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
     table = weights / norm_sq[:, None, None]
     bob = table.sum(axis=1)  # [k, b]
-    return JointStats(table, bob, float(abs(bob[0, 0] - bob[1, 0])), p_success)
+    return JointStats(table, bob, float(abs(bob[0, 0] - bob[1, 0])), norm_sq if simulated else np.ones(2))
 
 
 def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
@@ -114,26 +110,22 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
     evolved under Hhat; Bob's reduced density matrix is traced out of the
     4-dimensional dilated Alice factor.
     """
-    psi = bell_plus_x_state().reshape(2, 2)
-    d = _paper_dilation(cfg)
+    (d,) = _paper_dilations([cfg])
     prep = preparation_completion(d, resolve_rho(cfg.scheme, d)[0])
 
     out = np.zeros((2, 2))
-    for k, u_a in enumerate(_ALICE_UNITARIES):
-        state = u_a @ psi
+    for k, state in enumerate(_ALICE_STATES):  # u_a x I on the Bell state
         xi = eigen_evolve(*d.hhat_eigh, cfg.t, prep.U @ np.concatenate([state, np.zeros_like(state)]))
         rho_bob = xi.T @ xi.conj()  # trace over the dilated Alice factor
-        out[k] = np.real(np.diag(_Y_BASIS.conj().T @ rho_bob @ _Y_BASIS))
+        out[k] = np.real(np.diag(_Y_DAG @ rho_bob @ _Y_BASIS))
     return out
 
 
 def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73", s: float = 1.0) -> list[dict]:
-    """One ``run_experiment`` row per (alpha, t); in simulated mode every
-    alpha's dilation comes from one stacked ``build_dilation`` call, its
-    stages are built once, and every t reads its K(t)."""
+    """One ``run_experiment`` row per (alpha, t); every alpha's operator is formed once (``_channels``),
+    in simulated mode from one stacked ``build_dilation`` call, and every t reads it."""
     grid = [[ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode) for t in ts] for alpha in alphas]
-    simulated = mode == "simulated_eq73" and grid and grid[0]
-    stages = [scheme_stages(d, scheme) for d in _paper_dilation([r[0] for r in grid])] if simulated else [None] * len(grid)
-    points = [(cfg, _experiment_stats(cfg, st)) for cfgs, st in zip(grid, stages) for cfg in cfgs]
+    channels = _channels([row[0] for row in grid]) if grid and grid[0] else []
     return [{"alpha": float(cfg.alpha), "t": float(cfg.t), "scheme": scheme, "delta_s": js.delta_s,
-             "p_success_1": float(js.p_success[0]), "p_success_2": float(js.p_success[1])} for cfg, js in points]
+             "p_success_1": float(js.p_success[0]), "p_success_2": float(js.p_success[1])}
+            for row, channel in zip(grid, channels) for cfg in row for js in [_experiment_stats(cfg, channel(cfg.t))]]

@@ -16,8 +16,8 @@ import numpy as np
 from . import errors
 from .completion import CompletionResult, _completion, _completions, _contractions, post_select
 from .dilation import Dilation, _hhat_blocks, build_dilation
-from .linalg import (DEFAULT_TOL as TOL, SIGMA_X, _norms, _read_only, _require_finite, eigen_evolve, eigen_power,
-                     psd_power)
+from .linalg import (DEFAULT_TOL as TOL, SIGMA_X, _identity, _norms, _read_only, _require_finite, eigen_evolve,
+                     eigen_power, psd_power)
 from .ptcore import PTSystem, validate_pt_pair
 
 __all__ = [
@@ -161,9 +161,9 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
     actions, frames, zero = zip(*_stage_sides(d, r, r_prime))
     # one norm pass: both actions and the frame's distance from orthonormal
-    stack = np.array([*actions, q1.conj().T @ q1 - np.eye(n)])
+    stack = np.array([*actions, q1.conj().T @ q1 - _identity(n)])
     (norms,) = _norms(stack)
-    if norms[2] > TOL.eq_tol * max(1.0, np.sqrt(n)):
+    if norms[2] > TOL.eq_tol * max(1.0, n**0.5):
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     c, scales = _contractions(stack[:2], "scheme_stages", zero, norms[:2])
     kraus_right, kraus_left = d.ytau_v.conj().T @ c[0], c[1] @ d.ytau_v

@@ -394,6 +394,33 @@ class TestKeptFactors:
         hy, bound = d.ytau_r @ d.H @ np.linalg.inv(d.ytau_r), 8 * n * self.EPS * np.linalg.cond(d.eta)
         assert np.linalg.norm(hy @ d.ytau_v - d.ytau_v * w_y) <= bound * np.linalg.norm(d.H)
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
+    @pytest.mark.parametrize("n", NS)
+    def test_q1_top_inverts_r(self, n, supplied):
+        # the build forms R H R^{-1} as R H Q1_top, Q1's top block being
+        # R^{-1}; checked against a triangular solve with R
+        d = self.dilation(n, supplied)
+        r, h = d.ytau_r, d.H
+        solved = np.linalg.solve(r.T, (r @ h).T).T
+        bound = 8 * np.sqrt(n) * np.linalg.cond(d.eta) * self.EPS * np.linalg.norm(h)
+        assert np.linalg.norm(r @ h @ d.ytau_frame[:n] - solved) <= bound
+
+    @pytest.mark.parametrize("scale", [1e4, 1e12, 1e50])
+    @pytest.mark.parametrize("supplied", [False, True], ids=["margin", "supplied"])
+    def test_metric_of_large_norm_keeps_the_spectrum(self, scale, supplied, monkeypatch):
+        # Q1_top is R^{-1} to eps absolute, so R H Q1_top has sqrt(lambda_min(eta))
+        # times a solve's error: a metric above 64 I is solved against R instead
+        # (the product alone finds 1e12 eta not Hermitian in the R frame, and
+        # puts 1e50 eta's eigenvalues 0.87 off)
+        sys_, a = gunther_system(np.pi / 6), np.pi / 6
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: calls.append(1) or solve(*args))
+        d = (build_dilation(sys_, eta=scale * gunther_eta(a), h1_choice="paper") if supplied
+             else build_dilation(sys_, margin=scale))
+        assert np.abs(d.ytau_eigh[0] - np.array([-1.0, 1.0]) * np.cos(a)).max() <= 4 * self.EPS
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich", "custom"])
     @pytest.mark.parametrize("supplied", [False, True], ids=["canonical", "supplied"])
     @pytest.mark.parametrize("n", NS)

@@ -5,7 +5,8 @@ last raiser was deleted, or one that only the library itself catches. Also the p
 edge: only the CLI imports ``ptsim.io``, and no record serializes itself. And
 the import cost: importing ptsim, its CLI or the test corpus, or simulating
 past kappa(Psi) = 1e8, does not load ``scipy.linalg``, which only
-``matrix_exp`` needs. And every tolerance in the table has a reader."""
+``matrix_exp`` needs. And every tolerance in the table has a reader. And the
+size of the source, which grows only by a recorded decision."""
 
 import ast
 import dataclasses
@@ -28,6 +29,16 @@ from ptsim.pipeline import SchemeStages, SimulationConfig
 
 SRC = Path(ptsim.__file__).parent
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ptsim.__path__))
+
+
+# the line count of src/ptsim/*.py (as ``wc -l`` counts it) that no change may
+# exceed unless it raises this budget on purpose; the aim is at most 2,000
+SOURCE_LINE_BUDGET = 2074
+
+
+def test_source_line_budget():
+    lines = sum(path.read_text().count("\n") for path in SRC.glob("*.py"))
+    assert lines <= SOURCE_LINE_BUDGET
 
 
 def _package_imports():

@@ -15,7 +15,7 @@ from ptsim import (
     sweep_delta_s,
     whole_system_bob_marginals,
 )
-from ptsim.nosignaling import _ALICE_UNITARIES, _measure_joint, _paper_dilation
+from ptsim.nosignaling import _ALICE_UNITARIES, _Y_CONJ, _Y_DAG, _paper_dilations
 
 from oracle import brute_nosignaling_delta_s
 
@@ -168,10 +168,10 @@ class TestSimulatedMode:
                 for scheme in ("identity", "metric_sandwich"):
                     cfg = ExperimentConfig(alpha=alpha, t=t, scheme=scheme, mode="simulated_eq73")
                     stats = run_experiment(cfg)
-                    st = pipeline.scheme_stages(_paper_dilation(cfg), scheme)
+                    st = pipeline.scheme_stages(_paper_dilations([cfg])[0], scheme)
                     for k, u_a in enumerate(_ALICE_UNITARIES):
                         *_, xi4, p_prepare, p_post = st.run(u_a @ bell_plus_x_state().reshape(2, 2), t)
-                        assert np.abs(stats.table[k] - _measure_joint(xi4[:2])).max() <= 1e-14
+                        assert np.abs(stats.table[k] - np.abs(_Y_DAG @ xi4[:2] @ _Y_CONJ) ** 2).max() <= 1e-14
                         assert abs(stats.p_success[k] - p_prepare * p_post) <= 1e-14
 
     def test_runs_no_stage_sequence(self, monkeypatch):
@@ -222,8 +222,9 @@ class TestWholeSystem:
 class TestSweep:
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_lapack_calls_per_point(self, scheme, monkeypatch):
-        # a simulated point: the eigh of eta - I and of R H R^{-1}, the
-        # complete QR of [I; tau] = Q1 R and the solve against R; no eig of H
+        # a simulated point: the eigh of eta - I and of R H R^{-1} and the
+        # reduced QR of [I; tau] = Q1 R, whose top block of Q1 is R^{-1}, so
+        # nothing is solved against R; no eig of H
         # and no singular values of its frame (the supplied eta makes H
         # quasi-Hermitian, and nothing reads its eigenframe), no inverse of
         # tau, and no SVD: K(t) reads the completions' contractions, not
@@ -235,7 +236,7 @@ class TestSweep:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert counts == {"eig": 0, "cond": 0, "svdvals": 0, "eigh": 2, "qr": 1, "inv": 0, "solve": 1, "svd": 0}
+        assert counts == {"eig": 0, "cond": 0, "svdvals": 0, "eigh": 2, "qr": 1, "inv": 0, "solve": 0, "svd": 0}
 
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_point_forms_no_hhat(self, scheme, monkeypatch):
@@ -286,3 +287,47 @@ class TestSweep:
         assert [len(args[0]) for args in calls] == ([len(alphas)] if mode == "simulated_eq73" else [])
         assert [(r["delta_s"], r["p_success_1"], r["p_success_2"]) for r in rows] == [
             (e.delta_s, float(e.p_success[0]), float(e.p_success[1])) for e in expected]
+
+    def test_direct_mode_forms_rho_once_per_alpha(self, monkeypatch):
+        # each alpha's (rho, rho') serves every t: a 15 x 3 metric_sandwich
+        # grid makes one eigh of eta per alpha, not one per point
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
+        rows = sweep_delta_s(np.linspace(0.0, 1.4, 15), [0.5, 1.0, 2.0], "metric_sandwich", mode="direct_eq71")
+        assert len(rows) == 45 and calls == [(2, 2)] * 15
+
+
+class TestAccuracyFloor:
+    """delta_S on the benchmark's 15 alpha x 3 t grid, in both modes, at a few
+    eps: a frame or a route that loses digits fails here long before it
+    fails a 1e-10 check."""
+
+    ALPHAS, TS = np.linspace(0.0, 1.4, 15), (0.5, 1.0, 2.0)
+
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    def test_identity_matches_the_oracle(self, mode):
+        rows = sweep_delta_s(self.ALPHAS, self.TS, "identity", mode=mode)
+        gaps = [abs(r["delta_s"] - brute_nosignaling_delta_s(r["alpha"], 1.0, r["t"])) for r in rows]
+        assert len(gaps) == 45 and max(gaps) <= 1e-14
+
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    def test_metric_sandwich_does_not_signal(self, mode):
+        rows = sweep_delta_s(self.ALPHAS, self.TS, "metric_sandwich", mode=mode)
+        assert len(rows) == 45 and max(r["delta_s"] for r in rows) <= 1e-14
+
+
+class TestVanishedBranch:
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    @pytest.mark.parametrize("scale", [1e-5, 1e-7, 1e-15])
+    def test_refused_at_its_mode_s_bound(self, mode, scale):
+        # a branch vanishes at norm <= branch_tol and, when simulated, at
+        # p_success = norm^2 <= psd_tol; K = scale I gives each branch the norm scale
+        cfg = ExperimentConfig(alpha=np.pi / 6, mode=mode)
+        if scale == 1e-15 or (scale == 1e-7 and mode == "simulated_eq73"):
+            with pytest.raises(errors.ZeroFinalStateError, match=f"^run_experiment: {mode} branch 0 vanished$"):
+                nosignaling._experiment_stats(cfg, scale * np.eye(2, dtype=complex))
+        else:
+            stats = nosignaling._experiment_stats(cfg, scale * np.eye(2, dtype=complex))
+            assert stats.delta_s <= 1e-15
+            assert stats.p_success == pytest.approx([scale**2] * 2 if mode == "simulated_eq73" else [1.0, 1.0], rel=1e-12)

@@ -452,7 +452,7 @@ class TestReuse:
         return counts
 
     def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh of R H R^{-1}, Hhat's block on Y_tau, one complete QR of
+        # one eigh of R H R^{-1}, Hhat's block on Y_tau, one reduced QR of
         # [I; tau] = Q1 R and one SVD of the unit-column eigenframe (the
         # canonical eta and its factors); the stages' Kraus factors come from
         # the completions' contractions, so no SVD forms their unitaries
@@ -485,12 +485,13 @@ class TestReuse:
             assert counts == {"eigh": 2, "eigvalsh": 0}
 
     def test_supplied_eta_factorizations_at_n2(self, monkeypatch):
-        # the worked example's build: the eigh of eta - I and of R H R^{-1},
-        # the complete QR of [I; tau] = Q1 R and the solve against R; no eig
-        # of H until its eigenframe is read, and tau is not inverted
+        # the worked example's build: the eigh of eta - I and of R H R^{-1}
+        # and the reduced QR of [I; tau] = Q1 R, whose top block of Q1 is
+        # R^{-1}, so nothing is solved; no eig of H until its eigenframe is
+        # read, and tau is not inverted
         counts = self.count_linalg(monkeypatch, "eig", "eigh", "inv", "solve", "qr", "svd")
         build_dilation(gunther_system(np.pi / 6), eta=gunther_eta(np.pi / 6), h1_choice="paper")
-        assert counts == {"eig": 0, "eigh": 2, "inv": 0, "solve": 1, "qr": 1, "svd": 0}
+        assert counts == {"eig": 0, "eigh": 2, "inv": 0, "solve": 0, "qr": 1, "svd": 0}
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_supplied_eta_factorizations_at_large_n(self, m, monkeypatch):
@@ -498,7 +499,7 @@ class TestReuse:
         sys_, eta, _, _ = gunther_tensor(np.random.default_rng(900 + m), m)
         counts = self.count_linalg(monkeypatch, "eig", "eigh", "qr", "solve")
         build_dilation(sys_, eta=eta)
-        assert counts == {"eig": 0, "eigh": 2, "qr": 1, "solve": 1}
+        assert counts == {"eig": 0, "eigh": 2, "qr": 1, "solve": 0}
 
     def test_simulation_forms_nothing_else_of_hhat(self, monkeypatch):
         # a build and a run read only Hhat's factor on Y_tau: no tau^{-1}, no
