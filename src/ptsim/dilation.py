@@ -41,18 +41,20 @@ class Dilation:
     canonical build made eta from, or after a supplied eta one eig on first
     read, which raises NotUnbrokenError unless H is UNBROKEN. ``h_norm`` =
     ||H||_F scales ``residuals``. eta - I = V diag(w) V^dag is kept as
-    (``eta_minus_i_w``, ``eta_minus_i_v``): the canonical metric's SVD
-    factors, shifted, or one eigh of a supplied eta - I. One reduced QR
-    gives [I; tau] = Q1 R, R = ``ytau_r`` (R^dag R = eta); ``ytau_q`` =
-    [Q1 | J Q1], J = [[0, -I], [I, 0]], holds orthonormal bases of Y_tau (Q1,
-    ``ytau_frame``) and Y_tau-perp, both invariant under Hhat. Q1^dag Hhat Q1
-    = R H R^{-1} for every H1, the equivalent Hermitian Hamiltonian
-    (Mostafazadeh, J. Math. Phys. 43, 205 (2002)), whose eigh (w_Y, V_Y),
-    w_Y being H's spectrum, the build keeps as ``ytau_v`` = V_Y and
-    ``ytau_eigh`` = (w_Y, Q1 V_Y); it forms nothing else of Hhat. H1 (by
-    ``h1_choice``; ``h1_supplied`` holds a supplied one), H2, H4, Hhat,
-    ``hhat_eigh`` = (w, [Q1 V_Y | Q2 V_perp]) (w ascends within each half,
-    not across them) and ``residuals`` are formed on first read.
+    (``eta_minus_i_w``, ``eta_minus_i_v``). [I; tau] = Q1 R, R = ``ytau_r``
+    (R^dag R = eta); ``ytau_q`` = [Q1 | J Q1], J = [[0, -I], [I, 0]], holds
+    orthonormal bases of Y_tau (Q1, ``ytau_frame``) and Y_tau-perp, both
+    invariant under Hhat. Q1^dag Hhat Q1 = R H R^{-1} for every H1, the
+    equivalent Hermitian Hamiltonian (Mostafazadeh, J. Math. Phys. 43, 205
+    (2002)), whose eigenpairs (w_Y, V_Y), w_Y being H's spectrum ascending,
+    the build keeps as ``ytau_v`` = V_Y and ``ytau_eigh`` = (w_Y, Q1 V_Y); it
+    forms nothing else of Hhat. A canonical build reads them off the SVD Psi =
+    X S Y^dag, V = X, sigma = w + 1: R = sigma^{1/2} X^dag, Q1 = [X sigma^{-1/2};
+    X (w/sigma)^{1/2}] and, as R Psi = sqrt(c) Y^dag, (w_Y, V_Y) = (Re Lambda,
+    Y^dag). A supplied eta's come from a reduced QR of [I; tau] and the eigh of
+    R H R^{-1}. H1 (by ``h1_choice``; ``h1_supplied`` holds a supplied one), H2,
+    H4, Hhat, ``hhat_eigh`` = (w, [Q1 V_Y | Q2 V_perp]) (w ascends within each
+    half, not across them) and ``residuals`` are formed on first read.
     """
 
     H: np.ndarray
@@ -185,20 +187,25 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     # every verdict waits for the factors, to be judged in one pass, so tau is factored at w clamped to 0
     w_min, w = w[:, 0], np.maximum(w, 0.0)
     tau = eigen_power(w, v, 0.5)
-    i_tau = np.empty((b, 2 * n, n), dtype=complex)
-    i_tau[:, :n], i_tau[:, n:] = eye, tau
-    q1, r = np.linalg.qr(i_tau)  # reduced: [I; tau] = Q1 R
-    # Q2 = J Q1, J = [[0, -I], [I, 0]]: J (x; tau x) = (-tau x; x) is orthogonal to Y_tau, as tau is Hermitian
-    ytau_q = np.concatenate([q1, np.concatenate([-q1[:, n:], q1[:, :n]], axis=1)], axis=2)
-    # R H R^{-1} = R H Q1_top, with sqrt(lambda_min(eta)) times a solve's error: Q1_top is R^{-1} to eps absolute
-    hy = r @ h @ q1[:, :n] if max(w_min.tolist()) <= 63.0 else np.linalg.solve(r.mT, (r @ h).mT).mT  # solved above 64 I
-    hy_dag = hy.conj().mT
     tau_ok = np.sqrt(w[:, 0]) > TOL.psd_tol
     ok = [tau_ok]
-    if supplied:  # H is quasi-Hermitian once R H R^{-1} is Hermitian: H^dag eta = eta H in the R frame
+    if supplied:
+        q1, r = np.linalg.qr(np.concatenate([eye[None].repeat(b, 0), tau], axis=1))  # reduced: [I; tau] = Q1 R
+        # R H R^{-1} = R H Q1_top, as Q1_top is R^{-1} to eps absolute; its error grows with kappa(eta),
+        # which is below lambda_max(eta) as lambda_min > 1, so a member above lambda_max = 64 solves against R
+        hy, big = r @ h @ q1[:, :n], [x > 63.0 for x in w[:, -1].tolist()]
+        if any(big):
+            hy = np.where(np.array(big)[:, None, None], np.linalg.solve(r.mT, (r @ h).mT).mT, hy)
         h_tol = TOL.eq_tol * np.maximum(1.0, h_norm)
-        quasi_hermitian = _norms(hy - hy_dag)[0] <= h_tol
+        quasi_hermitian = _norms(hy - hy.conj().mT)[0] <= h_tol  # H^dag eta = eta H in the R frame
         ok += [hermitian, intertwining, commutator <= h_tol, w_min > 0.0, quasi_hermitian]
+    else:  # Psi = X S Y^dag, X = v, eta = X diag(w + 1) X^dag: R Psi = sqrt(c) Y^dag, so R H R^{-1} = Y^dag Lambda Y
+        q1 = np.concatenate([v * np.sqrt(1.0 / (w + 1.0))[:, None], v * np.sqrt(w / (w + 1.0))[:, None]], axis=1)
+        r, lam = np.sqrt(w + 1.0)[:, :, None] * v.conj().mT, np.array([c.spectrum.real for c in cs])
+        member, order = np.arange(b)[:, None], np.argsort(lam, axis=-1)
+        wy, vy = lam[member, order], base.frame_right.mT[member, order].mT  # the columns of Y^dag, permuted
+    # Q2 = J Q1, J = [[0, -I], [I, 0]]: J (x; tau x) = (-tau x; x) is orthogonal to Y_tau, as tau is Hermitian
+    ytau_q = np.concatenate([q1, np.concatenate([-q1[:, n:], q1[:, :n]], axis=1)], axis=2)
     if not all(np.concatenate(ok).tolist()):  # one verdict pass; the first failure is refused in this order
         if supplied:  # a broken, defective or (by the same PT test, bit for bit) not PT-symmetric H first
             _require_unbroken(classify(h, pts), "build_dilation")
@@ -209,7 +216,8 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
             raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
         for _, where in _failures(quasi_hermitian, "build_dilation"):
             raise errors.NotIntertwiningError(f"{where}: R H R^{{-1}} is not Hermitian")
-    wy, vy = np.linalg.eigh(0.5 * (hy + hy_dag))
+    if supplied:
+        wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
     q1vy = q1 @ vy
     _read_only(h, eta, w, v, tau, ytau_q, r, vy, wy, q1vy)
     out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], vy[i],

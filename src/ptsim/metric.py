@@ -27,13 +27,14 @@ _GRID_POINTS = 21  # per axis of the obstruction demo's grid of diagonal A
 
 @dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """``eigh`` is (w, V), eta = V diag(w) V^dag with w ascending, when the
-    constructor factored eta (``positive_metric``), else None."""
+    """``eigh`` is (w, V), eta = V diag(w) V^dag with w ascending, and ``frame_right`` Y^dag of
+    the eigenframe's SVD Psi = V S Y^dag, when ``positive_metric`` factored eta, else None."""
 
     eta: np.ndarray
     positive_definite: bool
     min_eigenvalue: float
     eigh: tuple | None = None
+    frame_right: np.ndarray | None = None
 
 
 def positive_metric(sys, classification: Classification | list | None = None) -> MetricOperator:
@@ -51,12 +52,13 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     if classification is None:
         cs = classify(np.array([m.H for m in systems]), [m.pt for m in systems])
     frames = np.array([c.eigenframe for c in _require_unbroken(cs, "positive_metric")])
-    x, s, _ = np.linalg.svd(frames / np.linalg.norm(frames, axis=-2, keepdims=True))
+    x, s, yh = np.linalg.svd(frames / np.linalg.norm(frames, axis=-2, keepdims=True))
+    x /= np.linalg.norm(x, axis=-2, keepdims=True)  # unit columns, which the canonical Y_tau frame inherits
     w = s**-2.0  # s descending, so w ascending
     eta, lo = eigen_power(w, x, 1.0), w[:, 0]
     if single:
-        return MetricOperator(eta[0], bool(lo[0] > TOL.psd_tol), float(lo[0]), (w[0], x[0]))
-    return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x))
+        return MetricOperator(eta[0], bool(lo[0] > TOL.psd_tol), float(lo[0]), (w[0], x[0]), yh[0])
+    return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x), yh)
 
 
 def _metric_verdicts(h, eta, who: str, *more) -> tuple:

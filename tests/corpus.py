@@ -112,6 +112,19 @@ def gunther_tensor(rng, m, min_gap=1e-3):
     return PTSystem(h, pair), _kron([gunther_eta(a) for a in alpha]), propagator, spectrum
 
 
+def near_ep_tensor(k, m):
+    """H(pi/2 - 10^-k) x I + I x H(0.4), with a third factor H(0.9) at m = 3,
+    and the pair (sigma_x x ... x sigma_x, I): the worked family's tensor sum,
+    its first factor 10^-k from its exceptional point. Returns (system,
+    eta(alpha_1) x eta(0.4) x ..., a positive metric, and e^{-iH} in closed form)."""
+    alphas = [np.pi / 2 - 10.0**-k, 0.4, 0.9][:m]
+    eye = np.eye(2, dtype=complex)
+    h = sum(_kron([eye] * j + [gunther_hamiltonian(a)] + [eye] * (m - 1 - j)) for j, a in enumerate(alphas))
+    pair = validate_pt_pair(_kron([SIGMA_X] * m), np.eye(2**m, dtype=complex))
+    return (PTSystem(h, pair), _kron([gunther_eta(a) for a in alphas]),
+            _kron([gunther_propagator(a, 1.0, 0.0, 1.0) for a in alphas]))
+
+
 def unbroken_corpus(count=10, seed=20240817):
     rng = np.random.default_rng(seed)
     return [random_unbroken(rng, 2 + i % 3) for i in range(count)]

@@ -14,6 +14,8 @@ from ptsim.cli import main
 from ptsim.linalg import SIGMA_X
 from ptsim.pipeline import gunther_eta, gunther_hamiltonian
 
+from corpus import near_ep_tensor
+
 
 def write_matrix(path, a):
     path.write_text(json.dumps(io.matrix_to_obj(np.asarray(a, dtype=complex))))
@@ -350,6 +352,22 @@ class TestSimulate:
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    def test_near_the_exceptional_point_gives_no_wrong_answer(self, tmp_path, capsys):
+        # n = 4, 1e-6 from the EP (kappa(eta) = 9.1e12), no eta, no pair: a run that
+        # exits 0 matches the closed form e^{-iH} psi; a refusal names its cause
+        sys_, _, u = near_ep_tensor(6, 2)
+        psi = np.full(4, 0.5, dtype=complex)
+        cfgp = self.make_config(tmp_path, alpha_params=None, hamiltonian=io.matrix_to_obj(sys_.H), eta=None,
+                                h1="zero", psi=io.vector_to_obj(psi))
+        rc = main(["simulate", cfgp, "--out", str(tmp_path / "o.json")])
+        if rc != 0:
+            assert rc in (4, 5) and capsys.readouterr().err.startswith("error: ")
+            return
+        obj = json.loads((tmp_path / "o.json").read_text())
+        target = u @ psi / np.linalg.norm(u @ psi)
+        assert obj["final_formula_check"] <= 1e-8
+        assert np.linalg.norm(io.vector_from_obj(obj["xi5"]) - target) <= 1e-8
 
     def hamiltonian_config(self, tmp_path, **pt):
         h = gunther_hamiltonian(np.pi / 6)

@@ -33,7 +33,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(ptsim.__path__))
 
 # the line count of src/ptsim/*.py (as ``wc -l`` counts it) that no change may
 # exceed unless it raises this budget on purpose; the aim is at most 2,000
-SOURCE_LINE_BUDGET = 2074
+SOURCE_LINE_BUDGET = 2084
 
 
 def test_source_line_budget():

@@ -452,17 +452,19 @@ class TestReuse:
         return counts
 
     def test_factorizations_per_dilation(self, monkeypatch):
-        # one eigh of R H R^{-1}, Hhat's block on Y_tau, one reduced QR of
-        # [I; tau] = Q1 R and one SVD of the unit-column eigenframe (the
-        # canonical eta and its factors); the stages' Kraus factors come from
-        # the completions' contractions, so no SVD forms their unitaries
+        # one SVD Psi = X S Y^dag of the unit-column eigenframe gives the
+        # canonical eta, the Y_tau frame Q1, R and the eigenpairs of R H R^{-1},
+        # Hhat's block on Y_tau, so no QR, eigh or solve; the stages' Kraus
+        # factors come from the completions' contractions, so no SVD forms
+        # their unitaries
         sys = random_unbroken(np.random.default_rng(56), 8)
-        counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "svd")
+        counts = self.count_linalg(monkeypatch, "eigh", "eigvalsh", "qr", "solve", "svd")
         scheme_stages(build_dilation(sys), "metric_sandwich")
-        assert counts == {"eigh": 1, "eigvalsh": 0, "qr": 1, "svd": 1}
+        assert counts == {"eigh": 0, "eigvalsh": 0, "qr": 0, "solve": 0, "svd": 1}
 
     def test_t_sweep_adds_no_eigh(self, monkeypatch):
-        # every t evolves on the dilation's kept eigh of Hhat on Y_tau
+        # every t evolves on the dilation's kept eigenpairs of Hhat on Y_tau,
+        # which a canonical build reads off the eigenframe's SVD
         rng = np.random.default_rng(58)
         sys = random_unbroken(rng, 8)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -472,7 +474,7 @@ class TestReuse:
         for t in np.linspace(0.5, 2.0, 5):
             run_simulation(SimulationConfig(sys=sys, dilation=d, t=t, psi=psi,
                                             scheme="metric_sandwich"))
-        assert counts == {"eigh": 1}
+        assert counts == {"eigh": 0}
 
     def test_supplied_eta_is_factored_once(self, monkeypatch):
         # one eigh of eta - I tests lambda_min > 1 and gives tau; the other is
@@ -495,16 +497,17 @@ class TestReuse:
 
     @pytest.mark.parametrize("m", [6, 7])
     def test_supplied_eta_factorizations_at_large_n(self, m, monkeypatch):
-        # n = 64 and 128: the same factorizations as at n = 2, no eig of H
+        # n = 64 and 128: the factorizations of n = 2, no eig of H; lambda_max(eta)
+        # is 2.4e4 and 1.3e5, above 64, so R H R^{-1} is solved against R
         sys_, eta, _, _ = gunther_tensor(np.random.default_rng(900 + m), m)
         counts = self.count_linalg(monkeypatch, "eig", "eigh", "qr", "solve")
         build_dilation(sys_, eta=eta)
-        assert counts == {"eig": 0, "eigh": 2, "qr": 1, "solve": 0}
+        assert counts == {"eig": 0, "eigh": 2, "qr": 1, "solve": 1}
 
     def test_simulation_forms_nothing_else_of_hhat(self, monkeypatch):
         # a build and a run read only Hhat's factor on Y_tau: no tau^{-1}, no
-        # assembly of Hhat and no eigh of its Y_tau-perp block; the one inv
-        # is Psi^{-1}, for the target
+        # assembly of Hhat and no eigh, of either block; the one inv is
+        # Psi^{-1}, for the target
         rng = np.random.default_rng(61)
         sys_ = random_unbroken(rng, 8)
         sizes = _count_hhat_blocks(monkeypatch)
@@ -515,7 +518,7 @@ class TestReuse:
         d = build_dilation(sys_)
         run_simulation(SimulationConfig(sys=sys_, dilation=d, t=1.1, psi=rng.normal(size=8) + 0j,
                                         scheme="metric_sandwich"))
-        assert sizes == [] and eigh_calls == [(1, 8, 8)]
+        assert sizes == [] and eigh_calls == []
         assert len(inverted) == 1 and inverted[0] is d.classification.eigenframe
         assert not {"_blocks", "hhat_eigh"} & set(vars(d))
 

@@ -52,3 +52,12 @@ def test_ep_probe(monkeypatch, capsys):
     worst = [float(line.split("worst residual")[1]) for line in lines[1:]]
     # the residual grows towards the exceptional point but stays bounded
     assert worst[0] <= 1e-12 and worst[1] <= 1e-9 and worst[2] <= 1e-6
+    # the tensor sum on n = 4: the canonical run keeps its digits to k = 3, where
+    # the supplied metric is refused
+    run_script("ep_probe", monkeypatch, "--m", "2", "--k-max", "3")
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 3 and lines[0].split()[2:] == ["canonical", "eta", "supplied", "eta"]
+    rows = [line.split()[2:] for line in lines[1:]]
+    assert all(row[0] == "error" for row in rows) and rows[0][2] == rows[1][2] == "error"
+    assert all(float(row[1]) <= bound for row, bound in zip(rows, [1e-12, 1e-10, 1e-9])) and float(rows[1][3]) <= 1e-10
+    assert rows[2][2].endswith("Error") and rows[2][3] == "(exit"
