@@ -135,12 +135,11 @@ def cmd_nosignal(args) -> int:
         raise errors.ParseError("nosignal: --alpha or --alpha-deg is required")
     scheme = {"metric": "metric_sandwich"}.get(args.scheme, args.scheme)
     if args.sweep:
-        alphas = [alpha]
         try:
             ts = [float(x) for x in args.t_grid.split(",")] if args.t_grid else [args.t]
         except ValueError as exc:
             raise errors.ParseError(f"nosignal: malformed --t-grid: {exc}") from exc
-        rows = sweep_delta_s(alphas, ts, scheme, mode=args.mode, s=args.s)
+        rows = sweep_delta_s([alpha], ts, scheme, mode=args.mode, s=args.s)
         with _writing(args.sweep, newline="") as fh:
             writer = csv.DictWriter(
                 fh, fieldnames=["alpha", "t", "scheme", "delta_s", "p_success_1", "p_success_2"]

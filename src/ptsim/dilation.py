@@ -73,47 +73,47 @@ class Dilation:
     built_classification: Classification | None
 
     @cached_property
-    def classification(self) -> Classification:
+    def classification(self) -> Classification | list:
         c = classify(self.H, self.pt) if self.built_classification is None else self.built_classification
-        _require_unbroken([c], "Dilation.classification")
-        _read_only(c.spectrum, c.eigenframe)
+        cs = _require_unbroken(c if self.H.ndim == 3 else [c], "Dilation.classification")
+        _read_only(*(a for m in cs for a in (m.spectrum, m.eigenframe)))
         return c
 
     @property
     def dim(self) -> int:
-        return self.H.shape[0]
+        return self.H.shape[-1]
 
     @property
     def ytau_frame(self) -> np.ndarray:
-        return self.ytau_q[:, :self.dim]
+        return self.ytau_q[..., :self.dim]
 
     @cached_property
     def eigenframe_inverse(self) -> np.ndarray:
-        """Psi^{-1}, one inv formed on first use and kept read-only."""
+        """Psi^{-1} of one system, one inv formed on first use and kept read-only."""
         return _read_only(np.linalg.inv(self.classification.eigenframe))[0]
 
     def propagate(self, t: float, x) -> np.ndarray:
-        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for x of shape (n,) or (n, m),
+        """e^{-itH} x = Psi (e^{-it Lambda} . (Psi^{-1} x)) for x of shape (n,) or (n, m), of one system,
         in O(n^2 m) work from H's kept eigenframe, at every kappa(Psi) that ``classify`` accepts."""
         c = self.classification
         return c.eigenframe @ (np.exp(-1j * t * c.spectrum) * (self.eigenframe_inverse @ x).T).T
 
     @cached_property
     def _blocks(self) -> tuple:
-        return tuple(x[0] for x in _hhat_blocks([self]))
+        return _hhat_blocks(self)
 
     # the four blocks are formed together on the first read of any of them
     H1, H2, H4, Hhat = (property(lambda self, i=i: self._blocks[i]) for i in range(4))
 
     @cached_property
     def hhat_eigh(self) -> tuple:
-        q2 = self.ytau_q[:, self.dim:]  # Y_tau-perp, the other invariant block
-        w, v = np.linalg.eigh(q2.conj().T @ (self.Hhat @ q2))
-        return _read_only(np.concatenate([self.ytau_eigh[0], w]), np.hstack([self.ytau_eigh[1], q2 @ v]))
+        q2 = self.ytau_q[..., self.dim:]  # Y_tau-perp, the other invariant block
+        w, v = np.linalg.eigh(q2.conj().mT @ (self.Hhat @ q2))
+        return _read_only(np.concatenate([self.ytau_eigh[0], w], -1), np.concatenate([self.ytau_eigh[1], q2 @ v], -1))
 
     @cached_property
     def residuals(self) -> dict:
-        """The defining residuals: Hhat's hermiticity before symmetrization,
+        """The defining residuals of one system: Hhat's hermiticity before symmetrization,
         H1 + H2 tau - H and H2^dag + H4 tau - tau H, each over max(1, ||H||_F),
         and tau^2 - (eta - I) over max(1, ||eta||_F)."""
         h, eta, tau, h1, h2, h4 = (x[None] for x in (self.H, self.eta, self.tau, self.H1, self.H2, self.H4))
@@ -137,9 +137,9 @@ class Dilation:
 def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero", h1=None):
     """The dilation of (H, eta, H1) for one PTSystem, or for a sequence of
     same-order systems with one eta (and h1) each: every layer then runs once
-    on their stack, and the list of Dilations has the bits of single builds.
-    A single system is the batch of one; an error about one system of a
-    longer sequence names it ("build_dilation: member 3: ...").
+    on their stack, and the one Dilation carries the stack axis, member i with
+    the bits of a single build. A single system is the batch of one, as its member 0;
+    an error about one system of a longer sequence names it ("build_dilation: member 3: ...").
 
     eta=None takes the canonical metric, from classify's eigenframe, rescaled to
     lambda_min = ``margin`` (> 1 keeps tau invertible). A supplied eta needs
@@ -171,7 +171,7 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
     elif h1_choice not in ("zero", "paper"):
         raise errors.ParseError(f"build_dilation: unknown h1_choice {h1_choice!r}")
     pts, eye, supplied = [m.pt for m in systems], _identity(n), eta is not None
-    cs = [None] * b if supplied else _require_unbroken(classify(h, pts), "build_dilation")
+    cs = None if supplied else _require_unbroken(classify(h, pts), "build_dilation")
     if not supplied:
         h_norm = np.array([c.h_norm for c in cs])
         base = positive_metric(systems, cs)
@@ -179,9 +179,9 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         eta, w, v = scale[:, None, None] * base.eta, scale[:, None] * base.eigh[0] - 1.0, base.eigh[1]
     else:
         eta = np.array([eta] if single else eta, dtype=complex)
-        # H's PT test joins the metric equations' norm pass; one eigh of eta - I tests lambda_min(eta) > 1
+        # one norm pass, once R is: the metric equations, H's PT test and R H R^{-1}'s skew part; eigh of eta - I
         commutator = _pt_commutator(_require_square(h, "build_dilation", stack=True), pts)
-        (hermitian, intertwining), h_norm, (commutator,) = _metric_verdicts(h, eta, "build_dilation", commutator)
+        verdicts = _metric_verdicts(h, eta, "build_dilation")
         w, v = np.linalg.eigh(0.5 * (eta + eta.conj().mT) - eye)
 
     # every verdict waits for the factors, to be judged in one pass, so tau is factored at w clamped to 0
@@ -196,9 +196,9 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
         hy, big = r @ h @ q1[:, :n], [x > 63.0 for x in w[:, -1].tolist()]
         if any(big):
             hy = np.where(np.array(big)[:, None, None], np.linalg.solve(r.mT, (r @ h).mT).mT, hy)
+        (hermitian, intertwining), h_norm, (commutator, skew) = verdicts(commutator, hy - hy.conj().mT)
         h_tol = TOL.eq_tol * np.maximum(1.0, h_norm)
-        quasi_hermitian = _norms(hy - hy.conj().mT)[0] <= h_tol  # H^dag eta = eta H in the R frame
-        ok += [hermitian, intertwining, commutator <= h_tol, w_min > 0.0, quasi_hermitian]
+        ok += [hermitian, intertwining, commutator <= h_tol, w_min > 0.0, skew <= h_tol]
     else:  # Psi = X S Y^dag, X = v, eta = X diag(w + 1) X^dag: R Psi = sqrt(c) Y^dag, so R H R^{-1} = Y^dag Lambda Y
         q1 = np.concatenate([v * np.sqrt(1.0 / (w + 1.0))[:, None], v * np.sqrt(w / (w + 1.0))[:, None]], axis=1)
         r, lam = np.sqrt(w + 1.0)[:, :, None] * v.conj().mT, np.array([c.spectrum.real for c in cs])
@@ -214,33 +214,33 @@ def build_dilation(sys, eta=None, margin: float = 1.05, h1_choice: str = "zero",
                 raise errors.EtaNotGreaterThanIError(f"{where}: lambda_min(eta) = {1.0 + w_min[i]:.6g} <= 1")
         for _, where in _failures(tau_ok, "build_dilation"):
             raise errors.NumericalFailureError(f"{where}: tau is singular (eta at boundary)")
-        for _, where in _failures(quasi_hermitian, "build_dilation"):
+        for _, where in _failures(skew <= h_tol, "build_dilation"):  # H^dag eta = eta H in the R frame
             raise errors.NotIntertwiningError(f"{where}: R H R^{{-1}} is not Hermitian")
     if supplied:
         wy, vy = np.linalg.eigh(0.5 * (hy + hy.conj().mT))
     q1vy = q1 @ vy
     _read_only(h, eta, w, v, tau, ytau_q, r, vy, wy, q1vy)
-    out = [Dilation(h[i], pts[i], float(h_norm[i]), eta[i], w[i], v[i], tau[i], ytau_q[i], r[i], vy[i],
-                    (wy[i], q1vy[i]), h1_choice, None if h1 is None else h1[i], c) for i, c in enumerate(cs)]
-    return out[0] if single else out
+    if single:  # member 0 of the batch of one
+        h, pts, h_norm, eta, w, v, tau, ytau_q, r, vy, wy, q1vy, h1, cs = (None if x is None else x[0] for x in (
+            h, pts, h_norm.tolist(), eta, w, v, tau, ytau_q, r, vy, wy, q1vy, h1, cs))
+    return Dilation(h, pts, h_norm, eta, w, v, tau, ytau_q, r, vy, (wy, q1vy), h1_choice, h1, cs)
 
 
-def _hhat_blocks(ds) -> tuple:
-    """Read-only stacks (H1, H2 = (H - H1) tau^{-1}, H4 = (tau H - H2^dag) tau^{-1},
-    Hhat = [[H1, H2], [H2^dag, H4]] symmetrized) of the dilations ds of one build."""
-    h, tau, w, v = (np.array([getattr(d, f) for d in ds]) for f in ("H", "tau", "eta_minus_i_w", "eta_minus_i_v"))
-    b, n = h.shape[:2]
-    if ds[0].h1_choice == "paper":
-        eta_inv = eigen_power(w + 1.0, v, -1.0)
+def _hhat_blocks(d: Dilation) -> tuple:
+    """Read-only (H1, H2 = (H - H1) tau^{-1}, H4 = (tau H - H2^dag) tau^{-1},
+    Hhat = [[H1, H2], [H2^dag, H4]] symmetrized) of d, stacked as d is."""
+    h, tau, n = d.H, d.tau, d.dim
+    if d.h1_choice == "paper":
+        eta_inv = eigen_power(d.eta_minus_i_w + 1.0, d.eta_minus_i_v, -1.0)
         h1 = tau @ h @ tau @ eta_inv + h @ eta_inv
         h1 = 0.5 * (h1 + h1.conj().mT)
     else:
-        h1 = np.array([np.zeros_like(d.H) if d.h1_supplied is None else d.h1_supplied for d in ds])
+        h1 = np.zeros_like(h) if d.h1_supplied is None else d.h1_supplied
     tau_inv = np.linalg.inv(tau)
     h2 = (h - h1) @ tau_inv
     h4 = (tau @ h - h2.conj().mT) @ tau_inv
-    hhat = np.empty((b, 2 * n, 2 * n), dtype=complex)
-    hhat[:, :n, :n], hhat[:, :n, n:], hhat[:, n:, :n], hhat[:, n:, n:] = h1, h2, h2.conj().mT, h4
+    hhat = np.empty(h.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    hhat[..., :n, :n], hhat[..., :n, n:], hhat[..., n:, :n], hhat[..., n:, n:] = h1, h2, h2.conj().mT, h4
     hhat = 0.5 * (hhat + hhat.conj().mT)
     return _read_only(h1, h2, h4, hhat)
 

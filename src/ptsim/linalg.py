@@ -3,9 +3,9 @@
 All matrices are numpy complex arrays. Operations are pure functions; values
 may be shared freely across threads. Everything runs on numpy but
 ``matrix_exp``, which is scipy's ``expm`` and imports it on its first call.
-``eig`` and ``eigen_power`` also take a stack (b, n, n) and factor it in one
-pass with the bits of b calls; an error about one member of a longer stack
-names it ("eig: member 3: ...").
+``eig``, ``psd_power`` and ``eigen_power`` also take a stack (b, n, n) and
+factor it in one pass with the bits of b calls; an error about one member of
+a longer stack names it ("eig: member 3: ...").
 """
 
 from __future__ import annotations
@@ -80,10 +80,11 @@ def _failures(ok, who: str) -> list:
 
 
 def _require_finite(who: str, **values) -> None:
-    """A ParseError (exit 2) naming the first of values, each a number or an
-    array, that is or holds a NaN or an infinity."""
+    """A ParseError (exit 2) naming the first of values, each a number, a list
+    of real numbers or an array, that is or holds a NaN or an infinity."""
     for name, value in values.items():
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        if not (math.isfinite(value) if isinstance(value, float) else all(map(math.isfinite, value))
+                if isinstance(value, list) else np.logical_and.reduce(np.isfinite(value), None)):
             raise errors.ParseError(f"{who}: {name} must be finite")
 
 
@@ -182,19 +183,20 @@ def psd_power(a, p: float) -> np.ndarray:
 
     Using one eigh call per matrix keeps powers mutually consistent, e.g.
     psd_power(A, 0.5) @ psd_power(A, -0.5) = I to rounding, and a column
-    (k, 1) of powers gives the stack of them from that one eigh. Eigenvalues in
-    [-psd_tol, 0) are clamped to zero; anything below the window is rejected.
+    (k, 1) of powers ((k, 1, 1) for a stack A) gives the stack of them from that one eigh.
+    Eigenvalues in [-psd_tol, 0) are clamped to zero; below the window a member is refused.
     """
-    a = _require_square(a, "psd_power")
-    if fro(a - a.conj().T) > DEFAULT_TOL.eq_tol * rel_scale(a):
-        raise errors.NotHermitianError("psd_power: input is not Hermitian within eq_tol")
-    w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
-    if np.min(w) < -DEFAULT_TOL.psd_tol:
-        raise errors.NotPSDError(f"psd_power: eigenvalue {np.min(w):.3e} below -psd_tol")
-    w = np.clip(w, 0.0, None)
-    if np.min(p) < 0 and np.min(w) == 0.0:
-        raise errors.NotPositiveDefiniteError("psd_power: negative power of a singular matrix")
-    return eigen_power(w, v, p)
+    a = _require_square(a, "psd_power", stack=True)
+    skew, norm = _norms((m := a.reshape(-1, *a.shape[-2:])) - m.conj().mT, m)  # a row per member
+    for _, where in _failures(skew <= DEFAULT_TOL.eq_tol * np.maximum(1.0, norm), "psd_power"):
+        raise errors.NotHermitianError(f"{where}: input is not Hermitian within eq_tol")
+    w, v = np.linalg.eigh(0.5 * (a + a.conj().mT))
+    lo = w[..., 0].reshape(-1)  # ascending: each member's smallest
+    for i, where in _failures(lo >= -DEFAULT_TOL.psd_tol, "psd_power"):
+        raise errors.NotPSDError(f"{where}: eigenvalue {lo[i]:.3e} below -psd_tol")
+    for _, where in [f for f in _failures(lo > 0.0, "psd_power") if np.min(p) < 0]:  # as lo is clamped to 0 below
+        raise errors.NotPositiveDefiniteError(f"{where}: negative power of a singular matrix")
+    return eigen_power(np.maximum(w, 0.0), v, p)
 
 
 def eigen_power(w, v, p: float) -> np.ndarray:

@@ -61,21 +61,24 @@ def positive_metric(sys, classification: Classification | list | None = None) ->
     return MetricOperator(eta, lo > TOL.psd_tol, lo, (w, x), yh)
 
 
-def _metric_verdicts(h, eta, who: str, *more) -> tuple:
+def _metric_verdicts(h, eta, who: str):
     """Refuse, naming ``who``, an eta that is not a finite stack of h's shape (b, n, n) (H is the caller's
-    to check); then whether each member's eta is Hermitian and satisfies H^dag eta = eta H (judged by
-    ``_refuse_metric``), ||H||_F per member and the norms of the stacks ``more``, from one ``_norms``
-    pass. Positivity is left to the caller, which factors eta once: by eigvalsh or the eigh of eta - I."""
+    to check); then a function of stacks ``more``, called once the caller's factors are formed: whether each
+    member's eta is Hermitian and satisfies H^dag eta = eta H (judged by ``_refuse_metric``), ||H||_F per member
+    and the norms of ``more``, from one ``_norms`` pass. Positivity is left to the caller, which factors eta once."""
     if h.shape != eta.shape or h.ndim != 3 or h.shape[-1] != h.shape[-2]:
         raise errors.DimensionMismatchError(f"{who}: order mismatch")
     if not np.isfinite(eta).all():
         for _, where in _failures(np.isfinite(eta).all(axis=(-2, -1)), who):
             raise errors.ParseError(f"{where}: eta must be finite")
-    eta_norm, skew, intertwining, h_norm, *norms = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h, h,
-                                                         *more)
-    eta_scale = np.maximum(1.0, eta_norm)
-    hermitian = skew <= TOL.eq_tol * eta_scale
-    return (hermitian, intertwining <= TOL.eq_tol * np.maximum(1.0, h_norm) * eta_scale), h_norm, norms
+
+    def verdicts(*more) -> tuple:
+        eta_norm, skew, intertwining, h_norm, *norms = _norms(eta, eta - eta.conj().mT, h.conj().mT @ eta - eta @ h,
+                                                             h, *more)
+        eta_scale = np.maximum(1.0, eta_norm)
+        hermitian = skew <= TOL.eq_tol * eta_scale
+        return (hermitian, intertwining <= TOL.eq_tol * np.maximum(1.0, h_norm) * eta_scale), h_norm, norms
+    return verdicts
 
 
 def _refuse_metric(hermitian, intertwining, who: str) -> None:
@@ -90,7 +93,7 @@ def verify_metric(h, eta) -> MetricOperator:
     h = np.asarray(h, dtype=complex)
     eta = np.asarray(eta, dtype=complex)
     _require_finite("verify_metric", H=h)
-    _refuse_metric(*_metric_verdicts(h[None], eta[None], "verify_metric")[0], "verify_metric")
+    _refuse_metric(*_metric_verdicts(h[None], eta[None], "verify_metric")()[0], "verify_metric")
     w = np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))
     return MetricOperator(eta, bool(w.min() > TOL.psd_tol), float(w.min()))
 

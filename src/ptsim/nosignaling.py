@@ -63,44 +63,37 @@ def bell_plus_x_state() -> np.ndarray:
     return np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
 
-def _paper_dilations(cfgs) -> list:
-    """The paper's dilation of each of the configs, from one stacked build."""
-    return build_dilation([gunther_system(c.alpha, c.s) for c in cfgs], eta=[gunther_eta(c.alpha) for c in cfgs],
-                          h1_choice="paper")
-
-
 def run_experiment(cfg: ExperimentConfig) -> JointStats:
-    """Both Alice branches of the experiment, in direct or simulated mode.
+    """Both Alice branches of the experiment, in direct or simulated mode: the grid of one.
 
     Each mode acts on Alice's side of an (Alice, Bob) block as op x I_Bob:
     rho' e^{-itH} rho, or the dilated pipeline's Kraus operator K(t), whose
     squared norm is the branch's success probability. The energy offset E0 and
     Bob's trivial evolution are global phases, which no outcome depends on.
     """
-    return _experiment_stats(cfg, _channels([cfg])[0](cfg.t))
+    return JointStats(*(x[0, 0] for x in _grid([cfg.alpha], [cfg.t], cfg.s, cfg.scheme, cfg.mode)))
 
 
-def _channels(cfgs) -> list:
-    """t -> Alice's operator at each config's alpha: K(t) of its stages, one stacked build for all of
-    them, or rho' e^{-itH} rho with (rho, rho') formed once."""
-    if cfgs[0].mode == "simulated_eq73":
-        return [scheme_stages(d, c.scheme).kraus for c, d in zip(cfgs, _paper_dilations(cfgs))]
-    return [lambda t, c=c, rhos=resolve_rho(c.scheme, gunther_eta(c.alpha)):
-            rhos[1] @ gunther_propagator(c.alpha, c.s, t=t) @ rhos[0] for c in cfgs]
-
-
-def _experiment_stats(cfg: ExperimentConfig, channel: np.ndarray) -> JointStats:
-    """``run_experiment`` with Alice's operator at cfg.t."""
-    weights = np.abs(_Y_DAG @ (channel @ _ALICE_STATES) @ _Y_CONJ) ** 2  # [k, a, b] = |<a b|final_k>|^2
-    norm_sq = weights.sum(axis=(1, 2))  # ||final_k||^2, as the y basis is orthonormal
-    simulated = cfg.mode == "simulated_eq73"  # p_success is norm_sq; it stays 1 in direct mode
+def _grid(alphas: list, ts: list, s: float, scheme: str, mode: str) -> tuple:
+    """``run_experiment``'s (table, Bob marginals, delta_S, p_success) at every (alpha, t), stacked (A, T, ...)."""
+    # each alpha's H, eta and e^{-itH} are the scalar closed forms, cheaper than the array forms at a few alphas
+    if simulated := mode == "simulated_eq73":  # K(t) of the stages of one stacked build
+        d = build_dilation([gunther_system(a, s) for a in alphas], eta=list(map(gunther_eta, alphas)),
+                           h1_choice="paper")
+        channel = scheme_stages(d, scheme).kraus(ts)
+    else:  # rho' e^{-itH} rho: identity's are I, and every alpha's metric_sandwich pair comes from one eigh
+        channel = np.array([gunther_propagator(a, s, t=ts) for a in alphas])
+        if scheme == "metric_sandwich":
+            rho, rho_prime = resolve_rho(scheme, np.array(list(map(gunther_eta, alphas))))
+            channel = rho_prime[..., None, :, :] @ channel @ rho[..., None, :, :]
+    weights = np.abs(_Y_DAG @ (channel[..., None, :, :] @ _ALICE_STATES) @ _Y_CONJ) ** 2  # [alpha, t, k, a, b]
+    norm_sq = weights.sum(axis=(-2, -1))  # ||final_k||^2, as the y basis is orthonormal
     # a branch vanishes at norm <= branch_tol or, simulated, at the larger bound p_success <= psd_tol
     ok = norm_sq > TOL.psd_tol if simulated else np.sqrt(norm_sq) > TOL.branch_tol
-    for k, _ in _failures(ok, "run_experiment"):
-        raise errors.ZeroFinalStateError(f"run_experiment: {cfg.mode} branch {k} vanished")
-    table = weights / norm_sq[:, None, None]
-    bob = table.sum(axis=1)  # [k, b]
-    return JointStats(table, bob, float(abs(bob[0, 0] - bob[1, 0])), norm_sq if simulated else np.ones(2))
+    for i, where in _failures(list(map(all, ok.reshape(-1, 2).tolist())), "run_experiment"):  # points alpha-major
+        raise errors.ZeroFinalStateError(f"{where}: {mode} branch {ok.reshape(-1, 2)[i].argmin()} vanished")
+    bob = (table := weights / norm_sq[..., None, None]).sum(axis=-2)  # [alpha, t, k, b]
+    return table, bob, np.abs(bob[..., 0, 0] - bob[..., 1, 0]), norm_sq if simulated else np.ones(norm_sq.shape)
 
 
 def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
@@ -110,7 +103,7 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
     evolved under Hhat; Bob's reduced density matrix is traced out of the
     4-dimensional dilated Alice factor.
     """
-    (d,) = _paper_dilations([cfg])
+    d = build_dilation(gunther_system(cfg.alpha, cfg.s), eta=gunther_eta(cfg.alpha), h1_choice="paper")
     prep = preparation_completion(d, resolve_rho(cfg.scheme, d)[0])
 
     out = np.zeros((2, 2))
@@ -122,10 +115,14 @@ def whole_system_bob_marginals(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def sweep_delta_s(alphas, ts, scheme: str, mode: str = "simulated_eq73", s: float = 1.0) -> list[dict]:
-    """One ``run_experiment`` row per (alpha, t); every alpha's operator is formed once (``_channels``),
-    in simulated mode from one stacked ``build_dilation`` call, and every t reads it."""
-    grid = [[ExperimentConfig(alpha=alpha, s=s, t=t, scheme=scheme, mode=mode) for t in ts] for alpha in alphas]
-    channels = _channels([row[0] for row in grid]) if grid and grid[0] else []
-    return [{"alpha": float(cfg.alpha), "t": float(cfg.t), "scheme": scheme, "delta_s": js.delta_s,
-             "p_success_1": float(js.p_success[0]), "p_success_2": float(js.p_success[1])}
-            for row, channel in zip(grid, channels) for cfg in row for js in [_experiment_stats(cfg, channel(cfg.t))]]
+    """One ``run_experiment`` row per (alpha, t), alpha-major, from one stack (``_grid``): one stacked
+    ``build_dilation``, stage build and ``SchemeStages.kraus`` for every t, or in direct mode one ``resolve_rho``."""
+    alphas, ts = list(map(float, alphas)), list(map(float, ts))
+    if not (alphas and ts):
+        return []
+    for alpha, t in zip(alphas + alphas[:1] * (len(ts) - 1), ts[:1] * len(alphas) + ts[1:]):
+        ExperimentConfig(alpha, s, t, scheme, mode)  # its checks, of every alpha and every t
+    *_, delta_s, p_success = _grid(alphas, ts, s, scheme, mode)
+    return [{"alpha": alpha, "t": t, "scheme": scheme, "delta_s": d, "p_success_1": p1, "p_success_2": p2}
+            for alpha, row, p_row in zip(alphas, delta_s.tolist(), p_success.tolist())
+            for t, d, (p1, p2) in zip(ts, row, p_row)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import errors
 from .completion import CompletionResult, _completion, _completions, _contractions, post_select
-from .dilation import Dilation, _hhat_blocks, build_dilation
+from .dilation import Dilation, build_dilation
 from .linalg import (DEFAULT_TOL as TOL, SIGMA_X, _identity, _norms, _read_only, _require_finite, eigen_evolve,
                      eigen_power, psd_power)
 from .ptcore import PTSystem, validate_pt_pair
@@ -40,16 +40,16 @@ __all__ = [
 def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
     """(rho, rho') of a scheme: identity | metric_sandwich | custom.
 
-    eta is a metric, or a Dilation, whose factors of eta - I give its powers;
-    metric_sandwich forms both as one stack.
+    eta is a metric, a stack (b, n, n) of them or a Dilation, whose factors of
+    eta - I give its powers; metric_sandwich forms both as one stack.
     """
     dilated = isinstance(eta, Dilation)
-    n = eta.dim if dilated else eta.shape[0]
+    n, ndim = (eta.dim, eta.H.ndim) if dilated else (eta.shape[-1], eta.ndim)
     if scheme == "identity":
         eye = np.eye(n, dtype=complex)
         return eye, eye
     if scheme == "metric_sandwich":
-        p = np.array([[-0.5], [0.5]])
+        p = np.array([-0.5, 0.5]).reshape((2,) + (1,) * (ndim - 1))
         powers = eigen_power(eta.eta_minus_i_w + 1.0, eta.eta_minus_i_v, p) if dilated else psd_power(eta, p)
         return powers[0], powers[1]
     if scheme == "custom":
@@ -66,14 +66,14 @@ def resolve_rho(scheme: str, eta, rho=None, rho_prime=None):
 
 @dataclass(frozen=True, eq=False)
 class SchemeStages:
-    """The stage operators of a scheme on one dilation: (rho, rho'), the
+    """The stage operators of a scheme on a dilation, stacked as it is: (rho, rho'), the
     contractions C of the two stage actions with their scales and frames, and
     ``ytau_eigh`` = (w_Y, Q1 V_Y), Hhat's eigenpairs on Y_tau, where every
     prepared state lies, which evolve every t. ``run`` forms the dense
     completions (U, P_N, scale) of ``preparation_completion`` and
     ``extraction_completion`` from these, as one stack, on its first call. No
     reference to the dilation is held, so a dilation that keeps its stages
-    forms no reference cycle.
+    forms no reference cycle. ``run`` is per-system.
 
     A successful run is one Kraus operator of a quantum instrument (Nielsen
     & Chuang, ch. 8) on Y_tau: K(t) = L diag(e^{-itw_Y}) R, with the n x n
@@ -99,7 +99,7 @@ class SchemeStages:
         return out
 
     def run(self, psi, t: float):
-        """The stage sequence on a unit state psi of shape (n,) or (n, m).
+        """The stage sequence of one system on a unit state psi of shape (n,) or (n, m).
 
         The m columns of a block are a spectator factor (Bob) that no stage
         acts on. Returns (xi1, xi2, xi3, xi4, p_prepare, p_post).
@@ -127,19 +127,21 @@ class SchemeStages:
             raise errors.ZeroFinalStateError("extraction branch vanished")
         return xi1, xi2, xi3, xi4, p_prepare, p_post
 
-    def kraus(self, t: float) -> np.ndarray:
-        """K(t), the n x n Kraus operator of a successful run at time t.
+    def kraus(self, t) -> np.ndarray:
+        """K(t), the n x n Kraus operator of a successful run at time t; a 1-D t gives every K(t), (..., T, n, n).
 
         ``kraus(t) @ psi`` takes a state or an (n, m) block, whose m columns
         are a spectator factor (Bob); the squared (Frobenius) norm of the
         result is the success probability of a unit psi.
         """
         _require_finite("SchemeStages.kraus", t=t)
-        return (self.kraus_left * np.exp(-1j * t * self.ytau_eigh[0])) @ self.kraus_right
+        phase = np.exp(np.multiply.outer(-1j * np.asarray(t), self.ytau_eigh[0]))  # (T, ..., n) for a 1-D t
+        k = (self.kraus_left * phase[..., None, :]) @ self.kraus_right
+        return k.swapaxes(0, -3) if k.ndim > self.kraus_left.ndim else k  # a t axis goes after the stack axis
 
 
 def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeStages:
-    """The stages of a scheme on d.
+    """The stages of a scheme on d, stacked as d is.
 
     The built-in schemes are built once per dilation and kept on it, keyed
     by scheme, with read-only arrays, so every t and every state run on one
@@ -160,13 +162,13 @@ def scheme_stages(d: Dilation, scheme: str, rho=None, rho_prime=None) -> SchemeS
     n, q1 = d.dim, d.ytau_frame
     r, r_prime = resolve_rho(scheme, d, rho, rho_prime)
     actions, frames, zero = zip(*_stage_sides(d, r, r_prime))
-    # one norm pass: both actions and the frame's distance from orthonormal
-    stack = np.array([*actions, q1.conj().T @ q1 - _identity(n)])
-    (norms,) = _norms(stack)
-    if norms[2] > TOL.eq_tol * max(1.0, n**0.5):
+    # one norm pass, of every member: both actions and the frame's distance from orthonormal
+    stack = np.array([*actions, q1.conj().mT @ q1 - _identity(n)])
+    norms = _norms(stack.reshape(-1, n, n)).reshape(stack.shape[:-2])
+    if not all(norms[2].reshape(-1) <= TOL.eq_tol * max(1.0, n**0.5)):
         raise errors.NotProjectionError("scheme_stages: the Y_tau frame is not orthonormal")
     c, scales = _contractions(stack[:2], "scheme_stages", zero, norms[:2])
-    kraus_right, kraus_left = d.ytau_v.conj().T @ c[0], c[1] @ d.ytau_v
+    kraus_right, kraus_left = d.ytau_v.conj().mT @ c[0], c[1] @ d.ytau_v
     st = SchemeStages(r, r_prime, c, scales, frames, d.ytau_eigh, kraus_left, kraus_right)
     if scheme != "custom":
         _read_only(r, r_prime, c, scales, kraus_left, kraus_right)
@@ -199,15 +201,13 @@ class SimulationTrace:
     probability_check: float
 
 
-def _stage_sides(d, rho=None, rho_prime=None) -> list:
+def _stage_sides(d: Dilation, rho=None, rho_prime=None) -> list:
     """The sides (action, frames, zero-map text) of ``completion._completions``
     for (phi; 0) -> (rho phi; tau rho phi) and (phi; tau phi) -> (rho' phi; 0),
     on the coordinate frame I (None, so never formed) and ``ytau_q``. In the
     basis Q1 of [I; tau] = Q1 R the actions are R rho = Q1^dag (rho; tau rho)
-    and rho' Q1_top = rho' R^{-1}. Dilations in a sequence give stacks."""
-    q, r = (d.ytau_q, d.ytau_r) if isinstance(d, Dilation) else (np.array([x.ytau_q for x in d]),
-                                                                 np.array([x.ytau_r for x in d]))
-    n, sides = r.shape[-1], []
+    and rho' Q1_top = rho' R^{-1}; a stacked d gives stacks."""
+    q, r, n, sides = d.ytau_q, d.ytau_r, d.dim, []
     if rho is not None:
         sides.append((r @ rho, (None, q), "the preparation stage is a zero map (rho = 0)"))
     if rho_prime is not None:
@@ -217,7 +217,7 @@ def _stage_sides(d, rho=None, rho_prime=None) -> list:
 
 def preparation_completion(d, rho) -> CompletionResult:
     """Completion for the induced map (phi; 0) -> (rho phi; tau rho phi), of a
-    dilation or of each of a sequence of them (``_stage_sides``)."""
+    dilation, stacked as it is (``_stage_sides``)."""
     return _completions(_stage_sides(d, rho=rho), "preparation_completion")[0]
 
 
@@ -348,17 +348,16 @@ def reproduce_gunther_example(alpha, s=1.0, e0=0.0, t=1.0) -> dict:
     _require_finite("reproduce_gunther_example", alpha=alpha, s=s, e0=e0, t=t)
     shape = np.broadcast_shapes(*map(np.shape, (alpha, s, e0, t)))
     alpha, s, e0, t = (np.broadcast_to(np.asarray(x, dtype=float), shape).ravel() for x in (alpha, s, e0, t))
-    ds = build_dilation([PTSystem(h, _GUNTHER_PT) for h in gunther_hamiltonian(alpha, s, e0)],
-                        eta=gunther_eta(alpha), h1_choice="paper")
-    tau, hw, hv = map(np.array, zip(*((d.tau, *d.ytau_eigh) for d in ds)))
-    h1, h2, h4, hhat = _hhat_blocks(ds)
+    d = build_dilation([PTSystem(h, _GUNTHER_PT) for h in gunther_hamiltonian(alpha, s, e0)],
+                       eta=gunther_eta(alpha), h1_choice="paper")
+    tau, (hw, hv), h1, h2, h4, hhat = d.tau, d.ytau_eigh, d.H1, d.H2, d.H4, d.Hhat
     sa, ca = np.sin(alpha), np.cos(alpha)
     tau_cf = (1.0 / ca)[:, None, None] * _matrix((1.0, -1j * sa), (1j * sa, 1.0))
     h1_cf = _matrix((e0, s * ca**2), (s * ca**2, e0))
     h2_cf = _matrix((1j * s * sa * ca, 0), (0, -1j * s * sa * ca))
     psi_i = np.array([1.0, 0.0], dtype=complex)
     psi_hat = _matrix((1.0, 0.0, 1.0 / ca, (1.0 / ca) * (1j * sa)))[:, 0]  # (psi_i; chi_i)
-    prep = preparation_completion(ds, np.eye(2, dtype=complex))
+    prep = preparation_completion(d, np.eye(2, dtype=complex))
     w = prep.P_N @ prep.U @ np.concatenate([psi_i, np.zeros(2)])
     amp, norm2 = ((psi_hat.conj()[:, None, :] @ y[:, :, None])[:, 0, 0] for y in (w, psi_hat))  # a dot per point
     amp = amp / norm2

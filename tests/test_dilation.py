@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from ptsim import (
+    Dilation,
     Kind,
     PTSystem,
     build_dilation,
@@ -28,6 +29,25 @@ from corpus import broken_corpus, defective_corpus, random_broken, random_unbrok
 RESIDUAL_KEYS = ("hermiticity", "eq_h1h2", "eq_h2h4", "tau_sq")
 # the (alpha, s, E0) sets that ``ptsim paper`` checks
 PAPER_SETS = [(a, s, e0) for a in (np.pi / 6, np.pi / 4, 1.0) for s in (1.0, 2.0) for e0 in (0.0, 1.0)]
+
+
+class Member:
+    """Member i of a stacked Dilation: each attribute is the i-th entry of the
+    stacked record's, so the stacked readers are what a test reads. The
+    per-system ``residuals`` are read off a Dilation of member i's fields."""
+
+    def __init__(self, d, i):
+        self.d, self.i = d, i
+
+    def __getattr__(self, name):
+        x = getattr(self.d, name)
+        if isinstance(x, tuple):
+            return tuple(a[self.i] for a in x)
+        return x[self.i] if isinstance(x, (np.ndarray, list)) else x
+
+    @property
+    def residuals(self):
+        return Dilation(*(getattr(self, f.name) for f in dataclasses.fields(Dilation))).residuals
 
 
 def assert_clean(d, tol=1e-10):
@@ -275,12 +295,12 @@ BLOCKED_IDS = [f"n{n}" for n in BLOCKED_NS] + [f"paper{i}" for i in range(len(PA
 
 @functools.cache
 def _blocked_cases():
-    """Canonical dilations at BLOCKED_NS and the paper sets as one stack."""
+    """Canonical dilations at BLOCKED_NS, and the members of the paper sets' one stacked build."""
     rng = np.random.default_rng(90)
     singles = [build_dilation(random_unbroken(rng, n)) for n in BLOCKED_NS]
     paper = build_dilation([gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS],
                            eta=[gunther_eta(a) for a, _, _ in PAPER_SETS], h1_choice="paper")
-    return singles + paper
+    return singles + [Member(paper, i) for i in range(len(PAPER_SETS))]
 
 
 class TestBlockedFactorization:
@@ -453,34 +473,49 @@ def assert_same_dilation(a, b):
 
 
 class TestStackedBuild:
-    """A sequence of systems is one stacked build with the bits of single builds."""
+    """A sequence of systems is one stacked build, one Dilation whose fields
+    carry the stack axis; member i has the bits of a single build."""
 
     def test_paper_sets(self):
         systems = [gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS]
         etas = [gunther_eta(a) for a, _, _ in PAPER_SETS]
         stacked = build_dilation(systems, eta=etas, h1_choice="paper")
-        assert len(stacked) == len(PAPER_SETS)
-        for d, sys, eta in zip(stacked, systems, etas, strict=True):
-            assert_same_dilation(d, build_dilation(sys, eta=eta, h1_choice="paper"))
+        assert isinstance(stacked, Dilation) and stacked.H.shape == (len(PAPER_SETS), 2, 2)
+        for i, (sys, eta) in enumerate(zip(systems, etas, strict=True)):
+            assert_same_dilation(Member(stacked, i), build_dilation(sys, eta=eta, h1_choice="paper"))
 
     def test_members_on_both_sides_of_the_solve_gate(self):
         # the no-signaling alphas: only eta(1.4), lambda_max = 137.6 > 64, solves against R
         alphas = np.linspace(0.0, 1.4, 15)
         systems, etas = [gunther_system(a) for a in alphas], [gunther_eta(a) for a in alphas]
-        for d, sys, eta in zip(build_dilation(systems, eta=etas, h1_choice="paper"), systems, etas, strict=True):
-            assert_same_dilation(d, build_dilation(sys, eta=eta, h1_choice="paper"))
+        stacked = build_dilation(systems, eta=etas, h1_choice="paper")
+        for i, (sys, eta) in enumerate(zip(systems, etas, strict=True)):
+            assert_same_dilation(Member(stacked, i), build_dilation(sys, eta=eta, h1_choice="paper"))
 
     @pytest.mark.parametrize("n", [2, 8, 16])
     def test_random_canonical(self, n):
         rng = np.random.default_rng(300 + n)
         systems = [random_unbroken(rng, n) for _ in range(5)]
-        for d, sys in zip(build_dilation(systems), systems, strict=True):
-            assert_same_dilation(d, build_dilation(sys))
+        stacked = build_dilation(systems)
+        for i, sys in enumerate(systems):
+            assert_same_dilation(Member(stacked, i), build_dilation(sys))
 
-    def test_stack_of_one_is_a_list(self):
+    def test_stack_of_one_is_a_stack(self):
         sys = gunther_system(0.4)
-        (d,) = build_dilation([sys])
-        assert_same_dilation(d, build_dilation(sys))
+        d = build_dilation([sys])
+        assert d.H.shape == (1, 2, 2) and d.h_norm.shape == (1,)
+        assert_same_dilation(Member(d, 0), build_dilation(sys))
+
+    def test_one_stacked_classification(self, monkeypatch):
+        # a supplied-eta build classifies H on the first read: one eig of the whole stack
+        stacked = build_dilation([gunther_system(a, s, e0) for a, s, e0 in PAPER_SETS],
+                                 eta=[gunther_eta(a) for a, _, _ in PAPER_SETS], h1_choice="paper")
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        cs = stacked.classification
+        assert calls == [(len(PAPER_SETS), 2, 2)] and stacked.classification is cs
+        assert [c.kind for c in cs] == [Kind.UNBROKEN] * len(PAPER_SETS)
 
     def test_broken_member_is_named(self):
         systems = [gunther_system(0.3), gunther_system(0.5), random_broken(np.random.default_rng(4), 2)]
@@ -502,9 +537,10 @@ class TestStackedBuild:
     def test_members_with_and_without_pairs(self):
         # each member gets the classification, and the dilation, it gets alone
         systems = [gunther_system(0.3), PTSystem(gunther_system(0.5).H, None)]
-        for d, sys in zip(build_dilation(systems), systems, strict=True):
-            assert d.classification.kind is Kind.UNBROKEN
-            assert_same_dilation(d, build_dilation(sys))
+        stacked = build_dilation(systems)
+        for i, sys in enumerate(systems):
+            assert stacked.classification[i].kind is Kind.UNBROKEN
+            assert_same_dilation(Member(stacked, i), build_dilation(sys))
 
     def test_member_failing_its_supplied_pair_is_named(self):
         # the same H passes without a pair; conj(H) != H, so it fails the pair (I, I)

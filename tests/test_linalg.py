@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,28 @@ class TestPrincipalSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(errors.NotPSDError):
             psd_power(np.diag([1.0, -1.0]).astype(complex), 0.5)
+
+    def test_stack_is_each_member(self):
+        # one eigh of the stack, with each member's bits of its own call
+        rng = np.random.default_rng(31)
+        b = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        a = b @ b.conj().mT + np.eye(3)
+        p = np.array([-0.5, 0.5]).reshape(2, 1, 1)
+        stacked = psd_power(a, p)
+        assert stacked.shape == (2, 5, 3, 3)
+        for i in range(5):
+            assert np.array_equal(stacked[:, i], psd_power(a[i], p[..., 0])), i
+
+    @pytest.mark.parametrize("bad, error, text", [
+        (np.array([[0, 1], [0, 0]], dtype=complex), errors.NotHermitianError, "input is not Hermitian"),
+        (np.diag([1.0, -1.0]).astype(complex), errors.NotPSDError, "eigenvalue -1.000e+00 below -psd_tol"),
+        (np.diag([1.0, 0.0]).astype(complex), errors.NotPositiveDefiniteError, "negative power of a singular matrix")])
+    def test_refusal_names_the_member(self, bad, error, text):
+        stack = np.array([np.eye(2, dtype=complex), bad, np.eye(2, dtype=complex)])
+        with pytest.raises(error, match=f"^psd_power: member 1: {re.escape(text)}"):
+            psd_power(stack, -0.5)
+        with pytest.raises(error, match=f"^psd_power: {re.escape(text)}"):
+            psd_power(bad, -0.5)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,16 +8,19 @@ import pytest
 from ptsim import (
     ExperimentConfig,
     bell_plus_x_state,
+    build_dilation,
     completion,
     dilation,
     errors,
+    gunther_eta,
+    gunther_system,
     nosignaling,
     pipeline,
     run_experiment,
     sweep_delta_s,
     whole_system_bob_marginals,
 )
-from ptsim.nosignaling import _ALICE_UNITARIES, _Y_CONJ, _Y_DAG, _paper_dilations
+from ptsim.nosignaling import _ALICE_UNITARIES, _Y_CONJ, _Y_DAG
 
 from oracle import brute_nosignaling_delta_s
 
@@ -39,6 +44,11 @@ FROZEN_MARGINALS = {
     (1.2, 2.0, "metric_sandwich"): [[0.49999999999999944, 0.49999999999999967],
                                     [0.4999999999999996, 0.4999999999999995]],
 }
+
+# sweep_delta_s on the 15 alpha x 3 t grid, both schemes and both modes, as
+# computed when every point was measured on its own: rows [delta_s, p_success_1, p_success_2]
+SWEEP_ROWS = json.loads((Path(__file__).parent / "data" / "sweep_rows.json").read_text())
+GRID_ALPHAS = np.linspace(0.0, 1.4, 15)
 
 
 class TestConfig:
@@ -168,7 +178,8 @@ class TestSimulatedMode:
                 for scheme in ("identity", "metric_sandwich"):
                     cfg = ExperimentConfig(alpha=alpha, t=t, scheme=scheme, mode="simulated_eq73")
                     stats = run_experiment(cfg)
-                    st = pipeline.scheme_stages(_paper_dilations([cfg])[0], scheme)
+                    d = build_dilation(gunther_system(alpha), eta=gunther_eta(alpha), h1_choice="paper")
+                    st = pipeline.scheme_stages(d, scheme)
                     for k, u_a in enumerate(_ALICE_UNITARIES):
                         *_, xi4, p_prepare, p_post = st.run(u_a @ bell_plus_x_state().reshape(2, 2), t)
                         assert np.abs(stats.table[k] - np.abs(_Y_DAG @ xi4[:2] @ _Y_CONJ) ** 2).max() <= 1e-14
@@ -243,12 +254,12 @@ class TestSweep:
         # K(t) reads only Hhat's factor on Y_tau: the blocks of Hhat and its
         # Y_tau-perp eigh are never formed
         calls = []
-        monkeypatch.setattr(dilation, "_hhat_blocks", lambda ds: calls.append(ds))
+        monkeypatch.setattr(dilation, "_hhat_blocks", lambda d: calls.append(d))
         build = nosignaling.build_dilation
         built = []
-        monkeypatch.setattr(nosignaling, "build_dilation", lambda *a, **kw: built.extend(build(*a, **kw)) or built)
+        monkeypatch.setattr(nosignaling, "build_dilation", lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
         sweep_delta_s([np.pi / 6], [1.0], scheme)
-        assert calls == [] and len(built) == 1
+        assert calls == [] and len(built) == 1 and built[0].H.shape == (1, 2, 2)
         assert not {"_blocks", "hhat_eigh"} & set(vars(built[0]))
 
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
@@ -275,27 +286,59 @@ class TestSweep:
     @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
     def test_one_dilation_per_alpha(self, mode, scheme, monkeypatch):
         # one stacked build makes every alpha's dilation, whose stages serve
-        # every t; rows equal one run_experiment (a batch of one) per point
-        alphas, ts = [0.0, np.pi / 6, 1.2], [0.5, 1.0, 2.0]
-        expected = [run_experiment(ExperimentConfig(alpha=a, t=t, scheme=scheme, mode=mode))
-                    for a in alphas for t in ts]
+        # every t; each row has the bits of its frozen row and of
+        # run_experiment, the grid of one, at its point
+        picked, ts = [0, 5, 12], SWEEP_ROWS["ts"]
+        alphas = GRID_ALPHAS[picked]
+        frozen = [SWEEP_ROWS["rows"][f"{scheme} {mode}"][3 * i + j] for i in picked for j in range(3)]
+        single = [run_experiment(ExperimentConfig(alpha=a, t=t, scheme=scheme, mode=mode)) for a in alphas for t in ts]
         calls = []
         build = nosignaling.build_dilation
         monkeypatch.setattr(nosignaling, "build_dilation",
                             lambda *args, **kw: calls.append(args) or build(*args, **kw))
         rows = sweep_delta_s(alphas, ts, scheme, mode=mode)
         assert [len(args[0]) for args in calls] == ([len(alphas)] if mode == "simulated_eq73" else [])
-        assert [(r["delta_s"], r["p_success_1"], r["p_success_2"]) for r in rows] == [
-            (e.delta_s, float(e.p_success[0]), float(e.p_success[1])) for e in expected]
+        assert [[r["delta_s"], r["p_success_1"], r["p_success_2"]] for r in rows] == frozen
+        assert [(r["alpha"], r["t"]) for r in rows] == [(a, t) for a in alphas.tolist() for t in ts]
+        assert [[e.delta_s, *e.p_success.tolist()] for e in single] == frozen
+
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_rows_match_the_frozen_grid(self, mode, scheme):
+        rows = sweep_delta_s(GRID_ALPHAS, SWEEP_ROWS["ts"], scheme, mode=mode)
+        got = np.array([[r["delta_s"], r["p_success_1"], r["p_success_2"]] for r in rows])
+        assert got.shape == (45, 3)
+        assert np.abs(got - np.array(SWEEP_ROWS["rows"][f"{scheme} {mode}"])).max() <= 1e-15
+
+    @pytest.mark.parametrize("scheme", ["identity", "metric_sandwich"])
+    def test_simulated_grid_is_one_stack(self, scheme, monkeypatch):
+        # the 15 x 3 grid: one build, one stage build and one K(t) stack; the
+        # factorizations of one point (at alpha = 1.4 a solve against R too)
+        counts = dict.fromkeys(("build_dilation", "scheme_stages", "kraus", "eigh", "qr", "svd"), 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("eigh", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        monkeypatch.setattr(nosignaling, "build_dilation", counting("build_dilation", nosignaling.build_dilation))
+        monkeypatch.setattr(nosignaling, "scheme_stages", counting("scheme_stages", nosignaling.scheme_stages))
+        monkeypatch.setattr(pipeline.SchemeStages, "kraus", counting("kraus", pipeline.SchemeStages.kraus))
+        rows = sweep_delta_s(GRID_ALPHAS, SWEEP_ROWS["ts"], scheme)
+        assert len(rows) == 45
+        assert counts == {"build_dilation": 1, "scheme_stages": 1, "kraus": 1, "eigh": 2, "qr": 1, "svd": 0}
 
     def test_direct_mode_forms_rho_once_per_alpha(self, monkeypatch):
         # each alpha's (rho, rho') serves every t: a 15 x 3 metric_sandwich
-        # grid makes one eigh of eta per alpha, not one per point
+        # grid makes one eigh of every alpha's eta, as one stack, not one per point
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: calls.append(a.shape) or eigh(a, *args))
-        rows = sweep_delta_s(np.linspace(0.0, 1.4, 15), [0.5, 1.0, 2.0], "metric_sandwich", mode="direct_eq71")
-        assert len(rows) == 45 and calls == [(2, 2)] * 15
+        rows = sweep_delta_s(GRID_ALPHAS, [0.5, 1.0, 2.0], "metric_sandwich", mode="direct_eq71")
+        assert len(rows) == 45 and calls == [(15, 2, 2)]
 
 
 class TestAccuracyFloor:
@@ -318,16 +361,35 @@ class TestAccuracyFloor:
 
 
 class TestVanishedBranch:
+    @staticmethod
+    def alice_operator(monkeypatch, scales):
+        """Alice's operator at the grid's (alpha, t) becomes scales[i][j] I, in either mode: K(t) of
+        every point, or e^{-itH} of alpha i at every t (under ``identity``, rho' and rho are I)."""
+        ops = np.asarray(scales)[..., None, None] * np.eye(2, dtype=complex)
+        rows = iter(ops)
+        monkeypatch.setattr(pipeline.SchemeStages, "kraus", lambda *args: ops)
+        monkeypatch.setattr(nosignaling, "gunther_propagator", lambda *args, **kwargs: next(rows))
+
     @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
     @pytest.mark.parametrize("scale", [1e-5, 1e-7, 1e-15])
-    def test_refused_at_its_mode_s_bound(self, mode, scale):
+    def test_refused_at_its_mode_s_bound(self, mode, scale, monkeypatch):
         # a branch vanishes at norm <= branch_tol and, when simulated, at
         # p_success = norm^2 <= psd_tol; K = scale I gives each branch the norm scale
+        self.alice_operator(monkeypatch, [[scale]])
         cfg = ExperimentConfig(alpha=np.pi / 6, mode=mode)
         if scale == 1e-15 or (scale == 1e-7 and mode == "simulated_eq73"):
             with pytest.raises(errors.ZeroFinalStateError, match=f"^run_experiment: {mode} branch 0 vanished$"):
-                nosignaling._experiment_stats(cfg, scale * np.eye(2, dtype=complex))
+                run_experiment(cfg)
         else:
-            stats = nosignaling._experiment_stats(cfg, scale * np.eye(2, dtype=complex))
+            stats = run_experiment(cfg)
             assert stats.delta_s <= 1e-15
             assert stats.p_success == pytest.approx([scale**2] * 2 if mode == "simulated_eq73" else [1.0, 1.0], rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["simulated_eq73", "direct_eq71"])
+    def test_grid_names_the_failing_point(self, mode, monkeypatch):
+        # points are numbered alpha-major: (alpha 1, t 2) of a 2 x 3 grid is member 5
+        scales = np.ones((2, 3))
+        scales[1, 2] = 1e-15
+        self.alice_operator(monkeypatch, scales)
+        with pytest.raises(errors.ZeroFinalStateError, match=f"^run_experiment: member 5: {mode} branch 0 vanished$"):
+            sweep_delta_s([0.3, 0.6], [0.5, 1.0, 2.0], "identity", mode=mode)

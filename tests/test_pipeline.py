@@ -61,15 +61,14 @@ def _count_matrix_exp(monkeypatch):
 
 
 def _count_hhat_blocks(monkeypatch):
-    """The stack sizes of every assembly of Hhat's blocks (``dilation._hhat_blocks``)."""
+    """The stack shape, () for one system, of every assembly of Hhat's blocks (``dilation._hhat_blocks``)."""
     sizes = []
 
-    def counted(ds, _fn=dilation._hhat_blocks):
-        sizes.append(len(ds))
-        return _fn(ds)
+    def counted(d, _fn=dilation._hhat_blocks):
+        sizes.append(d.H.shape[:-2])
+        return _fn(d)
 
     monkeypatch.setattr(dilation, "_hhat_blocks", counted)
-    monkeypatch.setattr(pipeline, "_hhat_blocks", counted)
     return sizes
 
 
@@ -229,7 +228,7 @@ class TestPaperBatch:
         # the residuals of H1, H2, H4 and Hhat read one assembly of all 12
         sizes = _count_hhat_blocks(monkeypatch)
         assert cli.main(["paper", "--json", str(tmp_path / "paper.json")]) == 0
-        assert sizes == [len(self.GRID)]
+        assert sizes == [(len(self.GRID),)]
 
     def test_json_equals_twelve_scalar_calls(self, tmp_path):
         # the text cmd_paper writes from one stacked call, rebuilt from 12
@@ -528,9 +527,9 @@ class TestReuse:
         counts = self.count_linalg(monkeypatch, "eigh", "inv")
         hhat = d.Hhat
         assert [a.shape for a in (d.H1, d.H2, d.H4, d.Hhat)] == [(8, 8)] * 3 + [(16, 16)]
-        assert d.Hhat is hhat and sizes == [1] and counts == {"eigh": 0, "inv": 1}
+        assert d.Hhat is hhat and sizes == [()] and counts == {"eigh": 0, "inv": 1}
         w, v = d.hhat_eigh
-        assert d.hhat_eigh[1] is v and sizes == [1] and counts == {"eigh": 1, "inv": 1}
+        assert d.hhat_eigh[1] is v and sizes == [()] and counts == {"eigh": 1, "inv": 1}
         for a in (d.H1, d.H2, d.H4, hhat, w, v):
             with pytest.raises(ValueError):
                 a[(0,) * a.ndim] = 0.0
@@ -928,6 +927,32 @@ class TestInstrument:
             kraus = [scheme_stages(d, scheme).kraus(t) for d in ds]
             assert all(np.array_equal(k, kraus[0]) for k in kraus[1:]), t
         assert all(np.linalg.norm(d.Hhat - ds[0].Hhat) > 1e-3 for d in ds[1:])
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_kraus_of_a_t_array_is_the_stack_of_each_t(self, scheme):
+        # a 1-D t gives (..., T, n, n), the t axis after a stacked build's own;
+        # each K(t) has the bits of the scalar call on the same stages
+        systems = [gunther_system(a) for a in (0.2, 0.7, 1.4)] + [random_unbroken(np.random.default_rng(720), 2)]
+        single, stacked = build_dilation(systems[-1]), build_dilation(systems)
+        for d, shape in ((single, (len(self.TS), 2, 2)), (stacked, (len(systems), len(self.TS), 2, 2))):
+            st = scheme_stages(d, scheme)
+            ks = st.kraus(np.array(self.TS))
+            assert ks.shape == shape
+            for j, t in enumerate(self.TS):
+                assert np.array_equal(ks[..., j, :, :], st.kraus(t)), t
+                assert st.kraus(t).shape == shape[:-3] + (2, 2)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_stages_of_a_stacked_build_are_each_members(self, scheme):
+        # one stage build on the stack: member i's factors are those of its own build, bit for bit
+        alphas = np.linspace(0.0, 1.4, 15)
+        stacked = scheme_stages(build_dilation([gunther_system(a) for a in alphas], eta=[gunther_eta(a) for a in alphas],
+                                               h1_choice="paper"), scheme)
+        for i, a in enumerate(alphas):
+            st = scheme_stages(build_dilation(gunther_system(a), eta=gunther_eta(a), h1_choice="paper"), scheme)
+            for name in ("rho", "rho_prime", "kraus_left", "kraus_right"):
+                x = getattr(stacked, name)
+                assert np.array_equal(x if x.ndim == 2 else x[i], getattr(st, name)), (a, name)
 
     def test_kraus_factors_are_read_only(self):
         st = scheme_stages(_instrument_case(4)[1], "identity")
